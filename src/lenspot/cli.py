@@ -45,6 +45,16 @@ def _parse_grid(text):
     return nx, ny
 
 
+def _parse_samples(text):
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError("sample count must be at least 1")
+    return count
+
+
 def _parse_pin(text):
     try:
         point, value = text.split("=")
@@ -212,7 +222,7 @@ def _build_parser():
     p = sub.add_parser("poisson", help="tabulate the Poisson kernel on both arcs")
     _add_params_args(p)
     p.add_argument("--z", type=_parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--samples", type=int, default=64, metavar="M")
+    p.add_argument("--samples", type=_parse_samples, default=64, metavar="M")
     p.add_argument("--output")
 
     for which in ("dirichlet", "neumann"):
@@ -240,7 +250,7 @@ def main(argv=None):
             sys.stderr.write(f"LENS_THREADS must be a positive integer, "
                              f"got {threads!r}\n")
             return 2
-        # evaluation is sequential; any positive cap is honored trivially
+        # evaluation is sequential; the value is only validated
 
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -131,8 +131,12 @@ def boundary_forms(params, z):
 
 
 def classify_point(params, z, tol=1e-10):
-    """One of interior, boundary_C0, boundary_C1, corner, exterior."""
+    """One of interior, boundary_C0, boundary_C1, corner, exterior.
+
+    Non-finite points are exterior."""
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return "exterior"
     f0, f1 = boundary_forms(params, z)
     f0, f1 = float(f0), float(f1)
     if params.n == 1:

@@ -21,8 +21,10 @@ import math
 
 import numpy as np
 
-from .domain import (EPS_CORNER, BoundaryPoint, arcs, classify_point,
+from .domain import (EPS_CORNER, BoundaryPoint, _bounding_box, classify_point,
                      corner_distance, reflection_orbit)
+
+_KEPT = ("interior", "boundary_C0", "boundary_C1")
 
 
 class KernelField:
@@ -41,7 +43,7 @@ class KernelField:
         self._density_c0 = 2.0 * n * math.sin(alpha - theta) / math.sin(alpha)
 
     # ------------------------------------------------------------------
-    # factor polynomials
+    # the kernel core: factor polynomials and the one loop over k
 
     def _num(self, k, z, zeta):
         return (np.conj(z) * zeta * self._sp[k]
@@ -51,23 +53,54 @@ class KernelField:
         return (z * zeta * self._sk[k] + z * self._sm[k]
                 - zeta * self._sp[k] + self._sk[k])
 
+    def _log_num(self, k, z, zeta):
+        return np.log(np.abs(self._num(k, z, zeta)))
+
+    def _log_den(self, k, z, zeta, regular):
+        """log|den_k|; the regular k = 0 term drops the diagonal zero
+        (z - zeta) and keeps log sin(alpha)."""
+        if regular and k == 0:
+            return self._log_sin_alpha
+        return np.log(np.abs(self._den(k, z, zeta)))
+
+    def _sum(self, term):
+        """sum of term(k) over k < n, each term over the whole node batch.
+
+        The loop stays over k: a broadcast (n, nodes) table is slower on
+        the large area meshes.  Each term should be one operator expression
+        with no named intermediates, so numpy can reuse its temporaries.
+        """
+        total = 0.0
+        for k in range(self.params.n):
+            total = total + term(k)
+        return total
+
+    def _log_ratio(self, z, zeta, regular):
+        return self._sum(lambda k: self._log_num(k, z, zeta)
+                         - self._log_den(k, z, zeta, regular))
+
+    def _log_product(self, z, zeta, regular):
+        return self._sum(lambda k: self._log_num(k, z, zeta)
+                         + self._log_den(k, z, zeta, regular))
+
     # ------------------------------------------------------------------
-    # guards
+    # arguments and results
 
-    def _no_corners(self, *values):
-        for v in values:
-            if np.any(corner_distance(self.params, v) <= EPS_CORNER):
-                raise ValueError("kernel undefined at the corner points")
-
-    @staticmethod
-    def _distinct(z, zeta):
-        if np.any(np.asarray(z) == np.asarray(zeta)):
+    def _args(self, *values, corners=False, pole=True):
+        """values as complex arrays; ValueError at a corner (when asked)
+        or where the first two values coincide (the pole)."""
+        values = [np.asarray(v, dtype=complex) for v in values]
+        if corners and any(np.any(corner_distance(self.params, v) <= EPS_CORNER)
+                           for v in values):
+            raise ValueError("kernel undefined at the corner points")
+        if pole and np.any(values[0] == values[1]):
             raise ValueError("kernel has a singularity at zeta == z")
+        return values
 
     @staticmethod
-    def _out(value, *inputs):
+    def _out(value, *inputs, scalar=float):
         if all(np.ndim(v) == 0 for v in inputs):
-            return float(value)
+            return scalar(value)
         return value
 
     # ------------------------------------------------------------------
@@ -76,64 +109,37 @@ class KernelField:
     def green(self, z, zeta):
         """Green function: positive inside, zero on the boundary, log pole
         at zeta == z."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._no_corners(z, zeta)
-        self._distinct(z, zeta)
-        total = 0.0
-        for k in range(self.params.n):
-            total = total + (np.log(np.abs(self._num(k, z, zeta)))
-                             - np.log(np.abs(self._den(k, z, zeta))))
-        return self._out(2.0 * total, z, zeta)
+        z, zeta = self._args(z, zeta, corners=True)
+        return self._out(2.0 * self._log_ratio(z, zeta, False), z, zeta)
 
     def green_regular(self, z, zeta):
         """green + log|zeta - z|^2, finite and harmonic across the diagonal."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._no_corners(z, zeta)
-        total = np.log(np.abs(self._num(0, z, zeta))) - self._log_sin_alpha
-        for k in range(1, self.params.n):
-            total = total + (np.log(np.abs(self._num(k, z, zeta)))
-                             - np.log(np.abs(self._den(k, z, zeta))))
-        return self._out(2.0 * total, z, zeta)
+        z, zeta = self._args(z, zeta, corners=True, pole=False)
+        return self._out(2.0 * self._log_ratio(z, zeta, True), z, zeta)
 
     def d_green_dzeta(self, z, zeta):
         """Holomorphic zeta-derivative of the Green function."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._no_corners(z, zeta)
-        self._distinct(z, zeta)
-        total = 0.0
-        for k in range(self.params.n):
-            total = total + ((np.conj(z) * self._sp[k] - self._sk[k])
-                             / self._num(k, z, zeta)
-                             - (z * self._sk[k] - self._sp[k])
-                             / self._den(k, z, zeta))
-        if np.ndim(z) == 0 and np.ndim(zeta) == 0:
-            return complex(total)
-        return total
+        z, zeta = self._args(z, zeta, corners=True)
+        total = self._sum(lambda k: (np.conj(z) * self._sp[k] - self._sk[k])
+                          / self._num(k, z, zeta)
+                          - (z * self._sk[k] - self._sp[k])
+                          / self._den(k, z, zeta))
+        return self._out(total, z, zeta, scalar=complex)
 
     def poisson_kernel(self, z, bp: BoundaryPoint):
         """Poisson kernel against a non-corner boundary point batch."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(bp.point, dtype=complex)
-        self._no_corners(z, zeta)
-        self._distinct(z, zeta)
+        z, zeta = self._args(z, bp.point, corners=True)
         n = self.params.n
         if bp.arc_id == "C1":
-            total = 0.0
-            for k in range(n):
-                total = total + np.real((z * self._sm[k] + self._sk[k])
-                                        / self._den(k, z, zeta))
-            value = n - 2.0 * total
+            value = n - 2.0 * self._sum(
+                lambda k: np.real((z * self._sm[k] + self._sk[k])
+                                  / self._den(k, z, zeta)))
         elif bp.arc_id == "C0":
             if n == 1:
                 raise ValueError("the C0 arc is empty for n = 1")
-            total = 0.0
-            for k in range(n):
-                total = total + np.real((z * self._smp[k] + self._skp[k])
-                                        / self._den(k, z, zeta))
-            value = -0.5 * self._density_c0 + 2.0 * total
+            value = -0.5 * self._density_c0 + 2.0 * self._sum(
+                lambda k: np.real((z * self._smp[k] + self._skp[k])
+                                  / self._den(k, z, zeta)))
         else:
             raise ValueError(f"unknown arc id {bp.arc_id!r}")
         return self._out(value, z, zeta)
@@ -145,46 +151,27 @@ class KernelField:
         """Neumann function, defined up to an additive constant; has the
         same log pole as the Green function and piecewise-constant outward
         normal derivative on the boundary."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
-        total = 0.0
-        for k in range(self.params.n):
-            total = total + (np.log(np.abs(self._num(k, z, zeta)))
-                             + np.log(np.abs(self._den(k, z, zeta))))
-        return self._out(-2.0 * total, z, zeta)
+        z, zeta = self._args(z, zeta)
+        return self._out(-2.0 * self._log_product(z, zeta, False), z, zeta)
 
     def neumann_regular(self, z, zeta):
         """neumann + log|zeta - z|^2, finite across the diagonal."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        total = np.log(np.abs(self._num(0, z, zeta))) + self._log_sin_alpha
-        for k in range(1, self.params.n):
-            total = total + (np.log(np.abs(self._num(k, z, zeta)))
-                             + np.log(np.abs(self._den(k, z, zeta))))
-        return self._out(-2.0 * total, z, zeta)
+        z, zeta = self._args(z, zeta, pole=False)
+        return self._out(-2.0 * self._log_product(z, zeta, True), z, zeta)
 
     def d_neumann_dz(self, z, zeta):
         """Holomorphic z-derivative of the Neumann function."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
-        total = 0.0
-        for k in range(self.params.n):
-            total = total + ((zeta * self._sk[k] + self._sm[k])
-                             / self._den(k, z, zeta)
-                             + (np.conj(zeta) * self._sp[k] - self._sk[k])
-                             / np.conj(self._num(k, z, zeta)))
-        total = -total
-        if np.ndim(z) == 0 and np.ndim(zeta) == 0:
-            return complex(total)
-        return total
+        z, zeta = self._args(z, zeta)
+        total = -self._sum(lambda k: (zeta * self._sk[k] + self._sm[k])
+                           / self._den(k, z, zeta)
+                           + (np.conj(zeta) * self._sp[k] - self._sk[k])
+                           / np.conj(self._num(k, z, zeta)))
+        return self._out(total, z, zeta, scalar=complex)
 
     def normal_density(self, bp: BoundaryPoint):
         """Outward normal derivative of the Neumann function on the
         boundary: a piecewise constant (-2n on the unit-circle arc)."""
-        pt = np.asarray(bp.point, dtype=complex)
-        self._no_corners(pt)
+        pt, = self._args(bp.point, corners=True, pole=False)
         if bp.arc_id == "C1":
             value = -2.0 * self.params.n
         elif bp.arc_id == "C0":
@@ -201,24 +188,18 @@ class KernelField:
     # reference kernels of the two carrier regions
 
     def disc_green(self, z, zeta):
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
+        z, zeta = self._args(z, zeta)
         val = 2.0 * (np.log(np.abs(np.conj(z) * zeta - 1.0))
                      - np.log(np.abs(z - zeta)))
         return self._out(val, z, zeta)
 
     def disc_poisson(self, z, zeta):
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
+        z, zeta = self._args(z, zeta)
         return self._out(1.0 - 2.0 * np.real(z / (z - zeta)), z, zeta)
 
     def carrier_green(self, z, zeta):
         """Green function of the region cut out by the C0 carrier circle."""
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
+        z, zeta = self._args(z, zeta)
         alpha, theta = self.params.alpha, self.params.theta
         num = (np.conj(z) * zeta * math.sin(alpha - theta)
                + (np.conj(z) + zeta) * math.sin(theta) - math.sin(alpha + theta))
@@ -227,9 +208,7 @@ class KernelField:
         return self._out(val, z, zeta)
 
     def carrier_poisson(self, z, zeta):
-        z = np.asarray(z, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        self._distinct(z, zeta)
+        z, zeta = self._args(z, zeta)
         alpha, theta = self.params.alpha, self.params.theta
         val = (-math.sin(alpha - theta) / math.sin(alpha)
                + 2.0 * np.real((z * math.sin(alpha - theta) + math.sin(theta))
@@ -248,11 +227,9 @@ class KernelField:
     def prefactor_abs(self, z):
         """Modulus of prod_k (z sin(kt) - sin(a+kt))/(conj(z) sin(a+kt) - sin(kt));
         identically 1 on the boundary."""
-        z = np.asarray(z, dtype=complex)
-        total = 0.0
-        for k in range(self.params.n):
-            total = total + (np.log(np.abs(z * self._sk[k] - self._sp[k]))
-                             - np.log(np.abs(np.conj(z) * self._sp[k] - self._sk[k])))
+        z, = self._args(z, pole=False)
+        total = self._sum(lambda k: np.log(np.abs(z * self._sk[k] - self._sp[k]))
+                          - np.log(np.abs(np.conj(z) * self._sp[k] - self._sk[k])))
         return self._out(np.exp(total), z)
 
     def blaschke_product(self, z, zeta):
@@ -282,25 +259,22 @@ def evaluate_on_grid(field, kind, zeta, nx, ny):
 
     Returns (xs, ys, values) with values shaped (ny, nx); cells outside the
     closed domain, at the corners, or on the pole are NaN.  kind selects
-    "green" or "neumann"; zeta is the pole.
+    "green" or "neumann"; zeta is the pole.  Raises ValueError where the
+    kernel is undefined at zeta itself.
     """
     if kind not in ("green", "neumann"):
         raise ValueError("kind must be 'green' or 'neumann'")
     zeta = complex(zeta)
-    pts = np.concatenate([arc.point(np.linspace(*arc.t_range, 257))
-                          for arc in arcs(field.params).values()
-                          if arc.kind != "empty"])
-    xs = np.linspace(pts.real.min(), pts.real.max(), nx)
-    ys = np.linspace(pts.imag.min(), pts.imag.max(), ny)
-    values = np.full((ny, nx), np.nan)
+    params = field.params
+    (x_lo, x_hi), (y_lo, y_hi) = _bounding_box(params)
+    xs = np.linspace(x_lo, x_hi, nx)
+    ys = np.linspace(y_lo, y_hi, ny)
+    z = xs + 1j * ys[:, None]
+    keep = np.array([[classify_point(params, c) in _KEPT for c in row]
+                     for row in z]) & (z != zeta)
+    if kind == "green":
+        keep &= corner_distance(params, z) > EPS_CORNER
     evaluate = field.green if kind == "green" else field.neumann
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            z = complex(x, y)
-            state = classify_point(field.params, z)
-            if state in ("interior", "boundary_C0", "boundary_C1"):
-                try:
-                    values[j, i] = evaluate(z, zeta)
-                except ValueError:
-                    pass
+    values = np.full((ny, nx), np.nan)
+    values[keep] = evaluate(z[keep], zeta)
     return xs, ys, values

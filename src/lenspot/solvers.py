@@ -212,6 +212,28 @@ def _near_refinement(params, z):
     return ()
 
 
+def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
+               area_kernel):
+    """Representation formula at each point: the boundary integral of
+    gamma * boundary_kernel(z, bp) over scale, minus 1/pi times the area
+    integral of f * area_kernel(z, zeta)."""
+    out = []
+    for z in _check_points(params, points):
+        here = integrate_boundary(
+            spec, params,
+            lambda bp: np.asarray(gamma(bp)) * boundary_kernel(z, bp),
+            refine_near=_near_refinement(params, z))
+        w = here / scale
+        if not f.is_zero:
+            area = integrate_area(
+                spec, params,
+                lambda zeta: np.asarray(f(zeta)) * area_kernel(z, zeta),
+                singular_at=z)
+            w = w - area / math.pi
+        out.append(complex(w))
+    return np.array(out)
+
+
 def solve_dirichlet(params, spec, gamma, f, points):
     """Solution values of w_{z conj(z)} = f, w = gamma on the boundary.
 
@@ -225,23 +247,9 @@ def solve_dirichlet(params, spec, gamma, f, points):
 
     Returns a complex array, one value per point.
     """
-    points = _check_points(params, points)
     fld = KernelField(params)
-    out = []
-    for z in points:
-        here = integrate_boundary(
-            spec, params,
-            lambda bp: np.asarray(gamma(bp)) * fld.poisson_kernel(z, bp),
-            refine_near=_near_refinement(params, z))
-        w = here / (2.0 * math.pi)
-        if not f.is_zero:
-            area = integrate_area(
-                spec, params,
-                lambda zeta: np.asarray(f(zeta)) * fld.green(z, zeta),
-                singular_at=z)
-            w = w - area / math.pi
-        out.append(complex(w))
-    return np.array(out)
+    return _represent(params, spec, gamma, f, points, fld.poisson_kernel,
+                      2.0 * math.pi, fld.green)
 
 
 def check_neumann_solvability(params, spec, gamma, f):
@@ -262,23 +270,10 @@ def solve_neumann(params, spec, gamma, f, points):
     verdict = check_neumann_solvability(params, spec, gamma, f)
     if not verdict["satisfied"]:
         raise SolvabilityError(verdict["lhs"], verdict["rhs"])
-    points = _check_points(params, points)
     fld = KernelField(params)
-    out = []
-    for z in points:
-        here = integrate_boundary(
-            spec, params,
-            lambda bp: np.asarray(gamma(bp)) * fld.neumann(bp.point, z),
-            refine_near=_near_refinement(params, z))
-        w = here / (4.0 * math.pi)
-        if not f.is_zero:
-            area = integrate_area(
-                spec, params,
-                lambda zeta: np.asarray(f(zeta)) * fld.neumann(z, zeta),
-                singular_at=z)
-            w = w - area / math.pi
-        out.append(complex(w))
-    return np.array(out)
+    return _represent(params, spec, gamma, f, points,
+                      lambda z, bp: fld.neumann(bp.point, z), 4.0 * math.pi,
+                      fld.neumann)
 
 
 def probe_normalization_constant(params, spec, zetas):

@@ -71,6 +71,13 @@ class TestGrids:
         assert code == 2
         assert "interior" in err
 
+    def test_nan_zeta_rejected(self, capsys):
+        code, out, err = run(capsys, "green", "--alpha-pi", "1/2", "--n", "2",
+                             "--zeta", "nan,0", "--grid", "3,3")
+        assert code == 2
+        assert out == ""
+        assert "interior" in err
+
 
 class TestPoissonTab:
     def test_rows(self, capsys):
@@ -81,6 +88,20 @@ class TestPoissonTab:
         assert lines[0] == "arc,t,x,y,p"
         assert sum(line.startswith("C0") for line in lines) == 5
         assert sum(line.startswith("C1") for line in lines) == 5
+
+    def test_nan_z_rejected(self, capsys):
+        code, _, err = run(capsys, "poisson", "--alpha-pi", "1/2", "--n", "2",
+                           "--z", "nan,0")
+        assert code == 2
+        assert "interior" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_two(self, capsys, samples):
+        with pytest.raises(SystemExit) as err:
+            main(["poisson", "--alpha-pi", "1/2", "--n", "2", "--z", "0.4,0.1",
+                  "--samples", samples])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 class TestSolveCommands:
@@ -134,6 +155,15 @@ class TestSolveCommands:
         code, _, err = run(capsys, "solve-neumann", "--problem", str(path))
         assert code == 1
         assert "defect" in err
+
+    def test_nan_point_exits_nonzero(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"alpha": 1.5707963267948966, "n": 2, '
+                        '"gamma": {"kind": "re"}, "points": [[NaN, 0.1]]}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code != 0
+        assert out == ""
+        assert "exterior" in err
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "solve-dirichlet", "--problem",

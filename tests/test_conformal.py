@@ -9,6 +9,7 @@ from lenspot import (KernelField, LensParams, SectorMap, boundary_samples,
 CASES = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
          LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 4, 4),
          LensParams(0.9 * math.pi, 1)]
+LARGE_N = [LensParams(math.pi / 2, 16), LensParams(math.pi / 2 + 0.01, 64)]
 
 
 def pairs(params, count, seed=0):
@@ -67,7 +68,7 @@ def test_green_symmetric(params):
     assert np.abs(smap.green(z, w) - smap.green(w, z)).max() < 1e-12
 
 
-@pytest.mark.parametrize("params", CASES)
+@pytest.mark.parametrize("params", CASES + LARGE_N)
 def test_agrees_with_product_kernel(params):
     smap = SectorMap(params)
     fld = KernelField(params)

@@ -150,6 +150,12 @@ class TestClassify:
         assert classify_point(CURVED, edge + 1e-3) == "interior"
         assert classify_point(CURVED, edge) == "boundary_C0"
 
+    @pytest.mark.parametrize("params", [HALF, CURVED, DISC])
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.3, math.nan),
+                                   complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    def test_non_finite_is_exterior(self, params, z):
+        assert classify_point(params, z) == "exterior"
+
 
 class TestBoundaryParam:
     def test_unit_arc_midpoint(self):

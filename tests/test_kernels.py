@@ -6,6 +6,7 @@ import pytest
 from lenspot import (KernelField, LensParams, arcs, boundary_point,
                      boundary_samples, classify_point, evaluate_on_grid,
                      normal_coeffs, sample_interior)
+from lenspot.domain import EPS_CORNER, corner_distance
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -253,9 +254,31 @@ class TestGridEvaluation:
 
     def test_pole_cell_masked(self):
         fld = KernelField(HALF)
-        # put the pole exactly on a grid node: 5x5 over [-?..] includes 0.5?
         xs, ys, values = evaluate_on_grid(fld, "neumann", 0.4 + 0.1j, 8, 8)
+        # the grid does not depend on the pole: move the pole onto a node
+        j, i = next((j, i) for j, i in zip(*np.nonzero(~np.isnan(values)))
+                    if classify_point(HALF, complex(xs[i], ys[j])) == "interior")
+        zeta = complex(xs[i], ys[j])
+        xs, ys, values = evaluate_on_grid(fld, "neumann", zeta, 8, 8)
+        assert np.isnan(values[j, i])
         assert np.isfinite(values[~np.isnan(values)]).all()
+
+    @pytest.mark.parametrize("params", [LensParams(math.pi / 2, 1), HALF,
+                                        LensParams(math.pi / 2 + 0.01, 64)])
+    def test_matches_scalar_kernel(self, params):
+        fld = KernelField(params)
+        zeta = complex(sample_interior(params, np.random.default_rng(9), 1)[0])
+        xs, ys, values = evaluate_on_grid(fld, "green", zeta, 15, 13)
+        kept = ~np.isnan(values)
+        assert kept.any() and not kept.all()
+        for j, i in np.ndindex(values.shape):
+            z = complex(xs[i], ys[j])
+            if kept[j, i]:
+                assert values[j, i] == fld.green(z, zeta)
+            else:
+                assert (classify_point(params, z) in ("exterior", "corner")
+                        or corner_distance(params, z) <= EPS_CORNER
+                        or z == zeta)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

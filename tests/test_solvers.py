@@ -126,6 +126,11 @@ class TestDirichlet:
             solve_dirichlet(HALF, SPEC, BoundaryData.constant(1.0),
                             SourceTerm.zero(), [2.0 + 0j])
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError, match="exterior"):
+            solve_dirichlet(HALF, SPEC, BoundaryData.constant(1.0),
+                            SourceTerm.zero(), [complex(math.nan, 0.1)])
+
     def test_two_specs_agree(self):
         pts = interior(HALF, 4, seed=4)
         gamma = BoundaryData.from_expression("im_z2")
