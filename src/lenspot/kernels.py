@@ -5,14 +5,20 @@ All kernels are built from 2n factor polynomials indexed by k < n,
     num_k = conj(z)*zeta*sin(a+k*t) - (conj(z)+zeta)*sin(k*t) - sin(a-k*t)
     den_k = z*zeta*sin(k*t) + z*sin(a-k*t) - zeta*sin(a+k*t) + sin(k*t)
 
-with a the corner half-angle and t = pi/n.  The Green function is the log
-of the squared modulus of prod(num_k/den_k); the Neumann function is minus
-the log of the squared modulus of prod(num_k)*prod(den_k).  Products are
-accumulated as sums of log-moduli so large n and near-corner points do not
-overflow.  The k = 0 denominator equals (z - zeta)*sin(a) and carries the
-only diagonal zero; the *_regular variants divide it out analytically and
-stay finite across zeta == z, which is what the singular-area quadrature
-evaluates.
+with a the corner half-angle and t = pi/n.  Both are affine in zeta and are
+evaluated in that form,
+
+    num_k = (conj(z)*sin(a+k*t) - sin(k*t))*zeta - (conj(z)*sin(k*t) + sin(a-k*t))
+    den_k = (z*sin(k*t) - sin(a+k*t))*zeta + (z*sin(a-k*t) + sin(k*t))
+
+so with a scalar z each factor over a node batch costs one multiply and
+one add.  The Green function is the log of the squared modulus of
+prod(num_k/den_k); the Neumann function is minus the log of the squared
+modulus of prod(num_k)*prod(den_k).  Products are accumulated as sums of
+log-moduli so large n and near-corner points do not overflow.  The k = 0
+denominator equals (z - zeta)*sin(a) and carries the only diagonal zero;
+the *_regular variants divide it out analytically and stay finite across
+zeta == z.
 """
 
 from __future__ import annotations
@@ -45,13 +51,22 @@ class KernelField:
     # ------------------------------------------------------------------
     # the kernel core: factor polynomials and the one loop over k
 
+    def _num_coeffs(self, k, z):
+        """(a, b) with num_k = a*zeta - b."""
+        zc = np.conj(z)
+        return zc * self._sp[k] - self._sk[k], zc * self._sk[k] + self._sm[k]
+
+    def _den_coeffs(self, k, z):
+        """(c, d) with den_k = c*zeta + d."""
+        return z * self._sk[k] - self._sp[k], z * self._sm[k] + self._sk[k]
+
     def _num(self, k, z, zeta):
-        return (np.conj(z) * zeta * self._sp[k]
-                - (np.conj(z) + zeta) * self._sk[k] - self._sm[k])
+        a, b = self._num_coeffs(k, z)
+        return a * zeta - b
 
     def _den(self, k, z, zeta):
-        return (z * zeta * self._sk[k] + z * self._sm[k]
-                - zeta * self._sp[k] + self._sk[k])
+        c, d = self._den_coeffs(k, z)
+        return c * zeta + d
 
     def _log_num(self, k, z, zeta):
         return np.log(np.abs(self._num(k, z, zeta)))
@@ -120,10 +135,9 @@ class KernelField:
     def d_green_dzeta(self, z, zeta):
         """Holomorphic zeta-derivative of the Green function."""
         z, zeta = self._args(z, zeta, corners=True)
-        total = self._sum(lambda k: (np.conj(z) * self._sp[k] - self._sk[k])
+        total = self._sum(lambda k: self._num_coeffs(k, z)[0]
                           / self._num(k, z, zeta)
-                          - (z * self._sk[k] - self._sp[k])
-                          / self._den(k, z, zeta))
+                          - self._den_coeffs(k, z)[0] / self._den(k, z, zeta))
         return self._out(total, z, zeta, scalar=complex)
 
     def poisson_kernel(self, z, bp: BoundaryPoint):
@@ -132,7 +146,7 @@ class KernelField:
         n = self.params.n
         if bp.arc_id == "C1":
             value = n - 2.0 * self._sum(
-                lambda k: np.real((z * self._sm[k] + self._sk[k])
+                lambda k: np.real(self._den_coeffs(k, z)[1]
                                   / self._den(k, z, zeta)))
         elif bp.arc_id == "C0":
             if n == 1:
@@ -228,8 +242,8 @@ class KernelField:
         """Modulus of prod_k (z sin(kt) - sin(a+kt))/(conj(z) sin(a+kt) - sin(kt));
         identically 1 on the boundary."""
         z, = self._args(z, pole=False)
-        total = self._sum(lambda k: np.log(np.abs(z * self._sk[k] - self._sp[k]))
-                          - np.log(np.abs(np.conj(z) * self._sp[k] - self._sk[k])))
+        total = self._sum(lambda k: np.log(np.abs(self._den_coeffs(k, z)[0]))
+                          - np.log(np.abs(self._num_coeffs(k, z)[0])))
         return self._out(np.exp(total), z)
 
     def blaschke_product(self, z, zeta):

@@ -9,13 +9,18 @@ Area integrals pull the domain back through w = log of the corner-pinning
 Mobius map: the image is an axis-aligned strip rectangle of height pi/n
 for every parameter choice, the corners sit at x = -inf/+inf where the
 exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|), and a
-declared logarithmic singularity is handled by snapping its image onto
-panel edges and grading the tensor mesh toward it geometrically.
+declared logarithmic singularity is handled by snapping its image w0 onto
+panel edges and splitting only the cells near w0, each until it is at most
+_ATTRACT_RATIO times its distance to w0 wide.  The reflection images of
+the singular point are the mirror images of w0 in the strip's edges; no
+strip point is closer to an image than to w0, so they need no grading of
+their own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -41,9 +46,16 @@ class QuadratureSpec:
     epsilon_corner: float = 1e-7
 
     def __post_init__(self):
-        if min(self.gauss_order, self.boundary_panels,
-               self.area_radial, self.area_angular) < 1:
+        counts = (self.gauss_order, self.boundary_panels,
+                  self.area_radial, self.area_angular)
+        if not all(_is_number(c, numbers.Integral) for c in counts):
+            raise ValueError("all quadrature counts must be integers")
+        if min(counts) < 1:
             raise ValueError("all quadrature counts must be >= 1")
+        if not all(_is_number(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.corner_grading, self.epsilon_corner)):
+            raise ValueError("corner_grading and epsilon_corner must be "
+                             "finite numbers")
         if not 0.0 < self.corner_grading < 1.0:
             raise ValueError("corner_grading must lie in (0, 1)")
         if self.epsilon_corner <= 0.0:
@@ -72,6 +84,11 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature settings: {sorted(unknown)}")
         known.update(data)
         return cls(**known)
+
+
+def _is_number(value, kind):
+    """value is an instance of the numbers ABC kind, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=32)
@@ -225,17 +242,19 @@ class _StripMap:
         z = np.asarray(z, dtype=complex)
         return np.log(self.rotation * (z - self.cp) / (z - self.cm))
 
-    def from_w(self, w):
-        s = np.exp(np.asarray(w, dtype=complex)) / self.rotation
-        return (self.cm * s - self.cp) / (s - 1.0)
-
-    def jacobian(self, w):
-        s = np.exp(np.asarray(w, dtype=complex)) / self.rotation
+    def pullback(self, x, y):
+        """Points z(w) and Jacobians |dz/dw|^2 at w = x + iy, x and y
+        broadcast against each other.  exp(w) is formed as exp(x) times
+        exp(iy), so a tensor grid pays for its rows and columns only."""
+        ex = np.exp(x)
+        s = ex * (np.exp(1j * np.asarray(y)) / self.rotation)
+        d = s - 1.0
+        d2 = d.real * d.real + d.imag * d.imag
         scale = 2.0 * math.sin(self.params.alpha)
-        return scale * scale * np.abs(s) ** 2 / np.abs(s - 1.0) ** 4
+        return (self.cm * s - self.cp) / d, (scale * ex) ** 2 / (d2 * d2)
 
     def _check(self):
-        mid = complex(self.from_w(-0.5j * self.height))
+        mid = complex(self.pullback(0.0, -0.5 * self.height)[0])
         if classify_point(self.params, mid) != "interior":
             raise RuntimeError("strip pullback calibration failed")
         arcmap = arcs(self.params)
@@ -247,14 +266,47 @@ class _StripMap:
                 raise RuntimeError("second arc did not map to the strip bottom")
 
 
+def _refine_cells(cells, w0, floor_x, floor_y):
+    """Split cells (rows x0, x1, y0, y1) locally toward the point w0.
+
+    Every leaf is at most max(floor, _ATTRACT_RATIO * d) wide along each
+    side, d being its Euclidean distance to w0.  Each level halves every
+    cell still too wide across the side that overshoots its allowance by
+    more, for the whole batch at once.  w0 lies on base edges, so it never
+    enters a cell.
+    """
+    leaves = []
+    while cells.shape[1]:
+        dx = np.maximum(np.maximum(cells[0] - w0.real, w0.real - cells[1]), 0.0)
+        dy = np.maximum(np.maximum(cells[2] - w0.imag, w0.imag - cells[3]), 0.0)
+        reach = _ATTRACT_RATIO * np.hypot(dx, dy)
+        over_x = (cells[1] - cells[0]) / np.maximum(floor_x, reach)
+        over_y = (cells[3] - cells[2]) / np.maximum(floor_y, reach)
+        split_x = (over_x > 1.0) & (over_x >= over_y)
+        split_y = (over_y > 1.0) & ~split_x
+        leaves.append(cells[:, ~(split_x | split_y)])
+        cells = np.concatenate([_halves(cells[:, split_x], 0),
+                                _halves(cells[:, split_y], 2)], axis=1)
+    return np.concatenate(leaves, axis=1)
+
+
+def _halves(cells, lo):
+    """Both halves of each cell, cut across rows lo and lo + 1; cells
+    (a fresh copy made by the caller's mask) is overwritten."""
+    second = cells.copy()
+    cells[lo + 1] = second[lo] = 0.5 * (cells[lo] + cells[lo + 1])
+    return np.concatenate([cells, second], axis=1)
+
+
 def area_mesh(spec, params, singular_at=None):
     """Flat arrays (points, weights) for area integrals over the domain.
 
-    With singular_at set (a strictly interior point), the image of that
-    point is snapped onto panel edges and the mesh is graded toward it, so
-    integrands with a log singularity there converge at full order.  The
-    strip is truncated where nodes would enter the corner exclusion zone;
-    the Jacobian is ~1e-14 there, so nothing of the integral is lost.
+    With singular_at set (a strictly interior point), the image w0 of that
+    point is snapped onto panel edges and the cells near it are split
+    locally (see _refine_cells), so integrands with a log singularity
+    there converge at full order.  The strip is truncated where nodes
+    would enter the corner exclusion zone; the Jacobian is ~1e-14 there,
+    so nothing of the integral is lost.
     """
     smap = _StripMap(params)
     exclusion = max(spec.epsilon_corner, 1e-7)
@@ -279,28 +331,36 @@ def area_mesh(spec, params, singular_at=None):
     if smap.gap_bottom < 1.5 * hy:
         y_att.append((-theta, _ATTRACT_RATIO * smap.gap_bottom * fy))
 
-    snap_x = []
-    snap_y = []
+    w0 = None
     if singular_at is not None:
         z0 = complex(singular_at)
         if classify_point(params, z0) != "interior":
             raise ValueError("singular point must lie strictly inside the domain")
         w0 = complex(smap.to_w(z0))
-        x_att.append((w0.real, _SINGULAR_FLOOR * fx))
-        y_att.append((w0.imag, _SINGULAR_FLOOR * fy))
-        snap_x.append(w0.real)
-        snap_y.append(w0.imag)
 
-    x_edges = _insert_edges(list(np.linspace(-X, X, spec.area_radial + 1)), snap_x)
+    x_edges = _insert_edges(list(np.linspace(-X, X, spec.area_radial + 1)),
+                            [] if w0 is None else [w0.real])
     x_edges = _refine_edges(x_edges, x_att, min_width=1e-13 * X)
-    y_edges = _insert_edges(list(np.linspace(-theta, 0.0, spec.area_angular + 1)), snap_y)
+    y_edges = _insert_edges(list(np.linspace(-theta, 0.0, spec.area_angular + 1)),
+                            [] if w0 is None else [w0.imag])
     y_edges = _refine_edges(y_edges, y_att, min_width=1e-13 * theta)
 
-    xn, xw = _panel_nodes(x_edges, spec.gauss_order)
-    yn, yw = _panel_nodes(y_edges, spec.gauss_order)
-    w = xn[:, None] + 1j * yn[None, :]
-    weights = (xw[:, None] * yw[None, :]) * smap.jacobian(w)
-    return smap.from_w(w).ravel(), weights.ravel()
+    x0, y0 = np.meshgrid(x_edges[:-1], y_edges[:-1], indexing="ij")
+    x1, y1 = np.meshgrid(x_edges[1:], y_edges[1:], indexing="ij")
+    cells = np.stack([x0.ravel(), x1.ravel(), y0.ravel(), y1.ravel()])
+    if w0 is not None:
+        cells = _refine_cells(cells, w0, _SINGULAR_FLOOR * fx,
+                              _SINGULAR_FLOOR * fy)
+
+    # Gauss tensor nodes on every cell
+    g, gw = _gauss(spec.gauss_order)
+    x0, x1, y0, y1 = cells[:, :, None]
+    half_x, half_y = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    xn = 0.5 * (x0 + x1) + half_x * g
+    yn = 0.5 * (y0 + y1) + half_y * g
+    points, jacobian = smap.pullback(xn[:, :, None], yn[:, None, :])
+    weights = (half_x * gw)[:, :, None] * (half_y * gw)[:, None, :] * jacobian
+    return points.ravel(), weights.ravel()
 
 
 def integrate_area(spec, params, f, singular_at=None):

@@ -13,6 +13,7 @@ the solver enforces this and returns the zero-constant representative.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,7 +46,12 @@ class SolvabilityError(ValueError):
 
 def _expression(kind, payload):
     if kind == "const":
-        c = complex(payload if payload is not None else 0.0)
+        try:
+            c = complex(payload if payload is not None else 0.0)
+        except TypeError:
+            raise ValueError("constant payload must be a number") from None
+        if not cmath.isfinite(c):
+            raise ValueError(f"constant payload must be finite, got {c}")
         return lambda z: np.broadcast_to(c, np.shape(z)).copy() if np.ndim(z) else c
     if kind == "re":
         return lambda z: np.asarray(z, complex).real
@@ -56,7 +62,10 @@ def _expression(kind, payload):
     if kind in ("re_z2", "im_z2"):
         k = 2
     elif kind in ("re_zk", "im_zk"):
-        k = int(payload)
+        try:
+            k = int(payload)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"power must be an integer, got {payload!r}") from None
         if k < 0:
             raise ValueError("power must be nonnegative")
     else:
@@ -112,6 +121,8 @@ class BoundaryData:
             vals = np.asarray(vals, dtype=complex)
             if s.ndim != 1 or s.shape != vals.shape:
                 raise ValueError("sample tables need matching 1-d arrays")
+            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(vals))):
+                raise ValueError("sample tables must hold finite numbers")
             if np.any(np.diff(s) <= 0):
                 raise ValueError("sample arc lengths must increase strictly")
             funcs[arc_id] = _interp(s, vals)

@@ -165,6 +165,35 @@ class TestSolveCommands:
         assert out == ""
         assert "exterior" in err
 
+    @pytest.mark.parametrize("entries", [
+        '"gamma": {"kind": "const", "payload": NaN}',
+        '"gamma": {"kind": "abs2"}, "f": {"kind": "const", "payload": Infinity}',
+        '"gamma": {"kind": "samples", "payload": {'
+        '"C1": {"arclen": [0, 1, 2], "values": [[0, 0], [NaN, 0], [1, 0]]}, '
+        '"C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}',
+    ], ids=["nan_gamma", "inf_source", "nan_sample"])
+    def test_non_finite_data_exits_one(self, capsys, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text('{"alpha": 1.5707963267948966, "n": 2, ' + entries
+                        + ', "points": [[0.4, 0.1]]}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("quadrature", ['{"gauss_order": 1.5}',
+                                            '{"area_radial": true}',
+                                            '{"epsilon_corner": NaN}'])
+    def test_bad_quadrature_exits_one(self, capsys, tmp_path, quadrature):
+        path = tmp_path / "bad.json"
+        path.write_text('{"alpha": 1.5707963267948966, "n": 2, '
+                        '"gamma": {"kind": "abs2"}, "quadrature": '
+                        + quadrature + ', "points": [[0.4, 0.1]]}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "solve-dirichlet", "--problem",
                            "/nonexistent.json")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lenspot import (KernelField, LensParams, QuadratureSpec, arc_lengths,
-                     boundary_mesh, convergence_report, integrate_area,
-                     integrate_boundary, sample_interior)
+                     area_mesh, arcs, boundary_distance, boundary_mesh,
+                     convergence_report, integrate_area, integrate_boundary,
+                     sample_interior)
 from lenspot.domain import corner_distance
 from lenspot.validation import analytic_area
 
@@ -15,6 +16,20 @@ CURVED = LensParams(2 * math.pi / 3, 2)
 LENS = LensParams(math.pi / 4, 4)
 DISC = LensParams(0.9 * math.pi, 1)
 CASES = [HALF, CURVED, LENS, LensParams(math.pi / 3, 3), DISC]
+# the (alpha, n) sets of the benchmark
+BENCH = [HALF, LensParams(math.pi / 3, 3), LensParams(math.pi / 2, 8),
+         LensParams(math.pi / 2 + 0.01, 64)]
+
+
+def near_boundary_points(params, depth=1e-3):
+    """One point about depth inside each arc's midpoint, toward the other."""
+    mids = [complex(arc.point(0.0)) for arc in arcs(params).values()
+            if arc.kind != "empty"]
+    if len(mids) == 1:
+        return [(1.0 - depth) * mids[0]]
+    a, b = mids
+    step = depth * (b - a) / abs(b - a)
+    return [a + step, b - step]
 
 
 class TestSpec:
@@ -24,10 +39,21 @@ class TestSpec:
     @pytest.mark.parametrize("kwargs", [dict(gauss_order=0),
                                         dict(corner_grading=1.0),
                                         dict(corner_grading=0.0),
-                                        dict(epsilon_corner=0.0)])
+                                        dict(epsilon_corner=0.0),
+                                        dict(gauss_order=1.5),
+                                        dict(boundary_panels=16.0),
+                                        dict(area_radial=True),
+                                        dict(area_angular="8"),
+                                        dict(epsilon_corner=math.nan),
+                                        dict(epsilon_corner=math.inf),
+                                        dict(corner_grading=math.nan),
+                                        dict(corner_grading="0.5")])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        assert QuadratureSpec(gauss_order=np.int64(5)).gauss_order == 5
 
     def test_json_roundtrip(self):
         spec = QuadratureSpec(gauss_order=5, boundary_panels=7)
@@ -155,6 +181,43 @@ class TestArea:
         with pytest.raises(ValueError):
             integrate_area(QuadratureSpec(), HALF, lambda z: 1.0,
                            singular_at=1.0 + 0.0j)
+
+
+class TestLocalMesh:
+    """area_mesh(singular_at=z) splits only the cells near the image of z."""
+
+    @pytest.mark.parametrize("params", CASES + BENCH[2:])
+    def test_cells_tile_the_strip(self, params):
+        points = list(sample_interior(params, np.random.default_rng(3), 3,
+                                      margin=1e-3))
+        for z0 in points + near_boundary_points(params):
+            area = integrate_area(QuadratureSpec(), params, lambda z: 1.0,
+                                  singular_at=z0)
+            assert area == pytest.approx(analytic_area(params), abs=1e-12)
+
+    @pytest.mark.parametrize("params", BENCH)
+    def test_node_count_stays_local(self, params):
+        plain = area_mesh(QuadratureSpec(), params)[0].size
+        points = list(sample_interior(params, np.random.default_rng(4), 4,
+                                      margin=1e-3))
+        for z0 in points + near_boundary_points(params):
+            nodes, weights = area_mesh(QuadratureSpec(), params, singular_at=z0)
+            assert nodes.size == weights.size
+            assert plain < nodes.size < 150_000
+
+    @pytest.mark.parametrize("params", BENCH)
+    def test_near_boundary_matches_refined(self, params):
+        fld = KernelField(params)
+        spec = QuadratureSpec()
+        points = list(sample_interior(params, np.random.default_rng(5), 2,
+                                      margin=1e-3))
+        for z0 in points + near_boundary_points(params):
+            assert boundary_distance(params, z0)[0] >= 0.9e-3
+            v1 = integrate_area(spec, params, lambda w: fld.green(z0, w),
+                                singular_at=z0)
+            v2 = integrate_area(spec.refined(), params,
+                                lambda w: fld.green(z0, w), singular_at=z0)
+            assert abs(v1 - v2) < 1e-6
 
 
 class TestConvergence:

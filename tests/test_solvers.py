@@ -52,6 +52,21 @@ class TestBoundaryData:
             BoundaryData.from_samples({"C1": (np.array([0.0, 0.0]),
                                               np.array([1j, 2j]))})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryData.constant(value)
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            BoundaryData.from_samples({"C1": (np.array([0.0, 1.0, 2.0]),
+                                              np.array([0j, math.nan, 1.0]))})
+
+    @pytest.mark.parametrize("payload", [math.inf, math.nan, "three", None])
+    def test_bad_power_rejected(self, payload):
+        with pytest.raises(ValueError, match="power"):
+            BoundaryData.from_expression("re_zk", payload)
+
     def test_json_roundtrip(self):
         data = BoundaryData.from_json({"kind": "re_zk", "payload": 3})
         bp = boundary_point(HALF, "C1", 0.1)
@@ -70,6 +85,13 @@ class TestSourceTerm:
         assert SourceTerm.zero().is_zero
         assert SourceTerm.constant(0.0).is_zero
         assert not SourceTerm.constant(1.0).is_zero
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SourceTerm.from_expression("const", value)
+        with pytest.raises(ValueError, match="finite"):
+            SourceTerm.constant(value)
 
     def test_sampled_sources_rejected(self):
         with pytest.raises(ValueError):
