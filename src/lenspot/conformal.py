@@ -11,55 +11,54 @@ are entirely independent of the reflection-product construction.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .domain import arcs, classify_point, corner_distance
-
-_CORNER_TOL = 1e-7
+from .domain import EPS_CORNER, arcs, corner_distance
 
 
-class SectorMap:
-    """Map from the lens to the upper half plane, calibrated at build time."""
+class CornerMobius:
+    """z -> rotation * (z - c+) / (z - c-) with c+ at 0 and c- at infinity.
+
+    The rotation sends the unit-circle arc's midpoint z = 1 to +1, so that
+    arc maps onto the positive real ray and the lens onto the sector of
+    opening pi/n just below it.  The area quadrature's strip map is the
+    logarithm of this map.
+    """
 
     def __init__(self, params):
         self.params = params
-        self._cp, self._cm = params.corners
-        # sends the Mobius image of the arc midpoint z = 1 to +1, so the
-        # unit-circle arc maps onto the positive real ray
+        self.cp, self.cm = params.corners
         self.rotation = -np.exp(-1j * params.alpha)
-        self.conjugated = False
-        probe = self._interior_probe()
-        if (self._sector(probe) ** params.n).imag < 0.0:
-            self.conjugated = True
-        if self.to_halfplane(probe).imag <= 0.0:
-            raise RuntimeError("sector map calibration failed")
-
-    def _interior_probe(self):
-        arcmap = arcs(self.params)
+        # the boundary crosses the real axis only at the two arc midpoints,
+        # so the point halfway between them is interior
+        arcmap = arcs(params)
         mid1 = complex(arcmap["C1"].point(0.0))
-        if arcmap["C0"].kind == "empty":
-            mid0 = -mid1
-        else:
+        mid0 = -mid1
+        if arcmap["C0"].kind != "empty":
             mid0 = complex(arcmap["C0"].point(0.0))
-        for lam in (0.5, 0.75, 0.9, 0.25):
-            z = lam * mid1 + (1.0 - lam) * mid0
-            if classify_point(self.params, z) == "interior":
-                return z
-        raise RuntimeError("no interior probe point found")
+        self.interior = 0.5 * (mid0 + mid1)
 
-    def _sector(self, z):
-        return self.rotation * (z - self._cp) / (z - self._cm)
+    def sector(self, z):
+        return self.rotation * (z - self.cp) / (z - self.cm)
+
+
+class SectorMap(CornerMobius):
+    """Map from the lens to the upper half plane, checked at build time."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        if self.to_halfplane(self.interior).imag <= 0.0:
+            raise RuntimeError("an interior point did not map into the upper "
+                               "half plane")
 
     def to_halfplane(self, z):
         """Image in the closed upper half plane; corners are excluded."""
         z = np.asarray(z, dtype=complex)
-        if np.any(corner_distance(self.params, z) <= _CORNER_TOL):
+        if np.any(corner_distance(self.params, z) <= EPS_CORNER):
             raise ValueError("the corner points map to 0 and infinity")
-        w = self._sector(z) ** self.params.n
-        if self.conjugated:
-            w = np.conj(w)
+        # the sector lies below the real ray, so its n-th power fills the
+        # lower half plane
+        w = np.conj(self.sector(z) ** self.params.n)
         if np.ndim(z) == 0:
             return complex(w)
         return w

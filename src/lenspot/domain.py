@@ -18,6 +18,7 @@ disc, whose boundary is carried by the unit-circle arc alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class LensParams:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError("n must be a positive integer")
+        if not _is_number(self.n, numbers.Integral):
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         if not 0.0 < self.alpha < math.pi:
             raise ValueError("alpha must lie strictly between 0 and pi")
@@ -63,7 +64,12 @@ class LensParams:
 
     @classmethod
     def from_json(cls, data):
-        return cls(float(data["alpha"]), int(data["n"]))
+        return cls(float(data["alpha"]), data["n"])
+
+
+def _is_number(value, kind):
+    """value is an instance of the numbers ABC kind, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def corner_distance(params, z):

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import BoundaryPoint, arcs, classify_point
+from .conformal import CornerMobius
+from .domain import EPS_CORNER, BoundaryPoint, _is_number, arcs, classify_point
 
 _STRIP_HALF_LENGTH = 20.0   # exp(-2x) tail below 4e-18
 _CORNER_LEVELS = 8          # graded panels appended at each corner
@@ -43,7 +44,6 @@ class QuadratureSpec:
     area_radial: int = 24
     area_angular: int = 8
     corner_grading: float = 0.5
-    epsilon_corner: float = 1e-7
 
     def __post_init__(self):
         counts = (self.gauss_order, self.boundary_panels,
@@ -52,14 +52,11 @@ class QuadratureSpec:
             raise ValueError("all quadrature counts must be integers")
         if min(counts) < 1:
             raise ValueError("all quadrature counts must be >= 1")
-        if not all(_is_number(v, numbers.Real) and math.isfinite(v)
-                   for v in (self.corner_grading, self.epsilon_corner)):
-            raise ValueError("corner_grading and epsilon_corner must be "
-                             "finite numbers")
+        if not (_is_number(self.corner_grading, numbers.Real)
+                and math.isfinite(self.corner_grading)):
+            raise ValueError("corner_grading must be a finite number")
         if not 0.0 < self.corner_grading < 1.0:
             raise ValueError("corner_grading must lie in (0, 1)")
-        if self.epsilon_corner <= 0.0:
-            raise ValueError("epsilon_corner must be positive")
 
     def refined(self, factor=2):
         """Same rule with all panel counts multiplied (order kept)."""
@@ -72,8 +69,7 @@ class QuadratureSpec:
                 "boundary_panels": self.boundary_panels,
                 "area_radial": self.area_radial,
                 "area_angular": self.area_angular,
-                "corner_grading": self.corner_grading,
-                "epsilon_corner": self.epsilon_corner}
+                "corner_grading": self.corner_grading}
 
     @classmethod
     def from_json(cls, data):
@@ -84,11 +80,6 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature settings: {sorted(unknown)}")
         known.update(data)
         return cls(**known)
-
-
-def _is_number(value, kind):
-    """value is an instance of the numbers ABC kind, and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @lru_cache(maxsize=32)
@@ -224,13 +215,11 @@ def integrate_boundary(spec, params, f, refine_near=()):
 # ----------------------------------------------------------------------
 # area
 
-class _StripMap:
-    """w = log(rotation * Mobius): the lens becomes {y in (-theta, 0)}."""
+class _StripMap(CornerMobius):
+    """w = log of the corner-pinning map: the lens becomes {y in (-theta, 0)}."""
 
     def __init__(self, params):
-        self.params = params
-        self.cp, self.cm = params.corners
-        self.rotation = -np.exp(-1j * params.alpha)
+        super().__init__(params)
         self.height = params.theta
         # the pullback Jacobian has poles at w = i(pi - alpha) - 2 pi i k;
         # these sit outside the strip at the following distances
@@ -239,8 +228,7 @@ class _StripMap:
         self._check()
 
     def to_w(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.log(self.rotation * (z - self.cp) / (z - self.cm))
+        return np.log(self.sector(np.asarray(z, dtype=complex)))
 
     def pullback(self, x, y):
         """Points z(w) and Jacobians |dz/dw|^2 at w = x + iy, x and y
@@ -254,16 +242,11 @@ class _StripMap:
         return (self.cm * s - self.cp) / d, (scale * ex) ** 2 / (d2 * d2)
 
     def _check(self):
-        mid = complex(self.pullback(0.0, -0.5 * self.height)[0])
-        if classify_point(self.params, mid) != "interior":
-            raise RuntimeError("strip pullback calibration failed")
-        arcmap = arcs(self.params)
-        if abs(complex(self.to_w(complex(arcmap["C1"].point(0.0)))).imag) > 1e-9:
-            raise RuntimeError("unit-circle arc did not map to the strip top")
-        if arcmap["C0"].kind != "empty":
-            y0 = complex(self.to_w(complex(arcmap["C0"].point(0.0)))).imag
-            if abs(y0 + self.height) > 1e-9:
-                raise RuntimeError("second arc did not map to the strip bottom")
+        w = complex(self.to_w(self.interior))
+        back = complex(self.pullback(w.real, w.imag)[0])
+        if not -self.height < w.imag < 0.0 or abs(back - self.interior) > 1e-9:
+            raise RuntimeError("an interior point did not map into the strip "
+                               "and back")
 
 
 def _refine_cells(cells, w0, floor_x, floor_y):
@@ -309,9 +292,8 @@ def area_mesh(spec, params, singular_at=None):
     so nothing of the integral is lost.
     """
     smap = _StripMap(params)
-    exclusion = max(spec.epsilon_corner, 1e-7)
     X = min(_STRIP_HALF_LENGTH,
-            -math.log(1.5 * exclusion / (2.0 * math.sin(params.alpha))))
+            -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha))))
     theta = smap.height
 
     hx = 2.0 * X / spec.area_radial

@@ -16,12 +16,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (LensParams, arcs, boundary_distance, classify_point,
-                     normal_coeffs)
+from .domain import (LensParams, _is_number, boundary_distance,
+                     classify_point, normal_coeffs)
 from .kernels import KernelField
 from .quadrature import QuadratureSpec, integrate_area, integrate_boundary
 
@@ -62,10 +63,9 @@ def _expression(kind, payload):
     if kind in ("re_z2", "im_z2"):
         k = 2
     elif kind in ("re_zk", "im_zk"):
-        try:
-            k = int(payload)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"power must be an integer, got {payload!r}") from None
+        if not _is_number(payload, numbers.Integral):
+            raise ValueError(f"power must be an integer, got {payload!r}")
+        k = int(payload)
         if k < 0:
             raise ValueError("power must be nonnegative")
     else:
@@ -325,7 +325,7 @@ def load_problem(data):
     if not isinstance(data, dict):
         with open(data, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    params = LensParams(float(data["alpha"]), int(data["n"]))
+    params = LensParams.from_json(data)
     spec = QuadratureSpec.from_json(data.get("quadrature", {}))
     gamma = BoundaryData.from_json(data["gamma"])
     source = SourceTerm.from_json(data.get("f", {"kind": "zero"}))

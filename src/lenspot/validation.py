@@ -1,10 +1,13 @@
-"""Executable invariant suite covering every module's stated properties.
+"""The single catalog of lenspot's invariants.
 
-Each check returns the measured value (usually a max error, sometimes the
-quantity itself) with its tolerance; `run_checks` collects the whole table
-for one parameter choice.  The CLI validate subcommand renders this and
-sets the exit code.  All randomness is seeded, so repeated runs are
-byte-identical.
+Every property that the paper states or a module promises, from the
+reflection geometry to both representation formulas, is computed here
+and nowhere else.  Each check returns the measured value (usually a max
+error, sometimes the quantity itself) with its tolerance; `run_checks`
+collects the table for one parameter choice.  `lenspot validate` renders
+it and sets the exit code, and the acceptance test asserts the full tier
+at six parameter sets.  The quick tier draws fewer samples against the
+same tolerances.  All randomness is seeded, so runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,20 +18,44 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circles import (CircleMatrix, HomogeneousPoint, circle_contains,
-                      equivalent, from_center_radius, reflect_circle,
-                      reflect_point, unit_circle)
+                      from_center_radius, reflect_circle, reflect_point)
 from .conformal import SectorMap
-from .domain import (LensParams, arc_lengths, arc_matrix, arcs,
+from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
                      boundary_point, boundary_samples, normal_coeffs,
                      reflection_orbit, sample_interior)
 from .kernels import KernelField
 from .quadrature import (QuadratureSpec, convergence_report, integrate_area,
                          integrate_boundary)
-from .solvers import (BoundaryData, SourceTerm, check_neumann_solvability,
-                      normal_derivative_data, probe_normalization_constant,
-                      solve_dirichlet, solve_neumann)
+from .solvers import (BoundaryData, SourceTerm, _near_refinement,
+                      check_neumann_solvability, normal_derivative_data,
+                      probe_normalization_constant, solve_dirichlet,
+                      solve_neumann)
 
 _SEED = 20260809
+
+
+@dataclass(frozen=True)
+class _Tier:
+    """Sample counts of one tier; the tolerances do not depend on it."""
+
+    circles: int        # random mirror/circle pairs
+    domain: int         # interior orbit seeds
+    pairs: int          # kernel and oracle (z, zeta) pairs; samples per arc
+    fd_points: int      # interior points of the normal-derivative checks
+    fd_nodes: int       # boundary nodes per arc of those checks
+    mass_points: int    # Poisson-kernel mass points
+    zero_nodes: int     # nodes per arc of the boundary-to-boundary check
+    solver_points: int
+    solver_margin: float
+    probe_points: int
+
+
+_QUICK = _Tier(circles=12, domain=10, pairs=30, fd_points=3, fd_nodes=4,
+               mass_points=3, zero_nodes=4, solver_points=4,
+               solver_margin=0.03, probe_points=3)
+_FULL = _Tier(circles=40, domain=40, pairs=200, fd_points=13, fd_nodes=8,
+              mass_points=10, zero_nodes=16, solver_points=20,
+              solver_margin=0.02, probe_points=5)
 
 
 @dataclass
@@ -50,6 +77,62 @@ def _err_check(name, value, tol):
     value = float(value)
     return CheckResult(name, value, tol, ok=value <= tol)
 
+
+def _worst(values):
+    """Largest of the values; NaN if any is NaN, so the check fails."""
+    return np.max([0.0] + list(values))
+
+
+# ----------------------------------------------------------------------
+# samples
+
+def _pairs(params, rng, count):
+    zs = sample_interior(params, rng, count)
+    ws = sample_interior(params, rng, count)
+    mask = zs != ws
+    return zs[mask], ws[mask]
+
+
+def _batches(params, count):
+    """count evenly spread samples on each nonempty arc, a batch per arc."""
+    return [boundary_samples(params, arc_id, count)
+            for arc_id, arc in arcs(params).items() if arc.kind != "empty"]
+
+
+def _nodes(params, count):
+    """The samples of _batches, one scalar BoundaryPoint each."""
+    return [BoundaryPoint(b.arc_id, float(t), complex(pt), float(s))
+            for b in _batches(params, count)
+            for t, pt, s in zip(b.t, b.point, b.arclen)]
+
+
+def _on_boundary(params, count, f):
+    """Largest |f(batch)| over the boundary samples."""
+    return _worst(np.abs(f(b)).max() for b in _batches(params, count))
+
+
+def _normal_fd_gap(params, nodes, sources, f, target, scale=1.0, h=1e-5):
+    """Largest |target(s, bp) - scale * d/dnu f(s, .)| over sources s and
+    boundary nodes bp, by central differences along the outward normal.
+    Pairs closer than 0.05 are skipped: there the step's truncation error,
+    ~(h/distance)^2 relative, reaches the tolerances."""
+    gaps = []
+    for bp in nodes:
+        q, _ = normal_coeffs(params, bp)
+        for s in sources:
+            if abs(s - bp.point) < 0.05:
+                continue
+            fd = (f(s, bp.point + h * q) - f(s, bp.point - h * q)) / (2 * h)
+            gaps.append(abs(target(s, bp) - scale * fd))
+    return _worst(gaps)
+
+
+def _fd_laplacian(f, z, h):
+    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h ** 2
+
+
+# ----------------------------------------------------------------------
+# reflection geometry
 
 def _random_circles(rng, count):
     out = []
@@ -73,34 +156,6 @@ def _points_on_circle(circle, rng, count):
     return [circle.center + circle.radius * np.exp(1j * p) for p in phis]
 
 
-def _circle_geometry_checks(rng, size):
-    mirrors = _random_circles(rng, size)
-    others = _random_circles(rng, size)
-    worst_inv = 0.0
-    worst_image = 0.0
-    worst_self = 0.0
-    worst_circ_inv = 0.0
-    for mirror, other in zip(mirrors, others):
-        for z in _points_on_circle(other, rng, 4):
-            p = HomogeneousPoint.of(z)
-            back = reflect_point(mirror, reflect_point(mirror, p))
-            q = p.canonical()
-            worst_inv = max(worst_inv, abs(back.z - q.z) + abs(back.w - q.w))
-            image = reflect_circle(mirror, other)
-            refl = reflect_point(mirror, p)
-            m = max(abs(image.a), abs(image.b), abs(image.c))
-            worst_image = max(worst_image, abs(image.form(refl.canonical()) / m))
-        worst_self = max(worst_self, _equiv_gap(reflect_circle(mirror, mirror), mirror))
-        twice = reflect_circle(mirror, reflect_circle(mirror, other))
-        worst_circ_inv = max(worst_circ_inv, _equiv_gap(twice, other))
-    return [
-        _err_check("point reflection involutive", worst_inv, 1e-10),
-        _err_check("reflected points lie on reflected circle", worst_image, 1e-10),
-        _err_check("self-reflection fixes the mirror", worst_self, 1e-10),
-        _err_check("circle reflection involutive", worst_circ_inv, 1e-9),
-    ]
-
-
 def _equiv_gap(first, second):
     fa = np.array([first.a, first.b.real, first.b.imag, first.c])
     sa = np.array([second.a, second.b.real, second.b.imag, second.c])
@@ -109,170 +164,141 @@ def _equiv_gap(first, second):
     return min(np.abs(fa - sa).max(), np.abs(fa + sa).max())
 
 
+def _circle_geometry_checks(rng, size):
+    mirrors = _random_circles(rng, size)
+    others = _random_circles(rng, size)
+    inv, image_gap, fixed, circ_inv = [], [], [], []
+    for mirror, other in zip(mirrors, others):
+        image = reflect_circle(mirror, other)
+        m = max(abs(image.a), abs(image.b), abs(image.c))
+        for z in _points_on_circle(other, rng, 4):
+            p = HomogeneousPoint.of(z)
+            back = reflect_point(mirror, reflect_point(mirror, p))
+            q = p.canonical()
+            inv.append(abs(back.z - q.z) + abs(back.w - q.w))
+            refl = reflect_point(mirror, p)
+            image_gap.append(abs(image.form(refl.canonical()) / m))
+        fixed.append(_equiv_gap(reflect_circle(mirror, mirror), mirror))
+        twice = reflect_circle(mirror, image)
+        circ_inv.append(_equiv_gap(twice, other))
+    return [
+        _err_check("point reflection involutive", _worst(inv), 1e-10),
+        _err_check("reflected points lie on reflected circle",
+                   _worst(image_gap), 1e-10),
+        _err_check("self-reflection fixes the mirror", _worst(fixed), 1e-10),
+        _err_check("circle reflection involutive", _worst(circ_inv), 1e-9),
+    ]
+
+
 def _domain_checks(params, rng, size):
-    out = []
     n = params.n
-    worst = 0.0
+    closure = []
     for k in range(-2, 2 * n + 3):
         a1 = arc_matrix(params, k)
         a2 = arc_matrix(params, k + 2 * n)
-        worst = max(worst, abs(a1.a - a2.a), abs(a1.b - a2.b), abs(a1.c - a2.c))
-    out.append(_err_check("parqueting closure (period 2n, exact)", worst, 0.0))
+        closure += [abs(a1.a - a2.a), abs(a1.b - a2.b), abs(a1.c - a2.c)]
 
-    zs = sample_interior(params, rng, size)
-    worst = 0.0
-    for z in zs:
-        orbit = reflection_orbit(params, z)
+    orbit_gap = []
+    for z in sample_interior(params, rng, size):
+        hom = reflection_orbit(params, z).homogeneous
         for k in range(n):
-            even = reflect_point(arc_matrix(params, k + 1),
-                                 HomogeneousPoint(1.0, np.conj(z)))
-            odd = reflect_point(arc_matrix(params, k + 1), z)
-            for mine, ref in ((orbit.homogeneous[2 * k], even),
-                              (orbit.homogeneous[2 * k + 1], odd)):
-                worst = max(worst, mine.chordal_distance(ref))
-    out.append(_err_check("orbit matches matrix reflections", worst, 1e-10))
+            mirror = arc_matrix(params, k + 1)
+            even = reflect_point(mirror, HomogeneousPoint(1.0, np.conj(z)))
+            orbit_gap.append(hom[2 * k].chordal_distance(even))
+            orbit_gap.append(hom[2 * k + 1].chordal_distance(
+                reflect_point(mirror, z)))
 
-    worst = 0.0
-
-    def gap(p, q):
-        return p.chordal_distance(q)
-
-    if n > 1:
-        # on C0 each odd point coincides with the next even one (cyclically);
-        # for n = 2 this is the same set of pairs as (k, 2n-k-1)
-        for bp in _iter_points(boundary_samples(params, "C0", 7)):
-            hom = reflection_orbit(params, bp.point).homogeneous
-            for k in range(n):
-                worst = max(worst, gap(hom[2 * k + 1], hom[(2 * k + 2) % (2 * n)]))
-    for bp in _iter_points(boundary_samples(params, "C1", 7)):
+    # on C1 each even orbit point coincides with the next odd one; on C0
+    # each odd one with the next even one, cyclically
+    coincide = []
+    for bp in _nodes(params, 7):
         hom = reflection_orbit(params, bp.point).homogeneous
         for k in range(n):
-            worst = max(worst, gap(hom[2 * k], hom[2 * k + 1]))
-    out.append(_err_check("orbit coincidences on the boundary", worst, 1e-9))
+            i, j = ((2 * k, 2 * k + 1) if bp.arc_id == "C1"
+                    else (2 * k + 1, (2 * k + 2) % (2 * n)))
+            coincide.append(hom[i].chordal_distance(hom[j]))
 
-    worst = 0.0
+    on_arcs = []
     for k in range(2 * n):
         mat = arc_matrix(params, k)
-        for c in params.corners:
-            if not circle_contains(mat, c):
-                m = max(abs(mat.a), abs(mat.b), abs(mat.c))
-                worst = max(worst, abs(mat.form(HomogeneousPoint.of(c)) / m))
-    out.append(_err_check("both corners lie on every arc", worst, 1e-10))
-    return out
+        m = max(abs(mat.a), abs(mat.b), abs(mat.c))
+        on_arcs += [abs(mat.form(HomogeneousPoint.of(c)) / m)
+                    for c in params.corners if not circle_contains(mat, c)]
+    return [
+        _err_check("parqueting closure (period 2n, exact)", _worst(closure), 0.0),
+        _err_check("orbit matches matrix reflections", _worst(orbit_gap), 1e-10),
+        _err_check("orbit coincidences on the boundary", _worst(coincide), 1e-9),
+        _err_check("both corners lie on every arc", _worst(on_arcs), 1e-10),
+    ]
 
 
-def _iter_points(bp):
-    from .domain import BoundaryPoint
-    ts = np.atleast_1d(bp.t)
-    pts = np.atleast_1d(bp.point)
-    ss = np.atleast_1d(bp.arclen)
-    return [BoundaryPoint(bp.arc_id, float(t), complex(pt), float(s))
-            for t, pt, s in zip(ts, pts, ss)]
+# ----------------------------------------------------------------------
+# kernels
 
-
-def _boundary_batches(params, count):
-    out = []
-    for arc_id, arc in arcs(params).items():
-        if arc.kind != "empty":
-            out.append(boundary_samples(params, arc_id, count))
-    return out
-
-
-def _kernel_checks(params, spec, rng, size):
-    out = []
+def _kernel_checks(params, spec, rng, tier):
     fld = KernelField(params)
-    zs = sample_interior(params, rng, size)
-    ws = sample_interior(params, rng, size)
-    mask = zs != ws
-    zs, ws = zs[mask], ws[mask]
-
+    zs, ws = _pairs(params, rng, tier.pairs)
     g_zw = fld.green(zs, ws)
-    out.append(_err_check("green symmetry",
-                          np.abs(g_zw - fld.green(ws, zs)).max(), 1e-12))
-    out.append(CheckResult("green positivity (min over samples)",
-                           float(g_zw.min()), 0.0, ok=bool(g_zw.min() > 0.0),
-                           fmt="{:.6f}"))
-
-    worst = 0.0
-    for batch in _boundary_batches(params, size):
-        worst = max(worst, np.abs(fld.green(batch.point, ws[0])).max())
-    out.append(_err_check("green vanishes on the boundary", worst, 1e-8))
-
-    worst = 0.0
-    for batch in _boundary_batches(params, size):
-        worst = max(worst, np.abs(fld.prefactor_abs(batch.point) - 1.0).max())
-    out.append(_err_check("orbit prefactor unimodular on boundary", worst, 1e-10))
-
-    out.append(_err_check("neumann symmetry",
-                          np.abs(fld.neumann(zs, ws) - fld.neumann(ws, zs)).max(),
-                          1e-11))
+    out = [
+        _err_check("green symmetry", np.abs(g_zw - fld.green(ws, zs)).max(),
+                   1e-12),
+        CheckResult("green positivity (min over samples)", float(g_zw.min()),
+                    0.0, ok=bool(g_zw.min() > 0.0), fmt="{:.6f}"),
+        _err_check("green vanishes on the boundary",
+                   _on_boundary(params, tier.pairs,
+                                lambda b: fld.green(b.point, ws[0])), 1e-8),
+        _err_check("orbit prefactor unimodular on boundary",
+                   _on_boundary(params, tier.pairs,
+                                lambda b: fld.prefactor_abs(b.point) - 1.0),
+                   1e-10),
+        _err_check("neumann symmetry",
+                   np.abs(fld.neumann(zs, ws) - fld.neumann(ws, zs)).max(),
+                   1e-11),
+    ]
 
     h = 1e-4
-    worst_g = 0.0
-    worst_n = 0.0
     zeta0 = ws[0]
-    for z in zs[:max(4, size // 4)]:
-        if abs(z - zeta0) > 0.1:
-            worst_g = max(worst_g, abs(_fd_laplacian(
-                lambda v: fld.green(v, zeta0), z, h)))
-        worst_n = max(worst_n, abs(_fd_laplacian(
-            lambda v: fld.neumann_regular(v, zeta0), z, h)))
-    out.append(_err_check("green harmonic away from the pole", worst_g, 1e-3))
-    out.append(_err_check("regularized neumann harmonic", worst_n, 1e-3))
+    near = zs[:max(4, tier.pairs // 4)]
+    out.append(_err_check("green harmonic away from the pole", _worst(
+        abs(_fd_laplacian(lambda v: fld.green(v, zeta0), z, h))
+        for z in near if abs(z - zeta0) > 0.1), 1e-3))
+    out.append(_err_check("regularized neumann harmonic", _worst(
+        abs(_fd_laplacian(lambda v: fld.neumann_regular(v, zeta0), z, h))
+        for z in near), 1e-3))
 
-    worst = 0.0
-    for batch in _boundary_batches(params, 5):
-        for bp in _iter_points(batch):
-            for z in zs[:3]:
-                if abs(z - bp.point) < 1e-3:
-                    continue
-                F = fld.blaschke_product(z, bp.point)  # noqa: N806 - product value
-                pref = fld.prefactor_abs(z)
-                gval = fld.green(z, bp.point)
-                worst = max(worst, abs(abs(F) - pref * math.exp(0.5 * gval)))
-    out.append(_err_check("orbit product = kernel product * prefactor", worst, 1e-9))
+    out.append(_err_check("orbit product = kernel product * prefactor", _worst(
+        abs(abs(fld.blaschke_product(z, bp.point))
+            - fld.prefactor_abs(z) * math.exp(0.5 * fld.green(z, bp.point)))
+        for bp in _nodes(params, 5) for z in zs[:3]
+        if abs(z - bp.point) >= 1e-3), 1e-9))
 
-    worst = 0.0
-    for z in zs[:3]:
-        for batch in _boundary_batches(params, 4):
-            for bp in _iter_points(batch):
-                q, _ = normal_coeffs(params, bp)
-                hh = 1e-5
-                fd = -0.5 * (fld.green(z, bp.point + hh * q)
-                             - fld.green(z, bp.point - hh * q)) / (2 * hh)
-                worst = max(worst, abs(fld.poisson_kernel(z, bp) - fd))
-    out.append(_err_check("poisson kernel = -1/2 normal derivative", worst, 1e-6))
+    fd_nodes = _nodes(params, tier.fd_nodes)
+    out.append(_err_check(
+        "poisson kernel = -1/2 normal derivative",
+        _normal_fd_gap(params, fd_nodes, zs[:tier.fd_points], fld.green,
+                       fld.poisson_kernel, scale=-0.5), 1e-6))
 
-    worst = 0.0
-    for z in sample_interior(params, rng, 3, margin=0.08):
-        mass = integrate_boundary(
-            spec, params, lambda bp: fld.poisson_kernel(complex(z), bp))
-        worst = max(worst, abs(mass / (2 * math.pi) - 1.0))
-    out.append(_err_check("poisson kernel mass is 1", worst, 1e-6))
+    # the solver's near-boundary panel refinement resolves the kernel's
+    # peak for mass points close to the boundary
+    out.append(_err_check("poisson kernel mass is 1", _worst(
+        abs(integrate_boundary(spec, params,
+                               lambda bp: fld.poisson_kernel(z, bp),
+                               refine_near=_near_refinement(params, z))
+            / (2 * math.pi) - 1.0)
+        for z in map(complex, sample_interior(params, rng, tier.mass_points,
+                                              margin=0.08))), 1e-6))
 
-    batches = _boundary_batches(params, 4)
-    worst = 0.0
-    for outer in batches:
-        for bp in _iter_points(outer):
-            for other in batches:
-                zb = other.point[::2]
-                zb = zb[np.abs(zb - bp.point) > 1e-2]
-                if len(zb):
-                    worst = max(worst, np.abs(fld.poisson_kernel(zb, bp)).max())
-    out.append(_err_check("poisson kernel vanishes boundary-to-boundary",
-                          worst, 1e-8))
+    zb = np.concatenate([b.point[::2]
+                         for b in _batches(params, tier.zero_nodes)])
+    out.append(_err_check("poisson kernel vanishes boundary-to-boundary", _worst(
+        np.abs(fld.poisson_kernel(zb[np.abs(zb - bp.point) > 1e-2], bp)).max()
+        for bp in _nodes(params, tier.zero_nodes)), 1e-8))
 
-    worst = 0.0
-    for zeta in ws[:3]:
-        for batch in _boundary_batches(params, 4):
-            for bp in _iter_points(batch):
-                q, _ = normal_coeffs(params, bp)
-                hh = 1e-5
-                fd = (fld.neumann(bp.point + hh * q, zeta)
-                      - fld.neumann(bp.point - hh * q, zeta)) / (2 * hh)
-                worst = max(worst, abs(fd - fld.normal_density(bp)))
-    out.append(_err_check("neumann density matches normal derivative",
-                          worst, 1e-5))
+    out.append(_err_check(
+        "neumann density matches normal derivative",
+        _normal_fd_gap(params, fd_nodes, ws[:tier.fd_points],
+                       lambda zeta, v: fld.neumann(v, zeta),
+                       lambda zeta, bp: fld.normal_density(bp)), 1e-5))
 
     mass = -integrate_boundary(spec, params,
                                lambda bp: fld.normal_density(bp)) / (4 * math.pi)
@@ -282,27 +308,22 @@ def _kernel_checks(params, spec, rng, size):
     out.extend(_limit_checks(params, fld))
 
     if params.n == 1:
-        g1 = fld.disc_green(zs, ws)
         out.append(_err_check("n=1 reduction to the disc kernel",
-                              np.abs(g_zw - g1).max(), 1e-12))
+                              np.abs(g_zw - fld.disc_green(zs, ws)).max(),
+                              1e-12))
     return out
-
-
-def _fd_laplacian(f, z, h):
-    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h ** 2
 
 
 def _limit_checks(params, fld):
     """Two-distance convergence of the boundary limits of p and of the
     Neumann derivative combination against the reference kernels."""
-    out = []
     alpha, theta, n = params.alpha, params.theta, params.n
     sin_a = math.sin(alpha)
     cases = [("C1", 0.55, -0.4)]
     if params.n > 1:
         cases.append(("C0", 0.3, -0.45))
-    worst4 = {1e-4: 0.0, 1e-6: 0.0}
-    worst6 = {1e-4: 0.0, 1e-6: 0.0}
+    gaps = {(kind, d): [] for kind in ("poisson", "neumann")
+            for d in (1e-4, 1e-6)}
     for arc_id, u, v in cases:
         half = arcs(params)[arc_id].half_width
         bpz = boundary_point(params, arc_id, u * half)
@@ -318,43 +339,41 @@ def _limit_checks(params, fld):
                 ref = fld.disc_poisson(z, bpzeta.point)
                 coeff = z
                 target = -n
-            worst4[d] = max(worst4[d],
-                            abs(fld.poisson_kernel(z, bpzeta) - ref))
+            gaps["poisson", d].append(abs(fld.poisson_kernel(z, bpzeta) - ref))
             combo = np.real(coeff * fld.d_neumann_dz(z, bpzeta.point))
-            worst6[d] = max(worst6[d], abs(combo - ref - target))
-    out.append(_err_check("poisson boundary limit (dist 1e-4)", worst4[1e-4], 1e-2))
-    out.append(_err_check("poisson boundary limit (dist 1e-6)", worst4[1e-6], 1e-4))
-    out.append(_err_check("neumann boundary limit (dist 1e-4)", worst6[1e-4], 1e-2))
-    out.append(_err_check("neumann boundary limit (dist 1e-6)", worst6[1e-6], 1e-4))
-    return out
+            gaps["neumann", d].append(abs(combo - ref - target))
+    return [_err_check(f"{kind} boundary limit (dist {label})",
+                       _worst(gaps[kind, d]), tol)
+            for kind in ("poisson", "neumann")
+            for d, label, tol in ((1e-4, "1e-4", 1e-2), (1e-6, "1e-6", 1e-4))]
 
 
-def _conformal_checks(params, rng, size):
-    out = []
+def _conformal_checks(params, rng, tier):
     fld = KernelField(params)
     smap = SectorMap(params)
-    zs = sample_interior(params, rng, size)
-    ws = sample_interior(params, rng, size)
-    mask = zs != ws
-    zs, ws = zs[mask], ws[mask]
-    out.append(_err_check("oracle agrees with the product kernel",
-                          np.abs(fld.green(zs, ws) - smap.green(zs, ws)).max(),
-                          1e-9))
-    out.append(_err_check("oracle symmetric",
-                          np.abs(smap.green(zs, ws) - smap.green(ws, zs)).max(),
-                          1e-12))
-    worst = 0.0
-    worst_im = 0.0
-    for batch in _boundary_batches(params, size):
-        worst = max(worst, np.abs(smap.green(batch.point, ws[0])).max())
-        img = smap.to_halfplane(batch.point)
-        # relative: |image| grows without bound toward one corner
-        worst_im = max(worst_im, (np.abs(img.imag) / (1.0 + np.abs(img))).max())
-    out.append(_err_check("oracle vanishes on the boundary", worst, 1e-9))
-    out.append(_err_check("boundary maps to the real axis (relative)",
-                          worst_im, 1e-9))
-    return out
+    zs, ws = _pairs(params, rng, tier.pairs)
+    oracle = smap.green(zs, ws)
 
+    def off_axis(batch):
+        # relative: |image| grows without bound toward one corner
+        img = smap.to_halfplane(batch.point)
+        return img.imag / (1.0 + np.abs(img))
+
+    return [
+        _err_check("oracle agrees with the product kernel",
+                   np.abs(fld.green(zs, ws) - oracle).max(), 1e-9),
+        _err_check("oracle symmetric",
+                   np.abs(oracle - smap.green(ws, zs)).max(), 1e-12),
+        _err_check("oracle vanishes on the boundary",
+                   _on_boundary(params, tier.pairs,
+                                lambda b: smap.green(b.point, ws[0])), 1e-9),
+        _err_check("boundary maps to the real axis (relative)",
+                   _on_boundary(params, tier.pairs, off_axis), 1e-9),
+    ]
+
+
+# ----------------------------------------------------------------------
+# quadrature
 
 def _segment_area(half_angle, radius):
     return radius * radius * (half_angle
@@ -384,22 +403,19 @@ def _quadrature_checks(params, spec, rng):
                           abs(area - analytic_area(params)), 1e-8))
 
     weight = lambda bp: np.exp(2.0 * np.real(bp.point))  # noqa: E731
-    coarse = QuadratureSpec(gauss_order=3, boundary_panels=4,
-                            corner_grading=spec.corner_grading)
-    fine = QuadratureSpec(gauss_order=6, boundary_panels=4,
-                          corner_grading=spec.corner_grading)
     exact = integrate_boundary(spec, params, weight)
-    e1 = abs(integrate_boundary(coarse, params, weight) - exact)
-    e2 = abs(integrate_boundary(fine, params, weight) - exact)
+    e1, e2 = (abs(integrate_boundary(
+        QuadratureSpec(gauss_order=order, boundary_panels=4,
+                       corner_grading=spec.corner_grading), params, weight)
+        - exact) for order in (3, 6))
     ratio = e1 / max(e2, 1e-15 * abs(exact))
     out.append(CheckResult("doubled gauss order error drop (>= 1e4)",
                            float(ratio), 1e4, ok=ratio >= 1e4, fmt="{:.3e}"))
 
     z0 = complex(sample_interior(params, rng, 1, margin=0.05)[0])
     fld = KernelField(params)
-    v1 = integrate_area(spec, params, lambda w: fld.green(z0, w), singular_at=z0)
-    v2 = integrate_area(spec.refined(), params, lambda w: fld.green(z0, w),
-                        singular_at=z0)
+    v1, v2 = (integrate_area(s, params, lambda w: fld.green(z0, w),
+                             singular_at=z0) for s in (spec, spec.refined()))
     out.append(_err_check("singular area integral self-converges",
                           abs(v1 - v2), 1e-6))
 
@@ -407,38 +423,34 @@ def _quadrature_checks(params, spec, rng):
                           area_radial=spec.area_radial,
                           area_angular=spec.area_angular)
     rows = convergence_report(base, params, weight, refinements=3)
-    orders = [r["est_order"] for r in rows if r["est_order"] is not None]
-    order = max(orders)
+    order = max(r["est_order"] for r in rows if r["est_order"] is not None)
     out.append(CheckResult("self-convergence order (>= 4)", float(order),
                            4.0, ok=order >= 4.0, fmt="{:.2f}"))
     return out
 
 
-def _solver_checks(params, spec, rng, quick):
+# ----------------------------------------------------------------------
+# representation formulas
+
+def _solver_checks(params, spec, rng, tier):
     out = []
-    pts = sample_interior(params, rng, 4 if quick else 8, margin=0.03)
+    pts = sample_interior(params, rng, tier.solver_points,
+                          margin=tier.solver_margin)
 
-    w = solve_dirichlet(params, spec, BoundaryData.constant(1.0),
-                        SourceTerm.zero(), pts)
-    out.append(_err_check("dirichlet reproduces w = 1",
-                          np.abs(w - 1.0).max(), 1e-6))
+    for name, gamma, f, exact, tol in (
+            ("w = 1", BoundaryData.constant(1.0), SourceTerm.zero(), 1.0, 1e-6),
+            ("Re z^3", BoundaryData.from_expression("re_zk", 3),
+             SourceTerm.zero(), np.real(pts ** 3), 1e-5),
+            ("|z|^2 with unit source", BoundaryData.from_expression("abs2"),
+             SourceTerm.constant(1.0), np.abs(pts) ** 2, 1e-4)):
+        w = solve_dirichlet(params, spec, gamma, f, pts)
+        out.append(_err_check(f"dirichlet reproduces {name}",
+                              np.abs(w - exact).max(), tol))
 
-    w = solve_dirichlet(params, spec, BoundaryData.from_expression("re_zk", 3),
-                        SourceTerm.zero(), pts)
-    out.append(_err_check("dirichlet reproduces Re z^3",
-                          np.abs(w - np.real(pts ** 3)).max(), 1e-5))
-
-    w = solve_dirichlet(params, spec, BoundaryData.from_expression("abs2"),
-                        SourceTerm.constant(1.0), pts)
-    out.append(_err_check("dirichlet reproduces |z|^2 with unit source",
-                          np.abs(w - np.abs(pts) ** 2).max(), 1e-4))
-
-    coarse = solve_dirichlet(params, spec,
-                             BoundaryData.from_expression("re_z2"),
-                             SourceTerm.zero(), pts[:3])
-    fine = solve_dirichlet(params, spec.refined(),
-                           BoundaryData.from_expression("re_z2"),
-                           SourceTerm.zero(), pts[:3])
+    coarse, fine = (solve_dirichlet(params, s,
+                                    BoundaryData.from_expression("re_z2"),
+                                    SourceTerm.zero(), pts[:3])
+                    for s in (spec, spec.refined()))
     out.append(_err_check("dirichlet stable under refinement",
                           np.abs(coarse - fine).max(), 1e-6))
 
@@ -498,24 +510,24 @@ def _solver_checks(params, spec, rng, quick):
     exact = 2.0 * np.real(q * (bp.point - d * q))
     out.append(_err_check("neumann derivative attainment", abs(fd - exact), 1e-3))
 
-    probe = probe_normalization_constant(params, spec,
-                                         pts[:3 if quick else 5])
-    out.append(CheckResult("normalization-constant probe spread",
-                           probe["spread"], math.inf, ok=True))
+    # the constant is only conjectured to be zeta-independent, so any
+    # finite spread passes
+    spread = probe_normalization_constant(
+        params, spec, pts[:tier.probe_points])["spread"]
+    out.append(CheckResult("normalization-constant probe spread", spread,
+                           math.inf, ok=math.isfinite(spread)))
     return out
 
 
 def run_checks(params, spec=None, quick=False):
-    """Full invariant table for one parameter choice."""
+    """Invariant table for one parameter choice; quick draws fewer samples."""
     if spec is None:
         spec = QuadratureSpec()
+    tier = _QUICK if quick else _FULL
     rng = np.random.default_rng(_SEED)
-    size = 30 if quick else 120
-    results = []
-    results += _circle_geometry_checks(rng, 12 if quick else 40)
-    results += _domain_checks(params, rng, 10 if quick else 40)
-    results += _kernel_checks(params, spec, rng, size)
-    results += _conformal_checks(params, rng, size)
-    results += _quadrature_checks(params, spec, rng)
-    results += _solver_checks(params, spec, rng, quick)
-    return results
+    return (_circle_geometry_checks(rng, tier.circles)
+            + _domain_checks(params, rng, tier.domain)
+            + _kernel_checks(params, spec, rng, tier)
+            + _conformal_checks(params, rng, tier)
+            + _quadrature_checks(params, spec, rng)
+            + _solver_checks(params, spec, rng, tier))

@@ -181,9 +181,25 @@ class TestSolveCommands:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("entries", [
+        '"n": Infinity, "gamma": {"kind": "re"}',
+        '"n": 2.5, "gamma": {"kind": "re"}',
+        '"n": true, "gamma": {"kind": "re"}',
+        '"n": "2", "gamma": {"kind": "re"}',
+        '"n": 2, "gamma": {"kind": "re_zk", "payload": 2.7}',
+    ], ids=["inf_n", "fractional_n", "bool_n", "string_n", "fractional_power"])
+    def test_non_integer_exits_one(self, capsys, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text('{"alpha": 1.5707963267948966, ' + entries
+                        + ', "points": [[0.4, 0.1]]}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert "integer" in err
+
     @pytest.mark.parametrize("quadrature", ['{"gauss_order": 1.5}',
                                             '{"area_radial": true}',
-                                            '{"epsilon_corner": NaN}'])
+                                            '{"epsilon_corner": 1e-07}'])
     def test_bad_quadrature_exits_one(self, capsys, tmp_path, quadrature):
         path = tmp_path / "bad.json"
         path.write_text('{"alpha": 1.5707963267948966, "n": 2, '

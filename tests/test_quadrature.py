@@ -39,13 +39,10 @@ class TestSpec:
     @pytest.mark.parametrize("kwargs", [dict(gauss_order=0),
                                         dict(corner_grading=1.0),
                                         dict(corner_grading=0.0),
-                                        dict(epsilon_corner=0.0),
                                         dict(gauss_order=1.5),
                                         dict(boundary_panels=16.0),
                                         dict(area_radial=True),
                                         dict(area_angular="8"),
-                                        dict(epsilon_corner=math.nan),
-                                        dict(epsilon_corner=math.inf),
                                         dict(corner_grading=math.nan),
                                         dict(corner_grading="0.5")])
     def test_rejects(self, kwargs):

@@ -62,7 +62,8 @@ class TestBoundaryData:
             BoundaryData.from_samples({"C1": (np.array([0.0, 1.0, 2.0]),
                                               np.array([0j, math.nan, 1.0]))})
 
-    @pytest.mark.parametrize("payload", [math.inf, math.nan, "three", None])
+    @pytest.mark.parametrize("payload", [math.inf, math.nan, "three", None,
+                                         2.7, True, "2"])
     def test_bad_power_rejected(self, payload):
         with pytest.raises(ValueError, match="power"):
             BoundaryData.from_expression("re_zk", payload)
@@ -276,6 +277,12 @@ class TestProblemFiles:
                             problem.source, problem.points)
         expected = np.abs(np.array([0.4 + 0.1j, 0.2 - 0.3j])) ** 2
         assert np.abs(w - expected).max() < 1e-4
+
+    @pytest.mark.parametrize("n", [math.inf, 2.5, True, "2"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match="integer"):
+            load_problem({"alpha": math.pi / 2, "n": n,
+                          "gamma": {"kind": "re"}, "points": [[0.4, 0.1]]})
 
     def test_solution_rows(self):
         rows = solution_rows([0.5 + 0.25j], np.array([1.0 + 2.0j]))
