@@ -274,7 +274,8 @@ def main(argv=None):
     except SolvabilityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     return 0

@@ -37,6 +37,10 @@ class LensParams:
     n: int
 
     def __post_init__(self):
+        if not (_is_number(self.alpha, numbers.Real)
+                and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be a finite real number, "
+                             f"got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if not _is_number(self.n, numbers.Integral):
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
@@ -64,7 +68,7 @@ class LensParams:
 
     @classmethod
     def from_json(cls, data):
-        return cls(float(data["alpha"]), data["n"])
+        return cls(data["alpha"], data["n"])
 
 
 def _is_number(value, kind):

@@ -1,37 +1,43 @@
 """Composite Gauss-Legendre quadrature over the lens boundary and interior.
 
 Boundary arcs integrate in their native parameter with panels graded
-geometrically into the corners (kernels are at worst logarithmic there),
-plus optional extra grading toward a caller-named parameter, used when a
-kernel is evaluated very close to the boundary.
-
+geometrically into the corners (kernels are at worst logarithmic there).
 Area integrals pull the domain back through w = log of the corner-pinning
 Mobius map: the image is an axis-aligned strip rectangle of height pi/n
 for every parameter choice, the corners sit at x = -inf/+inf where the
-exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|), and a
-declared logarithmic singularity is handled by snapping its image w0 onto
-panel edges and splitting only the cells near w0, each until it is at most
-_ATTRACT_RATIO times its distance to w0 wide.  The reflection images of
-the singular point are the mirror images of w0 in the strip's edges; no
-strip point is closer to an image than to w0, so they need no grading of
-their own.
+exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|).
+
+Every other grading follows one rule (_split): a panel or cell is halved
+until it is at most max(floor, _ATTRACT_RATIO * d) wide along each axis,
+d being its distance to an attractor.  The attractors are the nearest
+boundary point of boundary_mesh's near point, if closer than
+_NEAR_BOUNDARY; the Jacobian's poles outside the strip, if closer than
+a panel width (grading the strip's x and y edges); and the image w0 of
+area_mesh's singular point, snapped onto panel edges, toward which only
+the nearby strip cells are split.  The singular point's reflection images
+are the mirror images of w0 in the strip's edges, never closer to a strip
+point than w0, so they need no grading of their own.  Floors shrink as
+panel counts grow, so refined specs refine the mesh everywhere.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .conformal import CornerMobius
-from .domain import EPS_CORNER, BoundaryPoint, _is_number, arcs, classify_point
+from .domain import (EPS_CORNER, BoundaryPoint, _is_number, arcs,
+                     boundary_distance, classify_point)
 
 _STRIP_HALF_LENGTH = 20.0   # exp(-2x) tail below 4e-18
 _CORNER_LEVELS = 8          # graded panels appended at each corner
+_CORNER_GRADING = 0.5       # width ratio of successive corner panels
 _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
+_NEAR_BOUNDARY = 0.35       # kernel peak width ~ distance; grade panels below this
 _SINGULAR_FLOOR = 1e-5      # smallest panel width forced at a log singularity
 
 
@@ -43,20 +49,13 @@ class QuadratureSpec:
     boundary_panels: int = 16
     area_radial: int = 24
     area_angular: int = 8
-    corner_grading: float = 0.5
 
     def __post_init__(self):
-        counts = (self.gauss_order, self.boundary_panels,
-                  self.area_radial, self.area_angular)
+        counts = tuple(vars(self).values())
         if not all(_is_number(c, numbers.Integral) for c in counts):
             raise ValueError("all quadrature counts must be integers")
         if min(counts) < 1:
             raise ValueError("all quadrature counts must be >= 1")
-        if not (_is_number(self.corner_grading, numbers.Real)
-                and math.isfinite(self.corner_grading)):
-            raise ValueError("corner_grading must be a finite number")
-        if not 0.0 < self.corner_grading < 1.0:
-            raise ValueError("corner_grading must lie in (0, 1)")
 
     def refined(self, factor=2):
         """Same rule with all panel counts multiplied (order kept)."""
@@ -65,11 +64,7 @@ class QuadratureSpec:
                        area_angular=self.area_angular * factor)
 
     def to_json(self):
-        return {"gauss_order": self.gauss_order,
-                "boundary_panels": self.boundary_panels,
-                "area_radial": self.area_radial,
-                "area_angular": self.area_angular,
-                "corner_grading": self.corner_grading}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data):
@@ -107,54 +102,79 @@ def _insert_edges(edges, positions):
     return kept
 
 
-def _refine_edges(edges, attractors, min_width):
-    """Bisect panels until each is narrower than its attractor allowance."""
+def _split(lo, hi, attractors):
+    """Bisect boxes toward attractors; returns the leaves as (lo, hi).
+
+    lo and hi hold the boxes' corners, one row per axis, in any dimension;
+    each attractor is a (point, floor) pair of per-axis sequences.  Every
+    leaf is at most min over attractors of max(floor, _ATTRACT_RATIO * d)
+    wide along each axis, d being its Euclidean distance to the attractor's
+    point.  Each level halves every box still too wide across the axis that
+    overshoots its allowance most (the first on a tie), for the whole batch
+    at once.
+    """
+    dim = len(lo)
+    attractors = [(np.array(p, dtype=float)[:, None],
+                   np.array(f, dtype=float)[:, None]) for p, f in attractors]
+    boxes = np.concatenate([lo, hi])   # rows: lo by axis, then hi by axis
+    leaves = []
+    while boxes.shape[1]:
+        lo, hi = boxes[:dim], boxes[dim:]
+        allowances = []
+        for point, floor in attractors:
+            gap = np.maximum(np.maximum(lo - point, point - hi), 0.0)
+            allowances.append(np.maximum(floor,
+                                         _ATTRACT_RATIO * reduce(np.hypot, gap)))
+        over = (hi - lo) / reduce(np.minimum, allowances)
+        axis = over.argmax(axis=0)
+        split = over.max(axis=0) > 1.0
+        leaves.append(boxes[:, ~split])
+        # halves grouped by the axis cut: node order sets math.fsum's cost
+        halves = []
+        for k in range(dim):
+            first = boxes[:, split & (axis == k)]
+            second = first.copy()
+            first[dim + k] = second[k] = 0.5 * (first[k] + first[dim + k])
+            halves += [first, second]
+        boxes = np.concatenate(halves, axis=1)
+    leaves = np.concatenate(leaves, axis=1)
+    return leaves[:dim], leaves[dim:]
+
+
+def _graded_edges(edges, attractors, min_width):
+    """Panel edges after _split toward (position, floor) attractors; no
+    panel is split below twice min_width."""
     if not attractors:
-        return list(edges)
-
-    def allowed(a, b):
-        best = math.inf
-        for pos, floor in attractors:
-            dist = max(a - pos, pos - b, 0.0)
-            best = min(best, max(floor, _ATTRACT_RATIO * dist))
-        return best
-
-    out = []
-
-    def emit(a, b):
-        width = b - a
-        if width > allowed(a, b) and width > 2.0 * min_width:
-            mid = 0.5 * (a + b)
-            emit(a, mid)
-            emit(mid, b)
-        else:
-            out.append((a, b))
-
-    for a, b in zip(edges[:-1], edges[1:]):
-        emit(a, b)
-    result = [out[0][0]] + [b for _, b in out]
-    return result
+        return edges
+    edges = np.asarray(edges, dtype=float)
+    lo, _ = _split(edges[None, :-1], edges[None, 1:],
+                   [((p,), (max(f, 2.0 * min_width),)) for p, f in attractors])
+    return np.append(np.sort(lo[0]), edges[-1])
 
 
-def _graded_base_edges(lo, hi, panels, ratio, grade_ends=True, levels=_CORNER_LEVELS):
+def _shrink(spec, count):
+    """Attractor floors shrink with the panel count named count, so doubled
+    counts refine the mesh everywhere and self-convergence studies stay
+    honest."""
+    return min(1.0, getattr(QuadratureSpec(), count) / getattr(spec, count))
+
+
+def _graded_base_edges(lo, hi, panels, grade_ends=True):
     base = list(np.linspace(lo, hi, panels + 1))
     if not grade_ends:
         return base
     h = base[1] - base[0]
-    left = [lo + h * ratio ** k for k in range(levels, 0, -1)]
-    right = [hi - h * ratio ** k for k in range(1, levels + 1)]
+    left = [lo + h * _CORNER_GRADING ** k for k in range(_CORNER_LEVELS, 0, -1)]
+    right = [hi - h * _CORNER_GRADING ** k for k in range(1, _CORNER_LEVELS + 1)]
     return [lo] + left + base[1:-1] + right + [hi]
 
 
-def _panel_nodes(edges, order):
+def _gauss_nodes(lo, hi, order):
+    """Gauss-Legendre nodes and weights on the panels [lo, hi], one row
+    per panel."""
     x, w = _gauss(order)
-    ts = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        ts.append(0.5 * (a + b) + half * x)
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
+    half = 0.5 * (hi - lo)[..., None]
+    return 0.5 * (lo + hi)[..., None] + half * x, half * w
 
 
 def _fsum_weighted(weights, values):
@@ -168,46 +188,55 @@ def _fsum_weighted(weights, values):
 # ----------------------------------------------------------------------
 # boundary
 
-def boundary_mesh(spec, params, refine_near=()):
+def boundary_mesh(spec, params, near=None):
     """Quadrature nodes along the whole boundary.
 
-    refine_near is a sequence of (arc_id, t, scale) triples; panels around
-    each named parameter are bisected until their width is comparable to
-    scale (in arc length).  Returns [(BoundaryPoint batch, weights), ...];
-    nodes never coincide with the corner points.
+    With near set (an evaluation point), panels are graded toward its
+    nearest boundary point when that is closer than _NEAR_BOUNDARY, down to
+    about half the distance, so kernels peaked there are resolved.  Returns
+    [(BoundaryPoint batch, weights), ...]; nodes never coincide with the
+    corner points.
     """
+    near_arc = None
+    if near is not None:
+        d, arc_id, near_t = boundary_distance(params, near)
+        if d < _NEAR_BOUNDARY:
+            near_arc = arc_id
+            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
+                        1e-10)
     out = []
     for arc in arcs(params).values():
         if arc.kind == "empty":
             continue
         lo, hi = arc.t_range
         edges = _graded_base_edges(lo, hi, spec.boundary_panels,
-                                   spec.corner_grading,
                                    grade_ends=params.n > 1)
         if params.n == 1:
             # keep nodes clear of the two marked points on the circle
             edges = _insert_edges(edges, [-params.alpha, params.alpha])
-        fb = min(1.0, QuadratureSpec().boundary_panels / spec.boundary_panels)
-        att = [(t, max(scale * fb, 1e-10) / arc.speed)
-               for arc_id, t, scale in refine_near if arc_id == arc.arc_id]
-        if att:
-            edges = _insert_edges(edges, [p for p, _ in att])
-            edges = _refine_edges(edges, att, min_width=1e-13 * (hi - lo))
-        t, w = _panel_nodes(edges, spec.gauss_order)
+        if arc.arc_id == near_arc:
+            edges = _graded_edges(_insert_edges(edges, [near_t]),
+                                  [(near_t, floor / arc.speed)],
+                                  1e-13 * (hi - lo))
+        edges = np.asarray(edges)
+        t, w = (a.ravel() for a in _gauss_nodes(edges[:-1], edges[1:],
+                                                  spec.gauss_order))
         bp = BoundaryPoint(arc.arc_id, t, arc.point(t), arc.arclen(t))
         out.append((bp, w * arc.speed))
     return out
 
 
-def integrate_boundary(spec, params, f, refine_near=()):
+def integrate_boundary(spec, params, f, near=None):
     """Arc-length line integral of f over the boundary.
 
     f maps a BoundaryPoint batch to values (scalars broadcast); corner
     singularities up to logarithmic strength are absorbed by the graded
-    panels.  Summation is compensated, so the result is reproducible.
+    panels, and near names an evaluation point to grade toward (see
+    boundary_mesh).  Summation is compensated, so the result is
+    reproducible.
     """
     total = 0.0
-    for bp, w in boundary_mesh(spec, params, refine_near):
+    for bp, w in boundary_mesh(spec, params, near):
         total = total + _fsum_weighted(w, f(bp))
     return total
 
@@ -249,44 +278,12 @@ class _StripMap(CornerMobius):
                                "and back")
 
 
-def _refine_cells(cells, w0, floor_x, floor_y):
-    """Split cells (rows x0, x1, y0, y1) locally toward the point w0.
-
-    Every leaf is at most max(floor, _ATTRACT_RATIO * d) wide along each
-    side, d being its Euclidean distance to w0.  Each level halves every
-    cell still too wide across the side that overshoots its allowance by
-    more, for the whole batch at once.  w0 lies on base edges, so it never
-    enters a cell.
-    """
-    leaves = []
-    while cells.shape[1]:
-        dx = np.maximum(np.maximum(cells[0] - w0.real, w0.real - cells[1]), 0.0)
-        dy = np.maximum(np.maximum(cells[2] - w0.imag, w0.imag - cells[3]), 0.0)
-        reach = _ATTRACT_RATIO * np.hypot(dx, dy)
-        over_x = (cells[1] - cells[0]) / np.maximum(floor_x, reach)
-        over_y = (cells[3] - cells[2]) / np.maximum(floor_y, reach)
-        split_x = (over_x > 1.0) & (over_x >= over_y)
-        split_y = (over_y > 1.0) & ~split_x
-        leaves.append(cells[:, ~(split_x | split_y)])
-        cells = np.concatenate([_halves(cells[:, split_x], 0),
-                                _halves(cells[:, split_y], 2)], axis=1)
-    return np.concatenate(leaves, axis=1)
-
-
-def _halves(cells, lo):
-    """Both halves of each cell, cut across rows lo and lo + 1; cells
-    (a fresh copy made by the caller's mask) is overwritten."""
-    second = cells.copy()
-    cells[lo + 1] = second[lo] = 0.5 * (cells[lo] + cells[lo + 1])
-    return np.concatenate([cells, second], axis=1)
-
-
 def area_mesh(spec, params, singular_at=None):
     """Flat arrays (points, weights) for area integrals over the domain.
 
     With singular_at set (a strictly interior point), the image w0 of that
     point is snapped onto panel edges and the cells near it are split
-    locally (see _refine_cells), so integrands with a log singularity
+    locally (see _split), so integrands with a log singularity
     there converge at full order.  The strip is truncated where nodes
     would enter the corner exclusion zone; the Jacobian is ~1e-14 there,
     so nothing of the integral is lost.
@@ -298,11 +295,8 @@ def area_mesh(spec, params, singular_at=None):
 
     hx = 2.0 * X / spec.area_radial
     hy = theta / spec.area_angular
-    # attractor floors shrink with refinement so doubled panel counts refine
-    # the mesh everywhere, keeping self-convergence studies honest
-    default = QuadratureSpec()
-    fx = min(1.0, default.area_radial / spec.area_radial)
-    fy = min(1.0, default.area_angular / spec.area_angular)
+    fx = _shrink(spec, "area_radial")
+    fy = _shrink(spec, "area_angular")
     x_att = []
     y_att = []
     gap = min(smap.gap_top, smap.gap_bottom)
@@ -320,28 +314,25 @@ def area_mesh(spec, params, singular_at=None):
             raise ValueError("singular point must lie strictly inside the domain")
         w0 = complex(smap.to_w(z0))
 
-    x_edges = _insert_edges(list(np.linspace(-X, X, spec.area_radial + 1)),
+    x_edges = _insert_edges(np.linspace(-X, X, spec.area_radial + 1),
                             [] if w0 is None else [w0.real])
-    x_edges = _refine_edges(x_edges, x_att, min_width=1e-13 * X)
-    y_edges = _insert_edges(list(np.linspace(-theta, 0.0, spec.area_angular + 1)),
+    x_edges = _graded_edges(x_edges, x_att, min_width=1e-13 * X)
+    y_edges = _insert_edges(np.linspace(-theta, 0.0, spec.area_angular + 1),
                             [] if w0 is None else [w0.imag])
-    y_edges = _refine_edges(y_edges, y_att, min_width=1e-13 * theta)
+    y_edges = _graded_edges(y_edges, y_att, min_width=1e-13 * theta)
 
-    x0, y0 = np.meshgrid(x_edges[:-1], y_edges[:-1], indexing="ij")
-    x1, y1 = np.meshgrid(x_edges[1:], y_edges[1:], indexing="ij")
-    cells = np.stack([x0.ravel(), x1.ravel(), y0.ravel(), y1.ravel()])
+    grid = np.meshgrid(x_edges, y_edges, indexing="ij")
+    lo = np.stack([g[:-1, :-1].ravel() for g in grid])
+    hi = np.stack([g[1:, 1:].ravel() for g in grid])
     if w0 is not None:
-        cells = _refine_cells(cells, w0, _SINGULAR_FLOOR * fx,
-                              _SINGULAR_FLOOR * fy)
+        lo, hi = _split(lo, hi, [((w0.real, w0.imag),
+                                  (_SINGULAR_FLOOR * fx, _SINGULAR_FLOOR * fy))])
 
     # Gauss tensor nodes on every cell
-    g, gw = _gauss(spec.gauss_order)
-    x0, x1, y0, y1 = cells[:, :, None]
-    half_x, half_y = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
-    xn = 0.5 * (x0 + x1) + half_x * g
-    yn = 0.5 * (y0 + y1) + half_y * g
+    (xn, wx), (yn, wy) = (_gauss_nodes(a, b, spec.gauss_order)
+                          for a, b in zip(lo, hi))
     points, jacobian = smap.pullback(xn[:, :, None], yn[:, None, :])
-    weights = (half_x * gw)[:, :, None] * (half_y * gw)[:, None, :] * jacobian
+    weights = wx[:, :, None] * wy[:, None, :] * jacobian
     return points.ravel(), weights.ravel()
 
 

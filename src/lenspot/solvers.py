@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (LensParams, _is_number, boundary_distance,
-                     classify_point, normal_coeffs)
+from .domain import LensParams, _is_number, classify_point, normal_coeffs
 from .kernels import KernelField
 from .quadrature import QuadratureSpec, integrate_area, integrate_boundary
 
 TOL_SOLVABILITY = 1e-8
-_NEAR_BOUNDARY = 0.35  # kernel peak width ~ distance; refine panels below this
 
 
 class SolvabilityError(ValueError):
@@ -134,10 +132,23 @@ class BoundaryData:
         if kind == "samples":
             tables = {}
             for arc_id, tab in data["payload"].items():
-                vals = np.array([complex(re, im) for re, im in tab["values"]])
+                vals = np.array(_complex_pairs(tab["values"],
+                                               f"{arc_id} sample value"))
                 tables[arc_id] = (np.asarray(tab["arclen"], float), vals)
             return cls.from_samples(tables)
         return cls.from_expression(kind, data.get("payload"))
+
+
+def _complex_pairs(entries, what):
+    """Complex numbers from a JSON list of [re, im] pairs of real numbers."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what}s must be a list of [re, im] pairs")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(_is_number(v, numbers.Real) for v in entry)):
+            raise ValueError(f"{what} {i} must be a pair of real numbers, "
+                             f"got {entry!r}")
+    return [complex(*entry) for entry in entries]
 
 
 def _interp(s, vals):
@@ -216,13 +227,6 @@ def _check_points(params, points):
     return points
 
 
-def _near_refinement(params, z):
-    d, arc_id, t = boundary_distance(params, z)
-    if d < _NEAR_BOUNDARY:
-        return ((arc_id, t, max(0.5 * d, 1e-8)),)
-    return ()
-
-
 def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
                area_kernel):
     """Representation formula at each point: the boundary integral of
@@ -233,7 +237,7 @@ def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
         here = integrate_boundary(
             spec, params,
             lambda bp: np.asarray(gamma(bp)) * boundary_kernel(z, bp),
-            refine_near=_near_refinement(params, z))
+            near=z)
         w = here / scale
         if not f.is_zero:
             area = integrate_area(
@@ -329,7 +333,7 @@ def load_problem(data):
     spec = QuadratureSpec.from_json(data.get("quadrature", {}))
     gamma = BoundaryData.from_json(data["gamma"])
     source = SourceTerm.from_json(data.get("f", {"kind": "zero"}))
-    points = tuple(complex(re, im) for re, im in data["points"])
+    points = tuple(_complex_pairs(data["points"], "point"))
     return Problem(params, spec, gamma, source, points)
 
 

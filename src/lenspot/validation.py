@@ -26,10 +26,9 @@ from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
 from .kernels import KernelField
 from .quadrature import (QuadratureSpec, convergence_report, integrate_area,
                          integrate_boundary)
-from .solvers import (BoundaryData, SourceTerm, _near_refinement,
-                      check_neumann_solvability, normal_derivative_data,
-                      probe_normalization_constant, solve_dirichlet,
-                      solve_neumann)
+from .solvers import (BoundaryData, SourceTerm, check_neumann_solvability,
+                      normal_derivative_data, probe_normalization_constant,
+                      solve_dirichlet, solve_neumann)
 
 _SEED = 20260809
 
@@ -278,12 +277,11 @@ def _kernel_checks(params, spec, rng, tier):
         _normal_fd_gap(params, fd_nodes, zs[:tier.fd_points], fld.green,
                        fld.poisson_kernel, scale=-0.5), 1e-6))
 
-    # the solver's near-boundary panel refinement resolves the kernel's
-    # peak for mass points close to the boundary
+    # grading the panels toward z, as the solvers do, resolves the
+    # kernel's peak for mass points close to the boundary
     out.append(_err_check("poisson kernel mass is 1", _worst(
         abs(integrate_boundary(spec, params,
-                               lambda bp: fld.poisson_kernel(z, bp),
-                               refine_near=_near_refinement(params, z))
+                               lambda bp: fld.poisson_kernel(z, bp), near=z)
             / (2 * math.pi) - 1.0)
         for z in map(complex, sample_interior(params, rng, tier.mass_points,
                                               margin=0.08))), 1e-6))
@@ -405,8 +403,7 @@ def _quadrature_checks(params, spec, rng):
     weight = lambda bp: np.exp(2.0 * np.real(bp.point))  # noqa: E731
     exact = integrate_boundary(spec, params, weight)
     e1, e2 = (abs(integrate_boundary(
-        QuadratureSpec(gauss_order=order, boundary_panels=4,
-                       corner_grading=spec.corner_grading), params, weight)
+        QuadratureSpec(gauss_order=order, boundary_panels=4), params, weight)
         - exact) for order in (3, 6))
     ratio = e1 / max(e2, 1e-15 * abs(exact))
     out.append(CheckResult("doubled gauss order error drop (>= 1e4)",

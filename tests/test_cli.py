@@ -199,7 +199,8 @@ class TestSolveCommands:
 
     @pytest.mark.parametrize("quadrature", ['{"gauss_order": 1.5}',
                                             '{"area_radial": true}',
-                                            '{"epsilon_corner": 1e-07}'])
+                                            '{"epsilon_corner": 1e-07}',
+                                            '{"corner_grading": 0.5}'])
     def test_bad_quadrature_exits_one(self, capsys, tmp_path, quadrature):
         path = tmp_path / "bad.json"
         path.write_text('{"alpha": 1.5707963267948966, "n": 2, '
@@ -209,6 +210,30 @@ class TestSolveCommands:
         assert code == 1
         assert out == ""
         assert err
+
+    @pytest.mark.parametrize("entries", [
+        '"alpha": true, "gamma": {"kind": "re"}, "points": [[0.4, 0.1]]',
+        '"alpha": "1.5707963267948966", "gamma": {"kind": "re"}, '
+        '"points": [[0.4, 0.1]]',
+        '"alpha": 1.5707963267948966, "gamma": {"kind": "re"}, '
+        '"points": [["0.4", 0.1]]',
+        '"alpha": 1.5707963267948966, "gamma": {"kind": "re"}, '
+        '"points": [[0.4, 0.1, 7]]',
+        '"alpha": 1.5707963267948966, "gamma": {"kind": "re"}, "points": 5',
+        '"alpha": 1.5707963267948966, "gamma": {"kind": "samples", "payload": {'
+        '"C1": {"arclen": [0, 1], "values": [["1", 0], [1, 0]]}, '
+        '"C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}, '
+        '"points": [[0.4, 0.1]]',
+    ], ids=["bool_alpha", "string_alpha", "string_point", "triple_point",
+            "points_not_list", "string_sample"])
+    def test_non_real_exits_one(self, capsys, tmp_path, entries):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, ' + entries + '}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "real number" in err or "[re, im] pairs" in err
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "solve-dirichlet", "--problem",
@@ -230,6 +255,14 @@ class TestValidateCommand:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_sampling_failure_exits_one(self, capsys):
+        # the n = 64 lens is thinner than the Poisson-mass sampling margin
+        code, out, err = run(capsys, "validate", "--alpha-pi", "3/5",
+                             "--n", "64", "--quick")
+        assert code == 1
+        assert out == ""
+        assert err == "error: interior sampling did not converge\n"
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"

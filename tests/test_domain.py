@@ -20,10 +20,19 @@ class TestLensParams:
         assert LensParams(1.0, 4).theta == math.pi / 4
 
     @pytest.mark.parametrize("alpha,n", [(0.0, 2), (math.pi, 2), (1.0, 0),
-                                         (-1.0, 3), (1.0, True), (1.0, 2.5)])
+                                         (-1.0, 3), (1.0, True), (1.0, 2.5),
+                                         (True, 2), ("1.5", 2),
+                                         (math.nan, 2), (math.inf, 2)])
     def test_rejects_bad_values(self, alpha, n):
         with pytest.raises(ValueError):
             LensParams(alpha, n)
+
+    @pytest.mark.parametrize("alpha", [np.float64(1.5), np.float32(1.5),
+                                       np.int64(1), 1])
+    def test_numpy_and_int_alpha_accepted(self, alpha):
+        params = LensParams(alpha, 2)
+        assert type(params.alpha) is float
+        assert params.alpha == float(alpha)
 
     def test_corners(self):
         cp, cm = HALF.corners

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -9,6 +10,7 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, arc_lengths,
                      convergence_report, integrate_area, integrate_boundary,
                      sample_interior)
 from lenspot.domain import corner_distance
+from lenspot.quadrature import _split
 from lenspot.validation import analytic_area
 
 HALF = LensParams(math.pi / 2, 2)
@@ -37,14 +39,10 @@ class TestSpec:
         QuadratureSpec()
 
     @pytest.mark.parametrize("kwargs", [dict(gauss_order=0),
-                                        dict(corner_grading=1.0),
-                                        dict(corner_grading=0.0),
                                         dict(gauss_order=1.5),
                                         dict(boundary_panels=16.0),
                                         dict(area_radial=True),
-                                        dict(area_angular="8"),
-                                        dict(corner_grading=math.nan),
-                                        dict(corner_grading="0.5")])
+                                        dict(area_angular="8")])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
@@ -107,12 +105,14 @@ class TestBoundary:
 
     def test_refine_near_inserts_panels(self):
         spec = QuadratureSpec()
-        plain = sum(len(np.atleast_1d(bp.t))
-                    for bp, _ in boundary_mesh(spec, HALF))
-        refined = sum(len(np.atleast_1d(bp.t))
-                      for bp, _ in boundary_mesh(spec, HALF,
-                                                 refine_near=[("C1", 0.2, 1e-3)]))
-        assert refined > plain
+
+        def nodes(near):
+            return sum(np.size(bp.t)
+                       for bp, _ in boundary_mesh(spec, HALF, near=near))
+
+        # 2e-3 inside the unit arc, and a point far from the boundary
+        assert nodes(0.998 * cmath.exp(0.2j)) > nodes(None)
+        assert nodes(0.5) == nodes(None)
 
     def test_complex_integrand(self):
         total = integrate_boundary(QuadratureSpec(), HALF, lambda bp: bp.point)
@@ -178,6 +178,61 @@ class TestArea:
         with pytest.raises(ValueError):
             integrate_area(QuadratureSpec(), HALF, lambda z: 1.0,
                            singular_at=1.0 + 0.0j)
+
+
+class TestSplit:
+    """_split, the one grading rule behind the boundary and area meshes."""
+
+    @staticmethod
+    def _edges(rng, count):
+        return np.cumsum(rng.uniform(0.05, 1.0, count + 1)) - 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaves_tile_boxes_within_allowance(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        # abutting panels in 1-d, a tensor grid of cells in 2-d
+        grids = np.meshgrid(*(self._edges(rng, 4) for _ in range(dim)),
+                            indexing="ij")
+        cut = (slice(None, -1),) * dim
+        lo = np.stack([g[cut].ravel() for g in grids])
+        hi = np.stack([g[tuple(slice(1, None) for _ in range(dim))].ravel()
+                       for g in grids])
+        attractors = [(rng.uniform(-1.5, 3.0, dim), rng.uniform(5e-3, 0.1, dim))
+                      for _ in range(rng.integers(1, 4))]
+        leaf_lo, leaf_hi = _split(lo, hi, attractors)
+        width = leaf_hi - leaf_lo
+        assert np.all(width > 0)
+
+        allowance = np.full(leaf_lo.shape, np.inf)
+        for point, floor in attractors:
+            gap = np.maximum(np.maximum(leaf_lo - point[:, None],
+                                        point[:, None] - leaf_hi), 0.0)
+            d = np.sqrt((gap ** 2).sum(axis=0))
+            allowance = np.minimum(allowance,
+                                   np.maximum(floor[:, None], 0.7 * d))
+        assert np.all(width <= allowance * (1 + 1e-12))
+
+        for box_lo, box_hi in zip(lo.T, hi.T):
+            inside = (np.all(leaf_lo >= box_lo[:, None], axis=0)
+                      & np.all(leaf_hi <= box_hi[:, None], axis=0))
+            a, b = leaf_lo[:, inside], leaf_hi[:, inside]
+            if dim == 1:
+                order = np.argsort(a[0])
+                assert a[0, order[0]] == box_lo[0]
+                assert b[0, order[-1]] == box_hi[0]
+                assert np.array_equal(a[0, order[1:]], b[0, order[:-1]])
+            else:
+                overlap = np.all(np.maximum(a[:, :, None], a[:, None])
+                                 < np.minimum(b[:, :, None], b[:, None]),
+                                 axis=0)
+                assert np.array_equal(overlap, np.eye(a.shape[1], dtype=bool))
+                assert np.prod(b - a, axis=0).sum() == pytest.approx(
+                    np.prod(box_hi - box_lo), rel=1e-12)
+        # every leaf lies in some box
+        assert sum(np.sum(np.all(leaf_lo >= bl[:, None], axis=0)
+                          & np.all(leaf_hi <= bh[:, None], axis=0))
+                   for bl, bh in zip(lo.T, hi.T)) == leaf_lo.shape[1]
 
 
 class TestLocalMesh:
