@@ -39,10 +39,14 @@ class TestSpec:
         QuadratureSpec()
 
     @pytest.mark.parametrize("kwargs", [dict(gauss_order=0),
+                                        dict(boundary_panels=0),
+                                        dict(area_angular=0),
                                         dict(gauss_order=1.5),
                                         dict(boundary_panels=16.0),
                                         dict(area_radial=True),
-                                        dict(area_angular="8")])
+                                        dict(area_angular="8"),
+                                        dict(area_radial=math.nan),
+                                        dict(gauss_order="8")])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
