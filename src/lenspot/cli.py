@@ -110,12 +110,11 @@ def _emit(lines, path):
 
 def _cmd_parquet(args):
     params = _params_from(args)
-    arcmap = arcs(params)
     data = {
         "params": params.to_json(),
         "theta": params.theta,
         "corners": [[c.real, c.imag] for c in params.corners],
-        "arcs": [arcmap["C0"].to_json(), arcmap["C1"].to_json()],
+        "arcs": [arc.to_json() for arc in arcs(params).values()],
         "matrices": [],
     }
     for k in range(2 * params.n):
@@ -157,9 +156,7 @@ def _cmd_poisson(args):
     field = KernelField(params)
     rows = ["arc,t,x,y,p"]
     from .domain import boundary_samples
-    for arc_id, arc in arcs(params).items():
-        if arc.kind == "empty":
-            continue
+    for arc_id in arcs(params):
         bp = boundary_samples(params, arc_id, args.samples)
         values = field.poisson_kernel(args.z, bp)
         for t, pt, v in zip(np.atleast_1d(bp.t), np.atleast_1d(bp.point),

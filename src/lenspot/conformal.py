@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import EPS_CORNER, arcs, corner_distance
+from .domain import EPS_CORNER, _axis_crossings, corner_distance
 
 
 class CornerMobius:
@@ -29,13 +29,9 @@ class CornerMobius:
         self.params = params
         self.cp, self.cm = params.corners
         self.rotation = -np.exp(-1j * params.alpha)
-        # the boundary crosses the real axis only at the two arc midpoints,
-        # so the point halfway between them is interior
-        arcmap = arcs(params)
-        mid1 = complex(arcmap["C1"].point(0.0))
-        mid0 = -mid1
-        if arcmap["C0"].kind != "empty":
-            mid0 = complex(arcmap["C0"].point(0.0))
+        # the boundary crosses the real axis only at these two points, so
+        # the point halfway between them is interior
+        mid0, mid1 = _axis_crossings(params)
         self.interior = 0.5 * (mid0 + mid1)
 
     def sector(self, z):

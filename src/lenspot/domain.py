@@ -12,7 +12,7 @@ outward normals, membership classification and arc lengths.
 
 Degenerate cases: alpha == theta makes the second arc a straight chord;
 n == 1 collapses the second arc entirely and the domain is the whole unit
-disc, whose boundary is carried by the unit-circle arc alone.
+disc, bounded by the unit-circle arc C1 alone.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .circles import CircleMatrix, HomogeneousPoint
 
 EPS_CORNER = 1e-7
 _CHORD_TOL = 1e-12  # |alpha - theta| below this is treated as the chord case
+# classify_point's states, indexed by on C0 + 2 * on C1 + 4 * outside
+_STATES = np.array(["interior", "boundary_C0", "boundary_C1", "corner"]
+                   + ["exterior"] * 4)
 
 
 @dataclass(frozen=True)
@@ -141,32 +144,30 @@ def boundary_forms(params, z):
 
 
 def classify_point(params, z, tol=1e-10):
-    """One of interior, boundary_C0, boundary_C1, corner, exterior.
+    """One of interior, boundary_C0, boundary_C1, corner, exterior; an
+    array of those names for an array of points.
 
     Non-finite points are exterior."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        return "exterior"
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    finite = np.isfinite(z)
+    # 2 stands in for non-finite points: exterior, and no warnings
+    z = (z if finite else 2.0) if scalar else np.where(finite, z, 2.0)
     f0, f1 = boundary_forms(params, z)
-    f0, f1 = float(f0), float(f1)
-    if params.n == 1:
-        # the whole disc; the two marked corner points still exist
-        if abs(f1) <= tol:
-            if corner_distance(params, z) <= EPS_CORNER:
-                return "corner"
-            return "boundary_C1"
-        return "interior" if f1 < 0 else "exterior"
-    if f1 > tol or f0 < -tol:
-        return "exterior"
+    if scalar:
+        # the rule runs several times faster on Python floats than on numpy
+        # scalars, and sample_interior classifies one draw at a time
+        f0, f1 = float(f0), float(f1)
     on1 = abs(f1) <= tol
-    on0 = abs(f0) <= tol
-    if on0 and on1:
-        return "corner"
-    if on1:
-        return "boundary_C1"
-    if on0:
-        return "boundary_C0"
-    return "interior"
+    if params.n == 1:
+        # the whole disc; of C0 only the two marked corner points remain
+        outside = f1 > tol
+        on0 = on1 & (corner_distance(params, z) <= EPS_CORNER)
+    else:
+        outside = (f1 > tol) | (f0 < -tol)
+        on0 = abs(f0) <= tol
+    state = _STATES[on0 + 2 * on1 + 4 * outside]
+    return str(state) if state.ndim == 0 else state
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,12 @@ class Arc:
     """One boundary arc with its native parametrization.
 
     kind "unit" and "circle" trace center + radius*exp(i(phi_mid+t)); kind
-    "segment" is the vertical chord center + i*t; kind "empty" is the
-    collapsed arc of the n == 1 disc.  t runs over [-half_width, half_width]
-    and arc length is measured from t = -half_width.  Circle arcs evaluate
-    anchored at their apex point: near the chord case the carrier radius
-    blows up like 1/(alpha - theta) and the naive center + radius*e^{i phi}
-    form loses all precision to cancellation.
+    "segment" is the vertical chord center + i*t.  t runs over
+    [-half_width, half_width] and arc length is measured from
+    t = -half_width.  Circle arcs evaluate anchored at their apex point:
+    near the chord case the carrier radius blows up like 1/(alpha - theta)
+    and the naive center + radius*e^{i phi} form loses all precision to
+    cancellation.
     """
 
     arc_id: str
@@ -210,22 +211,10 @@ class Arc:
             sign = 1.0 if self.phi_mid == 0.0 else -1.0
             sag = 2.0 * self.radius * np.sin(0.5 * t) ** 2
             return (self.apex - sign * sag) + 1j * (sign * self.radius * np.sin(t))
-        if self.kind == "segment":
-            return self.center + 1j * t
-        raise ValueError("empty arc has no points")
+        return self.center + 1j * t
 
     def arclen(self, t):
         return self.speed * (np.asarray(t, dtype=float) + self.half_width)
-
-    def carrier(self):
-        """CircleMatrix of the full circle or line carrying this arc."""
-        if self.kind == "empty":
-            raise ValueError("empty arc has no carrier")
-        if self.kind == "segment":
-            # Re z = Re(center), written as z + conj(z) - 2 Re(center) = 0
-            return CircleMatrix(0.0, 1.0, -2.0 * self.center.real)
-        return CircleMatrix(1.0, -self.center,
-                            abs(self.center) ** 2 - self.radius ** 2)
 
     def to_json(self):
         data = {"arc": self.arc_id, "kind": self.kind,
@@ -234,20 +223,20 @@ class Arc:
             lo = self.point(-self.half_width)
             hi = self.point(self.half_width)
             data["endpoints"] = [[lo.real, lo.imag], [hi.real, hi.imag]]
-        elif self.kind != "empty":
+        else:
             data["center"] = [self.center.real, self.center.imag]
             data["radius"] = self.radius
         return data
 
 
 def arcs(params):
-    """The two boundary arcs keyed by arc id."""
+    """The boundary arcs keyed by arc id: C0 and C1, or C1 alone for the
+    n == 1 disc."""
     alpha, theta, n = params.alpha, params.theta, params.n
-    c1_half = math.pi if n == 1 else alpha
-    c1 = Arc("C1", "unit", 0.0, 1.0, 0.0, c1_half)
     if n == 1:
-        c0 = Arc("C0", "empty", 0.0, 0.0, 0.0, 0.0)
-    elif params.is_chord:
+        return {"C1": Arc("C1", "unit", 0.0, 1.0, 0.0, math.pi)}
+    c1 = Arc("C1", "unit", 0.0, 1.0, 0.0, alpha)
+    if params.is_chord:
         c0 = Arc("C0", "segment", complex(math.cos(alpha), 0.0), 0.0, 0.0,
                  math.sin(alpha))
     else:
@@ -259,6 +248,24 @@ def arcs(params):
         c0 = Arc("C0", "circle", complex(m, 0.0), r, phi_mid,
                  abs(alpha - theta), apex)
     return {"C0": c0, "C1": c1}
+
+
+def arc_of(params, arc_id):
+    """The arc named arc_id; ValueError if the lens has no such arc (C0 of
+    the n == 1 disc, or an unknown id)."""
+    arcmap = arcs(params)
+    if arc_id not in arcmap:
+        raise ValueError(f"the lens with n = {params.n} has no arc {arc_id!r}")
+    return arcmap[arc_id]
+
+
+def _axis_crossings(params):
+    """The points where the boundary crosses the real axis: the C0 and C1
+    arc midpoints, with -1 in place of C0's for the n == 1 disc."""
+    arcmap = arcs(params)
+    mid1 = complex(arcmap["C1"].point(0.0))
+    mid0 = complex(arcmap["C0"].point(0.0)) if "C0" in arcmap else -mid1
+    return mid0, mid1
 
 
 @dataclass(frozen=True)
@@ -276,9 +283,7 @@ class BoundaryPoint:
 
 
 def boundary_point(params, arc_id, t):
-    arc = arcs(params)[arc_id]
-    if arc.kind == "empty":
-        raise ValueError("the C0 arc is empty for n = 1")
+    arc = arc_of(params, arc_id)
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > arc.half_width + 1e-12):
         raise ValueError(f"parameter outside [{-arc.half_width:g}, {arc.half_width:g}]")
@@ -289,8 +294,9 @@ def boundary_point(params, arc_id, t):
 
 
 def arc_lengths(params):
+    """(C0 length, C1 length); C0's is 0.0 for the n == 1 disc."""
     a = arcs(params)
-    return (a["C0"].length, a["C1"].length)
+    return (a["C0"].length if "C0" in a else 0.0, a["C1"].length)
 
 
 def normal_coeffs(params, bp):
@@ -299,10 +305,8 @@ def normal_coeffs(params, bp):
     pt = np.asarray(bp.point, dtype=complex)
     if np.any(corner_distance(params, pt) <= EPS_CORNER):
         raise ValueError("normal derivative undefined at the corner points")
-    if bp.arc_id == "C1":
+    if arc_of(params, bp.arc_id).kind == "unit":
         q = pt
-    elif params.n == 1:
-        raise ValueError("the C0 arc is empty for n = 1")
     else:
         alpha, theta = params.alpha, params.theta
         # reduces to q = -1 in the chord case, where sin(alpha-theta) = 0
@@ -321,8 +325,6 @@ def boundary_distance(params, z):
     z = complex(z)
     best = None
     for arc in arcs(params).values():
-        if arc.kind == "empty":
-            continue
         if arc.kind in ("unit", "circle"):
             phi = math.atan2((z - arc.center).imag, (z - arc.center).real)
             t = _wrap(phi - arc.phi_mid)
@@ -340,7 +342,13 @@ def _wrap(x):
 
 
 def sample_interior(params, rng, count, margin=1e-3):
-    """Random interior points at least `margin` away from the boundary."""
+    """Random interior points at least `margin` away from the boundary.
+
+    Fails before drawing anything when margin is at least half the lens
+    width on the real axis, which no interior point can clear."""
+    mid0, mid1 = _axis_crossings(params)
+    if margin >= 0.5 * abs(mid1 - mid0):
+        raise RuntimeError("interior sampling did not converge")
     xs, ys = _bounding_box(params)
     out = []
     guard = 0
@@ -361,9 +369,7 @@ def sample_interior(params, rng, count, margin=1e-3):
 
 def boundary_samples(params, arc_id, count, exclusion=EPS_CORNER):
     """Evenly spread non-corner sample points along one arc."""
-    arc = arcs(params)[arc_id]
-    if arc.kind == "empty":
-        raise ValueError("the C0 arc is empty for n = 1")
+    arc = arc_of(params, arc_id)
     spacing = 2.0 * arc.half_width / count
     ts = -arc.half_width + spacing * (np.arange(count) + 0.5)
     # the n = 1 circle passes through the marked corners mid-range
@@ -377,8 +383,6 @@ def boundary_samples(params, arc_id, count, exclusion=EPS_CORNER):
 def _bounding_box(params):
     pts = []
     for arc in arcs(params).values():
-        if arc.kind == "empty":
-            continue
         ts = np.linspace(-arc.half_width, arc.half_width, 257)
         pts.append(arc.point(ts))
     pts = np.concatenate(pts)

@@ -27,10 +27,8 @@ import math
 
 import numpy as np
 
-from .domain import (EPS_CORNER, BoundaryPoint, _bounding_box, classify_point,
-                     corner_distance, reflection_orbit)
-
-_KEPT = ("interior", "boundary_C0", "boundary_C1")
+from .domain import (EPS_CORNER, BoundaryPoint, _bounding_box, arc_of,
+                     classify_point, corner_distance, reflection_orbit)
 
 
 class KernelField:
@@ -143,19 +141,14 @@ class KernelField:
     def poisson_kernel(self, z, bp: BoundaryPoint):
         """Poisson kernel against a non-corner boundary point batch."""
         z, zeta = self._args(z, bp.point, corners=True)
-        n = self.params.n
-        if bp.arc_id == "C1":
-            value = n - 2.0 * self._sum(
+        if arc_of(self.params, bp.arc_id).kind == "unit":
+            value = self.params.n - 2.0 * self._sum(
                 lambda k: np.real(self._den_coeffs(k, z)[1]
                                   / self._den(k, z, zeta)))
-        elif bp.arc_id == "C0":
-            if n == 1:
-                raise ValueError("the C0 arc is empty for n = 1")
+        else:
             value = -0.5 * self._density_c0 + 2.0 * self._sum(
                 lambda k: np.real((z * self._smp[k] + self._skp[k])
                                   / self._den(k, z, zeta)))
-        else:
-            raise ValueError(f"unknown arc id {bp.arc_id!r}")
         return self._out(value, z, zeta)
 
     # ------------------------------------------------------------------
@@ -186,14 +179,10 @@ class KernelField:
         """Outward normal derivative of the Neumann function on the
         boundary: a piecewise constant (-2n on the unit-circle arc)."""
         pt, = self._args(bp.point, corners=True, pole=False)
-        if bp.arc_id == "C1":
+        if arc_of(self.params, bp.arc_id).kind == "unit":
             value = -2.0 * self.params.n
-        elif bp.arc_id == "C0":
-            if self.params.n == 1:
-                raise ValueError("the C0 arc is empty for n = 1")
-            value = self._density_c0
         else:
-            raise ValueError(f"unknown arc id {bp.arc_id!r}")
+            value = self._density_c0
         if np.ndim(bp.point) == 0:
             return value
         return np.full(pt.shape, value)
@@ -284,8 +273,8 @@ def evaluate_on_grid(field, kind, zeta, nx, ny):
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(y_lo, y_hi, ny)
     z = xs + 1j * ys[:, None]
-    keep = np.array([[classify_point(params, c) in _KEPT for c in row]
-                     for row in z]) & (z != zeta)
+    state = classify_point(params, z)
+    keep = (state != "exterior") & (state != "corner") & (z != zeta)
     if kind == "green":
         keep &= corner_distance(params, z) > EPS_CORNER
     evaluate = field.green if kind == "green" else field.neumann

@@ -39,6 +39,7 @@ _CORNER_GRADING = 0.5       # width ratio of successive corner panels
 _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
 _NEAR_BOUNDARY = 0.35       # kernel peak width ~ distance; grade panels below this
 _SINGULAR_FLOOR = 1e-5      # smallest panel width forced at a log singularity
+_NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class QuadratureSpec:
             raise ValueError("all quadrature counts must be integers")
         if min(counts) < 1:
             raise ValueError("all quadrature counts must be >= 1")
+        order = int(self.gauss_order)
+        nodes = max(int(self.boundary_panels) * order,
+                    int(self.area_radial) * int(self.area_angular) * order ** 2)
+        if nodes > _NODE_BUDGET:
+            raise ValueError(f"quadrature counts ask for {nodes} nodes, "
+                             f"more than {_NODE_BUDGET}")
 
     def refined(self, factor=2):
         """Same rule with all panel counts multiplied (order kept)."""
@@ -159,13 +166,15 @@ def _shrink(spec, count):
     return min(1.0, getattr(QuadratureSpec(), count) / getattr(spec, count))
 
 
-def _graded_base_edges(lo, hi, panels, grade_ends=True):
+def _graded_base_edges(lo, hi, panels, corner_width):
+    """Uniform panel edges, graded geometrically into both ends; grading
+    levels narrower than corner_width are left out (all if it is inf)."""
     base = list(np.linspace(lo, hi, panels + 1))
-    if not grade_ends:
-        return base
     h = base[1] - base[0]
-    left = [lo + h * _CORNER_GRADING ** k for k in range(_CORNER_LEVELS, 0, -1)]
-    right = [hi - h * _CORNER_GRADING ** k for k in range(1, _CORNER_LEVELS + 1)]
+    levels = [k for k in range(1, _CORNER_LEVELS + 1)
+              if h * _CORNER_GRADING ** k >= corner_width]
+    left = [lo + h * _CORNER_GRADING ** k for k in reversed(levels)]
+    right = [hi - h * _CORNER_GRADING ** k for k in levels]
     return [lo] + left + base[1:-1] + right + [hi]
 
 
@@ -204,13 +213,16 @@ def boundary_mesh(spec, params, near=None):
             near_arc = arc_id
             floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
                         1e-10)
+    # a corner panel at least this long keeps its first Gauss node
+    # 2 * EPS_CORNER clear of the corner
+    first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
+    corner_arclen = 2.0 * EPS_CORNER / first_node
     out = []
     for arc in arcs(params).values():
-        if arc.kind == "empty":
-            continue
         lo, hi = arc.t_range
-        edges = _graded_base_edges(lo, hi, spec.boundary_panels,
-                                   grade_ends=params.n > 1)
+        edges = _graded_base_edges(
+            lo, hi, spec.boundary_panels,
+            corner_arclen / arc.speed if params.n > 1 else math.inf)
         if params.n == 1:
             # keep nodes clear of the two marked points on the circle
             edges = _insert_edges(edges, [-params.alpha, params.alpha])

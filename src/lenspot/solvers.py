@@ -17,7 +17,7 @@ import cmath
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class BoundaryData:
     """
 
     funcs: dict
-    descriptor: dict = field(default_factory=dict, compare=False)
 
     def __call__(self, bp):
         return self.funcs[bp.arc_id](bp)
@@ -102,13 +101,12 @@ class BoundaryData:
                              f"expected one of {_CATALOG} or 'samples'")
         fn = _expression(kind, payload)
         point_fn = lambda bp: fn(bp.point)
-        return cls(funcs={"C0": point_fn, "C1": point_fn},
-                   descriptor={"kind": kind, "payload": payload})
+        return cls(funcs={"C0": point_fn, "C1": point_fn})
 
     @classmethod
     def from_callable(cls, fn):
         """fn(BoundaryPoint batch) -> values, used for both arcs."""
-        return cls(funcs={"C0": fn, "C1": fn}, descriptor={"kind": "callable"})
+        return cls(funcs={"C0": fn, "C1": fn})
 
     @classmethod
     def from_samples(cls, tables):
@@ -124,7 +122,7 @@ class BoundaryData:
             if np.any(np.diff(s) <= 0):
                 raise ValueError("sample arc lengths must increase strictly")
             funcs[arc_id] = _interp(s, vals)
-        return cls(funcs=funcs, descriptor={"kind": "samples"})
+        return cls(funcs=funcs)
 
     @classmethod
     def from_json(cls, data):
@@ -163,7 +161,6 @@ class SourceTerm:
     """Right-hand side of the Poisson equation, bounded on the closure."""
 
     func: object = None  # None means identically zero
-    descriptor: dict = field(default_factory=dict, compare=False)
 
     @property
     def is_zero(self):
@@ -176,7 +173,7 @@ class SourceTerm:
 
     @classmethod
     def zero(cls):
-        return cls(None, {"kind": "zero"})
+        return cls(None)
 
     @classmethod
     def constant(cls, value):
@@ -190,11 +187,11 @@ class SourceTerm:
             return cls.zero()
         if kind not in _CATALOG:
             raise ValueError(f"unknown source kind {kind!r}")
-        return cls(_expression(kind, payload), {"kind": kind, "payload": payload})
+        return cls(_expression(kind, payload))
 
     @classmethod
     def from_callable(cls, fn):
-        return cls(fn, {"kind": "callable"})
+        return cls(fn)
 
     @classmethod
     def from_json(cls, data):
@@ -219,11 +216,12 @@ def normal_derivative_data(params, dw_dz):
 
 def _check_points(params, points):
     points = [complex(p) for p in points]
-    for i, z in enumerate(points):
-        state = classify_point(params, z)
-        if state != "interior":
-            raise ValueError(f"evaluation point {i} ({z:g}) is {state}, "
-                             "expected interior")
+    states = classify_point(params, np.array(points, dtype=complex))
+    bad = np.flatnonzero(states != "interior")
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"evaluation point {i} ({points[i]:g}) is "
+                         f"{states[i]}, expected interior")
     return points
 
 

@@ -93,9 +93,8 @@ def _pairs(params, rng, count):
 
 
 def _batches(params, count):
-    """count evenly spread samples on each nonempty arc, a batch per arc."""
-    return [boundary_samples(params, arc_id, count)
-            for arc_id, arc in arcs(params).items() if arc.kind != "empty"]
+    """count evenly spread samples on each arc, a batch per arc."""
+    return [boundary_samples(params, arc_id, count) for arc_id in arcs(params)]
 
 
 def _nodes(params, count):
@@ -453,8 +452,6 @@ def _solver_checks(params, spec, rng, tier):
 
     worst = {1e-2: 0.0, 1e-3: 0.0}
     for arc_id, arc in arcs(params).items():
-        if arc.kind == "empty":
-            continue
         bp = boundary_point(params, arc_id, 0.35 * arc.half_width)
         q, _ = normal_coeffs(params, bp)
         for d in (1e-2, 1e-3):

@@ -33,6 +33,11 @@ class TestParquet:
         assert code == 0
         assert json.loads(out)["orbit"][1] is None
 
+    def test_disc_lists_one_arc(self, capsys):
+        code, out, _ = run(capsys, "parquet", "--alpha-pi", "9/10", "--n", "1")
+        assert code == 0
+        assert [arc["arc"] for arc in json.loads(out)["arcs"]] == ["C1"]
+
     def test_deterministic(self, capsys):
         args = ("parquet", "--alpha", "1.1", "--n", "3")
         _, out1, _ = run(capsys, *args)
@@ -200,7 +205,9 @@ class TestSolveCommands:
     @pytest.mark.parametrize("quadrature", ['{"gauss_order": 1.5}',
                                             '{"area_radial": true}',
                                             '{"epsilon_corner": 1e-07}',
-                                            '{"corner_grading": 0.5}'])
+                                            '{"corner_grading": 0.5}',
+                                            '{"gauss_order": 1000000}',
+                                            '{"boundary_panels": 1000000000}'])
     def test_bad_quadrature_exits_one(self, capsys, tmp_path, quadrature):
         path = tmp_path / "bad.json"
         path.write_text('{"alpha": 1.5707963267948966, "n": 2, '

@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lenspot import (HomogeneousPoint, LensParams, arc_lengths, arc_matrix, arcs,
-                     boundary_distance, boundary_point, boundary_samples,
-                     classify_point, equivalent, normal_coeffs, reflect_point,
+from lenspot import (BoundaryPoint, HomogeneousPoint, KernelField, LensParams,
+                     arc_lengths, arc_matrix, arcs, boundary_distance,
+                     boundary_point, boundary_samples, classify_point,
+                     equivalent, normal_coeffs, reflect_point,
                      reflection_orbit, sample_interior, unit_circle)
 
 HALF = LensParams(math.pi / 2, 2)           # alpha = theta: chord case
@@ -165,6 +167,32 @@ class TestClassify:
     def test_non_finite_is_exterior(self, params, z):
         assert classify_point(params, z) == "exterior"
 
+    @pytest.mark.parametrize("params", [HALF, CURVED, LENS, DISC,
+                                        LensParams(math.pi / 3, 3),
+                                        LensParams(math.pi / 3, 1),
+                                        LensParams(math.pi / 2 + 0.01, 64)])
+    def test_array_matches_scalar(self, params):
+        rng = np.random.default_rng(0)
+        box = rng.uniform(-1.1, 1.1, 400) + 1j * rng.uniform(-1.1, 1.1, 400)
+        edge = np.concatenate([boundary_samples(params, arc_id, 50).point
+                               for arc_id in arcs(params)])
+        # relative noise of 1e-10 moves some samples beyond tol, not all
+        near = edge * (1.0 + 1e-10 * rng.standard_normal(edge.size))
+        corners = np.array(params.corners)
+        z = np.concatenate([box, edge, near, corners, corners + 5e-8,
+                            [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                             complex(0.3, -math.inf),
+                             complex(math.inf, math.nan)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            states = classify_point(params, z.reshape(-1, 4))
+            scalar = [classify_point(params, c) for c in z]
+        assert all(type(s) is str for s in scalar)
+        assert states.shape == (z.size // 4, 4)
+        assert states.ravel().tolist() == scalar
+        five = {"interior", "boundary_C0", "boundary_C1", "corner", "exterior"}
+        assert set(scalar) == five - ({"boundary_C0"} if params.n == 1 else set())
+
 
 class TestBoundaryParam:
     def test_unit_arc_midpoint(self):
@@ -192,6 +220,26 @@ class TestBoundaryParam:
     def test_empty_arc(self):
         with pytest.raises(ValueError):
             boundary_point(DISC, "C0", 0.0)
+
+    def test_disc_has_one_arc(self):
+        assert list(arcs(DISC)) == ["C1"]
+        assert list(arcs(HALF)) == ["C0", "C1"]
+
+    @pytest.mark.parametrize("call", [
+        lambda p, arc_id: boundary_point(p, arc_id, 0.0),
+        lambda p, arc_id: boundary_samples(p, arc_id, 4),
+        lambda p, arc_id: normal_coeffs(p, BoundaryPoint(arc_id, 0.0, 1.0, 0.0)),
+        lambda p, arc_id: KernelField(p).poisson_kernel(
+            0.1, BoundaryPoint(arc_id, 0.0, 1.0, 0.0)),
+        lambda p, arc_id: KernelField(p).normal_density(
+            BoundaryPoint(arc_id, 0.0, 1.0, 0.0)),
+    ], ids=["boundary_point", "boundary_samples", "normal_coeffs",
+            "poisson_kernel", "normal_density"])
+    @pytest.mark.parametrize("params, arc_id", [(DISC, "C0"), (HALF, "C2")],
+                             ids=["C0-n1", "C2-n2"])
+    def test_missing_arc_rejected(self, call, params, arc_id):
+        with pytest.raises(ValueError, match="has no arc"):
+            call(params, arc_id)
 
     @pytest.mark.parametrize("params", [HALF, CURVED, LENS])
     def test_points_really_on_boundary(self, params):
@@ -279,3 +327,12 @@ class TestHelpers:
         for z in sample_interior(CURVED, rng, 30, margin=0.05):
             assert classify_point(CURVED, z) == "interior"
             assert boundary_distance(CURVED, z)[0] >= 0.05
+
+    def test_sample_interior_fails_fast(self):
+        # margin 0.05 is more than half the width of this thin lens
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sample_interior(LensParams(3 * math.pi / 5, 64), rng, 5,
+                            margin=0.05)
+        assert rng.bit_generator.state == state

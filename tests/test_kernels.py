@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lenspot.kernels
 from lenspot import (KernelField, LensParams, arcs, boundary_point,
                      boundary_samples, classify_point, evaluate_on_grid,
                      normal_coeffs, sample_interior)
@@ -279,6 +280,17 @@ class TestGridEvaluation:
                 assert (classify_point(params, z) in ("exterior", "corner")
                         or corner_distance(params, z) <= EPS_CORNER
                         or z == zeta)
+
+    def test_grid_classified_in_one_call(self, monkeypatch):
+        shapes = []
+
+        def counting(params, z, *args):
+            shapes.append(np.shape(z))
+            return classify_point(params, z, *args)
+
+        monkeypatch.setattr(lenspot.kernels, "classify_point", counting)
+        evaluate_on_grid(KernelField(HALF), "neumann", 0.4 + 0.1j, 12, 9)
+        assert shapes == [(9, 12)]
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):

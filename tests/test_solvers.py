@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import lenspot.solvers
 from lenspot import (BoundaryData, LensParams, QuadratureSpec, SolvabilityError,
                      SourceTerm, arc_lengths, arcs, boundary_point,
-                     check_neumann_solvability, integrate_area, load_problem,
-                     normal_coeffs, normal_derivative_data,
-                     probe_normalization_constant, sample_interior,
-                     solution_rows, solve_dirichlet, solve_neumann)
+                     check_neumann_solvability, classify_point,
+                     integrate_area, load_problem, normal_coeffs,
+                     normal_derivative_data, probe_normalization_constant,
+                     sample_interior, solution_rows, solve_dirichlet,
+                     solve_neumann)
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -107,7 +109,8 @@ class TestDirichlet:
                             SourceTerm.zero(), pts)
         assert np.abs(w - 1.0).max() < 1e-6
 
-    @pytest.mark.parametrize("params", [HALF, CHORD3, CURVED])
+    @pytest.mark.parametrize("params", [HALF, CHORD3, CURVED,
+                                        LensParams(0.999 * math.pi, 2)])
     def test_harmonic_cubic(self, params):
         pts = interior(params, 8, seed=1)
         w = solve_dirichlet(params, SPEC,
@@ -153,6 +156,22 @@ class TestDirichlet:
         with pytest.raises(ValueError, match="exterior"):
             solve_dirichlet(HALF, SPEC, BoundaryData.constant(1.0),
                             SourceTerm.zero(), [complex(math.nan, 0.1)])
+
+    def test_points_classified_in_one_call(self, monkeypatch):
+        shapes = []
+
+        def counting(params, z, *args):
+            shapes.append(np.shape(z))
+            return classify_point(params, z, *args)
+
+        monkeypatch.setattr(lenspot.solvers, "classify_point", counting)
+        solve_dirichlet(HALF, SPEC, BoundaryData.constant(1.0),
+                        SourceTerm.zero(), interior(HALF, 3))
+        assert shapes == [(3,)]
+        # the message names the first point that is not interior
+        with pytest.raises(ValueError, match=r"point 1 \(2\+0j\) is exterior"):
+            solve_dirichlet(HALF, SPEC, BoundaryData.constant(1.0),
+                            SourceTerm.zero(), [0.5, 2.0, 1j])
 
     def test_two_specs_agree(self):
         pts = interior(HALF, 4, seed=4)
