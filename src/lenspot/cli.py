@@ -16,10 +16,11 @@ import sys
 
 import numpy as np
 
-from .domain import LensParams, arc_matrix, arcs, classify_point, reflection_orbit
+from .domain import (LensParams, arc_matrix, arcs, boundary_samples,
+                     classify_point, reflection_orbit)
 from .kernels import KernelField, evaluate_on_grid
 from .quadrature import QuadratureSpec
-from .solvers import SolvabilityError, load_problem, solution_rows, solve_dirichlet, solve_neumann
+from .solvers import load_problem, solution_rows, solve_dirichlet, solve_neumann
 from .validation import run_checks
 
 
@@ -155,7 +156,6 @@ def _cmd_poisson(args):
         raise CommandLineError("--z must be an interior point")
     field = KernelField(params)
     rows = ["arc,t,x,y,p"]
-    from .domain import boundary_samples
     for arc_id in arcs(params):
         bp = boundary_samples(params, arc_id, args.samples)
         values = field.poisson_kernel(args.z, bp)
@@ -166,19 +166,15 @@ def _cmd_poisson(args):
     return 0
 
 
-def _cmd_solve(args, which):
+def _cmd_solve(args, solve):
     problem = load_problem(args.problem)
-    if which == "dirichlet":
-        values = solve_dirichlet(problem.params, problem.spec, problem.gamma,
-                                 problem.source, problem.points)
-    else:
-        values = solve_neumann(problem.params, problem.spec, problem.gamma,
-                               problem.source, problem.points)
-        if args.pin is not None:
-            z0, v0 = args.pin
-            base = solve_neumann(problem.params, problem.spec, problem.gamma,
-                                 problem.source, [z0])[0]
-            values = values - base + v0
+    pin = getattr(args, "pin", None)
+    # the pin point joins the same call, so the compatibility check runs once
+    points = problem.points + ((pin[0],) if pin is not None else ())
+    values = solve(problem.params, problem.spec, problem.gamma,
+                   problem.source, points)
+    if pin is not None:
+        values = values[:-1] - values[-1] + pin[1]
     _emit(solution_rows(problem.points, values), args.output)
     return 0
 
@@ -203,6 +199,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parquet", help="arc matrices, carriers and an orbit")
+    p.set_defaults(run=_cmd_parquet)
     _add_params_args(p)
     p.add_argument("--sample", type=_parse_complex, metavar="RE,IM",
                    help="seed point whose reflection orbit is included")
@@ -210,6 +207,7 @@ def _build_parser():
 
     for kind in ("green", "neumann"):
         p = sub.add_parser(kind, help=f"evaluate the {kind} kernel on a grid")
+        p.set_defaults(run=lambda args, kind=kind: _cmd_grid(args, kind))
         _add_params_args(p)
         p.add_argument("--zeta", type=_parse_complex, required=True,
                        metavar="RE,IM", help="interior pole location")
@@ -217,13 +215,16 @@ def _build_parser():
         p.add_argument("--output")
 
     p = sub.add_parser("poisson", help="tabulate the Poisson kernel on both arcs")
+    p.set_defaults(run=_cmd_poisson)
     _add_params_args(p)
     p.add_argument("--z", type=_parse_complex, required=True, metavar="RE,IM")
     p.add_argument("--samples", type=_parse_samples, default=64, metavar="M")
     p.add_argument("--output")
 
-    for which in ("dirichlet", "neumann"):
+    for which, solve in (("dirichlet", solve_dirichlet),
+                         ("neumann", solve_neumann)):
         p = sub.add_parser(f"solve-{which}", help=f"solve a {which} problem file")
+        p.set_defaults(run=lambda args, solve=solve: _cmd_solve(args, solve))
         p.add_argument("--problem", required=True, help="JSON problem path")
         if which == "neumann":
             p.add_argument("--pin", type=_parse_pin, metavar="RE,IM=V",
@@ -231,6 +232,7 @@ def _build_parser():
         p.add_argument("--output")
 
     p = sub.add_parser("validate", help="run the invariant suite")
+    p.set_defaults(run=_cmd_validate)
     _add_params_args(p)
     p.add_argument("--quick", action="store_true", help="smaller sample sizes")
     p.add_argument("--output")
@@ -249,33 +251,16 @@ def main(argv=None):
             return 2
         # evaluation is sequential; the value is only validated
 
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "parquet":
-            return _cmd_parquet(args)
-        if args.command in ("green", "neumann"):
-            return _cmd_grid(args, args.command)
-        if args.command == "poisson":
-            return _cmd_poisson(args)
-        if args.command == "solve-dirichlet":
-            return _cmd_solve(args, "dirichlet")
-        if args.command == "solve-neumann":
-            return _cmd_solve(args, "neumann")
-        if args.command == "validate":
-            return _cmd_validate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except CommandLineError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except SolvabilityError as exc:
+    # unsolvable Neumann data and malformed JSON are ValueErrors too
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, OSError, KeyError, RuntimeError,
-            json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -359,9 +359,8 @@ def sample_interior(params, rng, count, margin=1e-3):
         z = complex(rng.uniform(*xs), rng.uniform(*ys))
         if classify_point(params, z) != "interior":
             continue
+        # the corners end the arcs, so this also keeps z clear of them
         if boundary_distance(params, z)[0] < margin:
-            continue
-        if corner_distance(params, z) < margin:
             continue
         out.append(z)
     return np.array(out)

@@ -2,10 +2,13 @@
 
 Boundary arcs integrate in their native parameter with panels graded
 geometrically into the corners (kernels are at worst logarithmic there).
-Area integrals pull the domain back through w = log of the corner-pinning
-Mobius map: the image is an axis-aligned strip rectangle of height pi/n
+Area integrals pull the domain back through the strip coordinate
+w = log of the corner-pinning Mobius map (conformal.SectorMap, which owns
+the map, its pullback and its check): the image is a strip of height pi/n
 for every parameter choice, the corners sit at x = -inf/+inf where the
-exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|).
+exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|), and
+the strip is cut only at the corner exclusion zone, 1.5 * EPS_CORNER from
+the corners.
 
 Every other grading follows one rule (_split): a panel or cell is halved
 until it is at most max(floor, _ATTRACT_RATIO * d) wide along each axis,
@@ -29,11 +32,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .conformal import CornerMobius
+from .conformal import SectorMap
 from .domain import (EPS_CORNER, BoundaryPoint, _is_number, arcs,
                      boundary_distance, classify_point)
 
-_STRIP_HALF_LENGTH = 20.0   # exp(-2x) tail below 4e-18
 _CORNER_LEVELS = 8          # graded panels appended at each corner
 _CORNER_GRADING = 0.5       # width ratio of successive corner panels
 _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
@@ -256,40 +258,6 @@ def integrate_boundary(spec, params, f, near=None):
 # ----------------------------------------------------------------------
 # area
 
-class _StripMap(CornerMobius):
-    """w = log of the corner-pinning map: the lens becomes {y in (-theta, 0)}."""
-
-    def __init__(self, params):
-        super().__init__(params)
-        self.height = params.theta
-        # the pullback Jacobian has poles at w = i(pi - alpha) - 2 pi i k;
-        # these sit outside the strip at the following distances
-        self.gap_top = math.pi - params.alpha
-        self.gap_bottom = math.pi + params.alpha - params.theta
-        self._check()
-
-    def to_w(self, z):
-        return np.log(self.sector(np.asarray(z, dtype=complex)))
-
-    def pullback(self, x, y):
-        """Points z(w) and Jacobians |dz/dw|^2 at w = x + iy, x and y
-        broadcast against each other.  exp(w) is formed as exp(x) times
-        exp(iy), so a tensor grid pays for its rows and columns only."""
-        ex = np.exp(x)
-        s = ex * (np.exp(1j * np.asarray(y)) / self.rotation)
-        d = s - 1.0
-        d2 = d.real * d.real + d.imag * d.imag
-        scale = 2.0 * math.sin(self.params.alpha)
-        return (self.cm * s - self.cp) / d, (scale * ex) ** 2 / (d2 * d2)
-
-    def _check(self):
-        w = complex(self.to_w(self.interior))
-        back = complex(self.pullback(w.real, w.imag)[0])
-        if not -self.height < w.imag < 0.0 or abs(back - self.interior) > 1e-9:
-            raise RuntimeError("an interior point did not map into the strip "
-                               "and back")
-
-
 def area_mesh(spec, params, singular_at=None):
     """Flat arrays (points, weights) for area integrals over the domain.
 
@@ -300,10 +268,9 @@ def area_mesh(spec, params, singular_at=None):
     would enter the corner exclusion zone; the Jacobian is ~1e-14 there,
     so nothing of the integral is lost.
     """
-    smap = _StripMap(params)
-    X = min(_STRIP_HALF_LENGTH,
-            -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha))))
-    theta = smap.height
+    smap = SectorMap(params)
+    X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha)))
+    theta = params.theta
 
     hx = 2.0 * X / spec.area_radial
     hy = theta / spec.area_angular

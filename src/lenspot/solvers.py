@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import LensParams, _is_number, classify_point, normal_coeffs
+from .domain import (LensParams, _is_number, arcs, classify_point,
+                     normal_coeffs)
 from .kernels import KernelField
 from .quadrature import QuadratureSpec, integrate_area, integrate_boundary
 
@@ -322,6 +323,18 @@ class Problem:
     points: tuple
 
 
+def _check_sample_arcs(params, tables):
+    """Sample tables must name exactly the arcs of the lens."""
+    lens = set(arcs(params))
+    missing = sorted(lens - set(tables))
+    if missing:
+        raise ValueError(f"samples give no table for arc {missing[0]!r}")
+    unknown = sorted(set(tables) - lens)
+    if unknown:
+        raise ValueError(f"samples give a table for arc {unknown[0]!r}, which "
+                         f"the lens at n = {params.n} does not have")
+
+
 def load_problem(data):
     """Problem from a JSON dict or a path to a JSON file."""
     if not isinstance(data, dict):
@@ -330,6 +343,8 @@ def load_problem(data):
     params = LensParams.from_json(data)
     spec = QuadratureSpec.from_json(data.get("quadrature", {}))
     gamma = BoundaryData.from_json(data["gamma"])
+    if data["gamma"]["kind"] == "samples":
+        _check_sample_arcs(params, gamma.funcs)
     source = SourceTerm.from_json(data.get("f", {"kind": "zero"}))
     points = tuple(_complex_pairs(data["points"], "point"))
     return Problem(params, spec, gamma, source, points)

@@ -242,6 +242,26 @@ class TestSolveCommands:
         assert err.startswith("error: ")
         assert "real number" in err or "[re, im] pairs" in err
 
+    @pytest.mark.parametrize("n, tables, arc_id", [
+        (2, '"C1": {"arclen": [0, 3], "values": [[0, 0], [1, 0]]}', "C0"),
+        (2, '"C1": {"arclen": [0, 3], "values": [[0, 0], [1, 0]]}, '
+            '"C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}, '
+            '"C7": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}', "C7"),
+        (1, '"C1": {"arclen": [0, 6], "values": [[0, 0], [1, 0]]}, '
+            '"C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}', "C0"),
+    ], ids=["missing_arc", "unknown_arc", "disc_c0"])
+    def test_sample_arcs_must_match_lens(self, capsys, tmp_path, n, tables,
+                                         arc_id):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"alpha": 1.5707963267948966, "n": {n}, '
+                        f'"gamma": {{"kind": "samples", "payload": {{{tables}}}}}, '
+                        f'"points": [[0.4, 0.1]]}}')
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: samples ")
+        assert repr(arc_id) in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "solve-dirichlet", "--problem",
                            "/nonexistent.json")

@@ -80,3 +80,18 @@ def test_pole_rejected():
     smap = SectorMap(LensParams(math.pi / 3, 3))
     with pytest.raises(ValueError):
         smap.green(0.5, 0.5)
+
+
+@pytest.mark.parametrize("params", CASES + LARGE_N)
+def test_strip_coordinate_and_pullback(params):
+    smap = SectorMap(params)
+    z = sample_interior(params, np.random.default_rng(6), 100)
+    w = smap.to_w(z)
+    assert np.all((-params.theta < w.imag) & (w.imag < 0.0))
+    back, jacobian = smap.pullback(w.real, w.imag)
+    assert np.abs(back - z).max() < 1e-9
+    # |dz/dw|^2 against a central difference along x (dz/dw is analytic)
+    h = 1e-5
+    dz_dw = (smap.pullback(w.real + h, w.imag)[0]
+             - smap.pullback(w.real - h, w.imag)[0]) / (2.0 * h)
+    assert np.abs(jacobian / np.abs(dz_dw) ** 2 - 1.0).max() < 1e-7
