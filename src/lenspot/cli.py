@@ -258,7 +258,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 2
     # unsolvable Neumann data and malformed JSON are ValueErrors too
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -69,10 +69,6 @@ class LensParams:
     def to_json(self):
         return {"alpha": self.alpha, "n": self.n}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["alpha"], data["n"])
-
 
 def _is_number(value, kind):
     """value is an instance of the numbers ABC kind, and not a bool."""
@@ -366,15 +362,15 @@ def sample_interior(params, rng, count, margin=1e-3):
     return np.array(out)
 
 
-def boundary_samples(params, arc_id, count, exclusion=EPS_CORNER):
+def boundary_samples(params, arc_id, count):
     """Evenly spread non-corner sample points along one arc."""
     arc = arc_of(params, arc_id)
     spacing = 2.0 * arc.half_width / count
     ts = -arc.half_width + spacing * (np.arange(count) + 0.5)
     # the n = 1 circle passes through the marked corners mid-range
-    bad = corner_distance(params, arc.point(ts)) <= 1.5 * max(exclusion, EPS_CORNER)
+    bad = corner_distance(params, arc.point(ts)) <= 1.5 * EPS_CORNER
     ts[bad] += 0.25 * spacing
-    if np.any(corner_distance(params, arc.point(ts)) <= max(exclusion, EPS_CORNER)):
+    if np.any(corner_distance(params, arc.point(ts)) <= EPS_CORNER):
         raise RuntimeError("could not place samples clear of the corners")
     return boundary_point(params, arc_id, ts)
 

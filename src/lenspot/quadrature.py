@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -71,19 +71,6 @@ class QuadratureSpec:
         return replace(self, boundary_panels=self.boundary_panels * factor,
                        area_radial=self.area_radial * factor,
                        area_angular=self.area_angular * factor)
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data):
-        """Build from a (possibly partial) dict; defaults fill the rest."""
-        known = cls().to_json()
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ValueError(f"unknown quadrature settings: {sorted(unknown)}")
-        known.update(data)
-        return cls(**known)
 
 
 @lru_cache(maxsize=32)

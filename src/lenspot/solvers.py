@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,22 @@ class SolvabilityError(ValueError):
 # ----------------------------------------------------------------------
 # data descriptions
 
+_CATALOG = ("const", "re", "im", "re_z2", "im_z2", "abs2", "re_zk", "im_zk")
+# the kinds that need a payload, and what it is; the others take none
+_PAYLOADS = {"const": "the value", "re_zk": "the power", "im_zk": "the power"}
+
+
 def _expression(kind, payload):
+    """The function of z that kind names; None for SourceTerm's zero."""
+    if payload is None and kind in _PAYLOADS:
+        raise ValueError(f"kind {kind!r} needs a payload: {_PAYLOADS[kind]}")
+    if payload is not None and kind not in _PAYLOADS:
+        raise ValueError(f"kind {kind!r} takes no payload, got {payload!r}")
+    if kind == "zero":
+        return None
     if kind == "const":
         try:
-            c = complex(payload if payload is not None else 0.0)
+            c = complex(payload)
         except TypeError:
             raise ValueError("constant payload must be a number") from None
         if not cmath.isfinite(c):
@@ -72,9 +85,6 @@ def _expression(kind, payload):
     if kind.startswith("re"):
         return lambda z: (np.asarray(z, complex) ** k).real
     return lambda z: (np.asarray(z, complex) ** k).imag
-
-
-_CATALOG = ("const", "re", "im", "re_z2", "im_z2", "abs2", "re_zk", "im_zk")
 
 
 @dataclass(frozen=True)
@@ -126,16 +136,18 @@ class BoundaryData:
         return cls(funcs=funcs)
 
     @classmethod
-    def from_json(cls, data):
-        kind = data["kind"]
-        if kind == "samples":
-            tables = {}
-            for arc_id, tab in data["payload"].items():
-                vals = np.array(_complex_pairs(tab["values"],
-                                               f"{arc_id} sample value"))
-                tables[arc_id] = (np.asarray(tab["arclen"], float), vals)
-            return cls.from_samples(tables)
-        return cls.from_expression(kind, data.get("payload"))
+    def from_json(cls, data, arc_ids=("C0", "C1")):
+        """The gamma section of a problem file; samples name arc_ids."""
+        _fields(data, "gamma", ("kind",), ("payload",))
+        if data["kind"] != "samples":
+            return cls.from_expression(data["kind"], data.get("payload"))
+        _fields(data, "gamma", ("kind", "payload"))
+        tables = {}
+        for arc_id, tab in _fields(data["payload"], "samples", arc_ids).items():
+            _fields(tab, f"samples table {arc_id}", ("arclen", "values"))
+            tables[arc_id] = (tab["arclen"], _complex_pairs(
+                tab["values"], f"{arc_id} sample value"))
+        return cls.from_samples(tables)
 
 
 def _complex_pairs(entries, what):
@@ -184,9 +196,7 @@ class SourceTerm:
 
     @classmethod
     def from_expression(cls, kind, payload=None):
-        if kind == "zero":
-            return cls.zero()
-        if kind not in _CATALOG:
+        if kind not in (*_CATALOG, "zero"):
             raise ValueError(f"unknown source kind {kind!r}")
         return cls(_expression(kind, payload))
 
@@ -196,11 +206,12 @@ class SourceTerm:
 
     @classmethod
     def from_json(cls, data):
-        kind = data["kind"]
-        if kind == "samples":
+        """The f section of a problem file."""
+        _fields(data, "f", ("kind",), ("payload",))
+        if data["kind"] == "samples":
             raise ValueError("sampled area sources are not supported; "
                              "use the expression catalog")
-        return cls.from_expression(kind, data.get("payload"))
+        return cls.from_expression(data["kind"], data.get("payload"))
 
 
 def normal_derivative_data(params, dw_dz):
@@ -323,28 +334,33 @@ class Problem:
     points: tuple
 
 
-def _check_sample_arcs(params, tables):
-    """Sample tables must name exactly the arcs of the lens."""
-    lens = set(arcs(params))
-    missing = sorted(lens - set(tables))
-    if missing:
-        raise ValueError(f"samples give no table for arc {missing[0]!r}")
-    unknown = sorted(set(tables) - lens)
-    if unknown:
-        raise ValueError(f"samples give a table for arc {unknown[0]!r}, which "
-                         f"the lens at n = {params.n} does not have")
+def _fields(data, what, required, optional=()):
+    """data, checked to be a JSON object that has every required key and
+    no key outside required and optional; what names it in errors."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} needs the key {key!r}")
+    allowed = (*required, *optional)
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{what} has an unknown key {key!r}; "
+                             f"expected keys: {', '.join(allowed)}")
+    return data
 
 
 def load_problem(data):
     """Problem from a JSON dict or a path to a JSON file."""
-    if not isinstance(data, dict):
+    if isinstance(data, (str, os.PathLike)):
         with open(data, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    params = LensParams.from_json(data)
-    spec = QuadratureSpec.from_json(data.get("quadrature", {}))
-    gamma = BoundaryData.from_json(data["gamma"])
-    if data["gamma"]["kind"] == "samples":
-        _check_sample_arcs(params, gamma.funcs)
+    _fields(data, "problem", ("alpha", "n", "gamma", "points"),
+            ("f", "quadrature"))
+    params = LensParams(data["alpha"], data["n"])
+    spec = QuadratureSpec(**_fields(data.get("quadrature", {}), "quadrature",
+                                    (), vars(QuadratureSpec())))
+    gamma = BoundaryData.from_json(data["gamma"], arcs(params))
     source = SourceTerm.from_json(data.get("f", {"kind": "zero"}))
     points = tuple(_complex_pairs(data["points"], "point"))
     return Problem(params, spec, gamma, source, points)

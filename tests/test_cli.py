@@ -7,6 +7,9 @@ import pytest
 from lenspot import KernelField, LensParams
 from lenspot.cli import main
 
+# a valid problem file: |z|^2 solves the Poisson equation with f = 1
+_GOOD = {"alpha": math.pi / 2, "n": 2, "gamma": {"kind": "abs2"},
+         "f": {"kind": "const", "payload": 1.0}, "points": [[0.4, 0.1]]}
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -261,6 +264,34 @@ class TestSolveCommands:
         assert out == ""
         assert err.startswith("error: samples ")
         assert repr(arc_id) in err
+
+    @pytest.mark.parametrize("problem, name", [
+        (dict(_GOOD, source={"kind": "const", "payload": 1.0}), "'source'"),
+        (dict(_GOOD, gamma={"kind": "const", "value": 2.0}), "'value'"),
+        (dict(_GOOD, gamma={"kind": "re_z2", "payload": 3}), "payload"),
+        (dict(_GOOD, gamma={"kind": "const"}), "payload"),
+        ([_GOOD], "problem"),
+        (dict(_GOOD, gamma=3), "gamma"),
+        (dict(_GOOD, f=None), "f must"),
+        (dict(_GOOD, gamma={"kind": "samples"}), "'payload'"),
+        (dict(_GOOD, gamma={"kind": "samples", "payload": [0, 1]}), "samples"),
+        (dict(_GOOD, gamma={"kind": "samples", "payload": {
+            "C1": [[0, 0], [1, 0]],
+            "C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}),
+         "samples table C1"),
+        ({k: v for k, v in _GOOD.items() if k != "gamma"}, "'gamma'"),
+    ], ids=["source_key", "gamma_value", "payload_on_re_z2",
+            "const_without_payload", "top_level_list", "gamma_number",
+            "null_f", "samples_without_payload", "samples_list",
+            "table_list", "missing_gamma"])
+    def test_malformed_problem_exits_one(self, capsys, tmp_path, problem, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "solve-dirichlet", "--problem",

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -40,10 +39,6 @@ class TestLensParams:
         cp, cm = HALF.corners
         assert cp == pytest.approx(1j)
         assert cm == pytest.approx(-1j)
-
-    def test_json_roundtrip(self):
-        data = json.loads(json.dumps(CURVED.to_json()))
-        assert LensParams.from_json(data) == CURVED
 
 
 class TestArcMatrix:

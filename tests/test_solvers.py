@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -302,6 +303,32 @@ class TestProblemFiles:
         with pytest.raises(ValueError, match="integer"):
             load_problem({"alpha": math.pi / 2, "n": n,
                           "gamma": {"kind": "re"}, "points": [[0.4, 0.1]]})
+
+    def test_params_read_exactly(self):
+        text = json.dumps({"alpha": CURVED.alpha, "n": CURVED.n,
+                           "gamma": {"kind": "re"}, "points": [[0.4, 0.1]]})
+        assert load_problem(json.loads(text)).params == CURVED
+
+    def test_partial_quadrature_uses_defaults(self):
+        problem = load_problem({"alpha": math.pi / 2, "n": 2,
+                                "gamma": {"kind": "re"}, "points": [[0.4, 0.1]],
+                                "quadrature": {"gauss_order": 3}})
+        assert problem.spec == QuadratureSpec(gauss_order=3)
+
+    def test_unknown_quadrature_key_rejected(self):
+        with pytest.raises(ValueError, match="quadrature .*'panels'"):
+            load_problem({"alpha": math.pi / 2, "n": 2,
+                          "gamma": {"kind": "re"}, "points": [[0.4, 0.1]],
+                          "quadrature": {"panels": 3}})
+
+    def test_readme_example(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        problem = load_problem(json.loads(block))
+        w = solve_dirichlet(problem.params, problem.spec, problem.gamma,
+                            problem.source, problem.points)
+        assert np.abs(w - np.abs(np.array(problem.points)) ** 2).max() < 1e-10
 
     def test_solution_rows(self):
         rows = solution_rows([0.5 + 0.25j], np.array([1.0 + 2.0j]))
