@@ -19,6 +19,13 @@ log-moduli so large n and near-corner points do not overflow.  The k = 0
 denominator equals (z - zeta)*sin(a) and carries the only diagonal zero;
 the *_regular variants divide it out analytically and stay finite across
 zeta == z.
+
+This product form is the paper's definition and the reference for every
+other evaluation.  The loop over k costs O(n) per node, so the solvers'
+area integrals take G and N instead in the strip coordinate of the corner-
+pinning map, where the products collapse to O(1) work per node
+(conformal.SectorMap.strip_green and strip_neumann, which equal these
+kernels, the Neumann constant included); boundary kernels stay here.
 """
 
 from __future__ import annotations

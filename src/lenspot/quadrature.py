@@ -8,7 +8,9 @@ the map, its pullback and its check): the image is a strip of height pi/n
 for every parameter choice, the corners sit at x = -inf/+inf where the
 exact Jacobian |2i sin(alpha) s / (s-1)^2|^2 decays like exp(-2|x|), and
 the strip is cut only at the corner exclusion zone, 1.5 * EPS_CORNER from
-the corners.
+the corners.  area_mesh hands back the nodes' strip coordinates with the
+points, so the solvers evaluate their area kernels in the strip, where
+they cost O(1) per node at any n.
 
 Every other grading follows one rule (_split): a panel or cell is halved
 until it is at most max(floor, _ATTRACT_RATIO * d) wide along each axis,
@@ -246,7 +248,14 @@ def integrate_boundary(spec, params, f, near=None):
 # area
 
 def area_mesh(spec, params, singular_at=None):
-    """Flat arrays (points, weights) for area integrals over the domain.
+    """Nodes for area integrals over the domain: (points, weights, (x, y)).
+
+    points and weights are flat arrays.  x and y are the nodes' strip
+    coordinates w = x + iy as factors shaped (1, order, cells) and
+    (order, 1, cells): any g(x, y) built from them broadcasts to
+    (order, order, cells) and its ravel lines up with points, so a kernel
+    evaluated in the strip pays for the x and y factors once per cell
+    (SectorMap.strip_green and strip_neumann).
 
     With singular_at set (a strictly interior point), the image w0 of that
     point is snapped onto panel edges and the cells near it are split
@@ -294,12 +303,14 @@ def area_mesh(spec, params, singular_at=None):
         lo, hi = _split(lo, hi, [((w0.real, w0.imag),
                                   (_SINGULAR_FLOOR * fx, _SINGULAR_FLOOR * fy))])
 
-    # Gauss tensor nodes on every cell
-    (xn, wx), (yn, wy) = (_gauss_nodes(a, b, spec.gauss_order)
-                          for a, b in zip(lo, hi))
-    points, jacobian = smap.pullback(xn[:, :, None], yn[:, None, :])
-    weights = wx[:, :, None] * wy[:, None, :] * jacobian
-    return points.ravel(), weights.ravel()
+    # Gauss tensor nodes on every cell, the cells along the last axis so
+    # that products of x and y factors run along it
+    xn, wx, yn, wy = (np.ascontiguousarray(g.T) for axis in zip(lo, hi)
+                      for g in _gauss_nodes(*axis, spec.gauss_order))
+    x, y = xn[None, :, :], yn[:, None, :]
+    points, jacobian = smap.pullback(x, y)
+    weights = wx[None, :, :] * wy[:, None, :] * jacobian
+    return points.ravel(), weights.ravel(), (x, y)
 
 
 def integrate_area(spec, params, f, singular_at=None):
@@ -308,7 +319,7 @@ def integrate_area(spec, params, f, singular_at=None):
     f maps complex points to values and may carry a logarithmic
     singularity at singular_at, which must be strictly interior.
     """
-    points, weights = area_mesh(spec, params, singular_at)
+    points, weights, _ = area_mesh(spec, params, singular_at)
     return _fsum_weighted(weights, f(points))
 
 

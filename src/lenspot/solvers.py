@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import SectorMap
 from .domain import (LensParams, _is_number, arcs, classify_point,
                      normal_coeffs)
 from .kernels import KernelField
-from .quadrature import QuadratureSpec, integrate_area, integrate_boundary
+from .quadrature import (QuadratureSpec, _fsum_weighted, area_mesh,
+                         integrate_area, integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
 
@@ -59,10 +61,10 @@ def _expression(kind, payload):
     if kind == "zero":
         return None
     if kind == "const":
-        try:
-            c = complex(payload)
-        except TypeError:
-            raise ValueError("constant payload must be a number") from None
+        if not _is_number(payload, numbers.Complex):
+            raise ValueError(f"constant payload must be a number, "
+                             f"got {payload!r}")
+        c = complex(payload)
         if not cmath.isfinite(c):
             raise ValueError(f"constant payload must be finite, got {c}")
         return lambda z: np.broadcast_to(c, np.shape(z)).copy() if np.ndim(z) else c
@@ -145,9 +147,21 @@ class BoundaryData:
         tables = {}
         for arc_id, tab in _fields(data["payload"], "samples", arc_ids).items():
             _fields(tab, f"samples table {arc_id}", ("arclen", "values"))
-            tables[arc_id] = (tab["arclen"], _complex_pairs(
-                tab["values"], f"{arc_id} sample value"))
+            tables[arc_id] = (_reals(tab["arclen"], f"{arc_id} sample arclen"),
+                              _complex_pairs(tab["values"],
+                                             f"{arc_id} sample value"))
         return cls.from_samples(tables)
+
+
+def _reals(entries, what):
+    """Floats from a JSON list of real numbers."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what}s must be a list of real numbers")
+    for i, entry in enumerate(entries):
+        if not _is_number(entry, numbers.Real):
+            raise ValueError(f"{what} {i} must be a real number, "
+                             f"got {entry!r}")
+    return [float(entry) for entry in entries]
 
 
 def _complex_pairs(entries, what):
@@ -237,11 +251,20 @@ def _check_points(params, points):
     return points
 
 
+def _area_term(params, spec, f, area_kernel, z):
+    """Area integral of f * area_kernel(z, .) on the mesh graded toward z,
+    the kernel evaluated at the nodes' strip coordinates (x, y)."""
+    nodes, weights, (x, y) = area_mesh(spec, params, singular_at=z)
+    values = area_kernel(z, x, y).ravel() * np.asarray(f(nodes))
+    return _fsum_weighted(weights, values)
+
+
 def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
                area_kernel):
     """Representation formula at each point: the boundary integral of
     gamma * boundary_kernel(z, bp) over scale, minus 1/pi times the area
-    integral of f * area_kernel(z, zeta)."""
+    integral of f * area_kernel(z, x, y), a kernel taken in the strip
+    coordinate x + iy of zeta."""
     out = []
     for z in _check_points(params, points):
         here = integrate_boundary(
@@ -250,11 +273,7 @@ def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
             near=z)
         w = here / scale
         if not f.is_zero:
-            area = integrate_area(
-                spec, params,
-                lambda zeta: np.asarray(f(zeta)) * area_kernel(z, zeta),
-                singular_at=z)
-            w = w - area / math.pi
+            w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
         out.append(complex(w))
     return np.array(out)
 
@@ -274,7 +293,7 @@ def solve_dirichlet(params, spec, gamma, f, points):
     """
     fld = KernelField(params)
     return _represent(params, spec, gamma, f, points, fld.poisson_kernel,
-                      2.0 * math.pi, fld.green)
+                      2.0 * math.pi, SectorMap(params).strip_green)
 
 
 def check_neumann_solvability(params, spec, gamma, f):
@@ -298,7 +317,7 @@ def solve_neumann(params, spec, gamma, f, points):
     fld = KernelField(params)
     return _represent(params, spec, gamma, f, points,
                       lambda z, bp: fld.neumann(bp.point, z), 4.0 * math.pi,
-                      fld.neumann)
+                      SectorMap(params).strip_neumann)
 
 
 def probe_normalization_constant(params, spec, zetas):

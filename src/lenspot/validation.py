@@ -350,6 +350,11 @@ def _conformal_checks(params, rng, tier):
     smap = SectorMap(params)
     zs, ws = _pairs(params, rng, tier.pairs)
     oracle = smap.green(zs, ws)
+    w = smap.to_w(ws)
+    strip_gap = max(
+        np.abs(smap.strip_green(zs, w.real, w.imag) - fld.green(zs, ws)).max(),
+        np.abs(smap.strip_neumann(zs, w.real, w.imag)
+               - fld.neumann(zs, ws)).max())
 
     def off_axis(batch):
         # relative: |image| grows without bound toward one corner
@@ -359,6 +364,8 @@ def _conformal_checks(params, rng, tier):
     return [
         _err_check("oracle agrees with the product kernel",
                    np.abs(fld.green(zs, ws) - oracle).max(), 1e-9),
+        # G and N with its constant, as the solvers' area integrals use them
+        _err_check("strip form agrees with product kernel", strip_gap, 1e-12),
         _err_check("oracle symmetric",
                    np.abs(oracle - smap.green(ws, zs)).max(), 1e-12),
         _err_check("oracle vanishes on the boundary",

@@ -280,10 +280,23 @@ class TestSolveCommands:
             "C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}),
          "samples table C1"),
         ({k: v for k, v in _GOOD.items() if k != "gamma"}, "'gamma'"),
+        (dict(_GOOD, gamma={"kind": "samples", "payload": {
+            "C1": {"arclen": {}, "values": [[0, 0], [1, 0]]},
+            "C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}),
+         "C1 sample arclens must be a list"),
+        (dict(_GOOD, gamma={"kind": "samples", "payload": {
+            "C1": {"arclen": ["0", "4"], "values": [[0, 0], [1, 0]]},
+            "C0": {"arclen": [0, 2], "values": [[0, 0], [0, 0]]}}}),
+         "C1 sample arclen 0 must be a real number, got '0'"),
+        (dict(_GOOD, gamma={"kind": "const", "payload": "2"}),
+         "constant payload must be a number, got '2'"),
+        (dict(_GOOD, gamma={"kind": "const", "payload": True}),
+         "constant payload must be a number, got True"),
     ], ids=["source_key", "gamma_value", "payload_on_re_z2",
             "const_without_payload", "top_level_list", "gamma_number",
             "null_f", "samples_without_payload", "samples_list",
-            "table_list", "missing_gamma"])
+            "table_list", "missing_gamma", "arclen_object",
+            "string_arclen", "string_const", "bool_const"])
     def test_malformed_problem_exits_one(self, capsys, tmp_path, problem, name):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(problem))

@@ -259,7 +259,8 @@ class TestLocalMesh:
         points = list(sample_interior(params, np.random.default_rng(4), 4,
                                       margin=1e-3))
         for z0 in points + near_boundary_points(params):
-            nodes, weights = area_mesh(QuadratureSpec(), params, singular_at=z0)
+            nodes, weights, _ = area_mesh(QuadratureSpec(), params,
+                                          singular_at=z0)
             assert nodes.size == weights.size
             assert plain < nodes.size < 150_000
 

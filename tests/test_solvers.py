@@ -8,8 +8,9 @@ import pytest
 import lenspot.solvers
 from lenspot import (BoundaryData, LensParams, QuadratureSpec, SolvabilityError,
                      SourceTerm, arc_lengths, arcs, boundary_point,
-                     check_neumann_solvability, classify_point,
-                     integrate_area, load_problem, normal_coeffs,
+                     KernelField, check_neumann_solvability,
+                     classify_point, integrate_area, integrate_boundary,
+                     load_problem, normal_coeffs,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, solution_rows, solve_dirichlet,
                      solve_neumann)
@@ -59,6 +60,18 @@ class TestBoundaryData:
     def test_non_finite_constant_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             BoundaryData.constant(value)
+
+    @pytest.mark.parametrize("value", [1 + 2j, 3, np.float64(2.5),
+                                       np.complex128(1 - 1j), np.int64(4)])
+    def test_numeric_constants_accepted(self, value):
+        bp = boundary_point(HALF, "C1", 0.3)
+        assert BoundaryData.constant(value)(bp) == complex(value)
+        assert SourceTerm.constant(value)(0.1j) == complex(value)
+
+    @pytest.mark.parametrize("value", ["2", True, [1.0]])
+    def test_non_numeric_constant_rejected(self, value):
+        with pytest.raises(ValueError, match="constant payload"):
+            BoundaryData.from_expression("const", value)
 
     def test_non_finite_sample_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -251,6 +264,43 @@ class TestNeumann:
                            SourceTerm.constant(1.0), pts)
         diff = np.real(w2 - w1)
         assert diff.max() - diff.min() < 1e-5
+
+
+class TestAreaTerm:
+    """The solvers take the area kernels in the strip form; a solve must
+    equal the representation formula with the product-form kernels
+    integrated on the same meshes."""
+
+    CASES = [HALF, LensParams(math.pi / 2 + 0.01, 64),
+             LensParams(0.9 * math.pi, 1)]
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_dirichlet_area_part(self, params):
+        fld = KernelField(params)
+        f = SourceTerm.from_expression("re")
+        for z in interior(params, 3, seed=9, margin=1e-3):
+            w = solve_dirichlet(params, SPEC, BoundaryData.constant(0.0), f,
+                                [z])[0]
+            area = integrate_area(SPEC, params,
+                                  lambda zeta: f(zeta) * fld.green(z, zeta),
+                                  singular_at=z)
+            assert abs(-math.pi * w - area) < 1e-13
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_neumann_area_part(self, params):
+        fld = KernelField(params)
+        gamma = normal_derivative_data(params, np.conj)  # w* = |z|^2
+        f = SourceTerm.constant(1.0)
+        for z in interior(params, 3, seed=10, margin=1e-3):
+            w = solve_neumann(params, SPEC, gamma, f, [z])[0]
+            boundary = integrate_boundary(
+                SPEC, params,
+                lambda bp: np.asarray(gamma(bp)) * fld.neumann(bp.point, z),
+                near=z)
+            area = integrate_area(SPEC, params,
+                                  lambda zeta: f(zeta) * fld.neumann(z, zeta),
+                                  singular_at=z)
+            assert abs(w - (boundary / (4.0 * math.pi) - area / math.pi)) < 1e-13
 
 
 class TestProbe:
