@@ -14,7 +14,7 @@ construction.
 In the strip the 2n reflection images of the paper's products are the
 method of images for the half plane e^{nw}, so both kernels take a closed
 form with O(1) work per node at any n.  With w0 = x0 + i y0 the image of
-z, em = expm1(-n|x - x0|), A = em^2, B = 4(em + 1), S-+ = sin^2(n(y -+ y0)/2),
+z, d = -n|x - x0|, A = expm1(d)^2, B = 4 exp(d), S-+ = sin^2(n(y -+ y0)/2),
 F1 = A + B S- and F2 = A + B S+ (so |e^{nw} - e^{n w0}|^2 =
 e^{2n max(x, x0)} F1, and F2 likewise for conj(w0)):
 
@@ -24,10 +24,13 @@ e^{2n max(x, x0)} F1, and F2 likewise for conj(w0)):
 
 where L(w) = log|s - 1|^2 with s = e^w/rotation, so that
 |zeta - c-| = |c+ - c-|/|s - 1|.  The constant makes N equal the paper's
-product form, not just up to a constant: the boundary integrals keep that
-form, so an area kernel off by any function of z would change the answer.
-The solvers' area integrals use strip_green and strip_neumann on the nodes
-quadrature.area_mesh lays out in w.
+product form, not just up to a constant, so the two forms are
+interchangeable in every integral of a Neumann solve.  The solvers' area
+integrals use strip_green and strip_neumann on the nodes
+quadrature.area_mesh lays out in w; their boundary integrals use
+strip_poisson and strip_neumann_at on the boundary nodes, N being
+symmetric.  On the boundary F1 = F2, so the Poisson kernel -1/2 dG/dnu
+takes one gap and two sines (see strip_poisson).
 """
 
 from __future__ import annotations
@@ -39,14 +42,21 @@ import numpy as np
 from .domain import EPS_CORNER, _axis_crossings, corner_distance
 
 
+def _image_terms(n, x, x0):
+    """(A, B) = (expm1(d)^2, 4 exp(d)) with d = -n|x - x0|.  B is not
+    4(expm1(d) + 1): expm1(d) rounds to -1 once n|x - x0| exceeds about 37,
+    and B, which carries all of F's dependence on y, would come out 0."""
+    d = -n * np.abs(x - x0)
+    em = np.expm1(d)
+    return em * em, 4.0 * np.exp(d)
+
+
 def _image_gaps(n, x, y, x0, y0s):
     """[F(y0) for y0 in y0s] with |e^{nw} - e^{n(x0 + i y0)}|^2 =
     exp(2n max(x, x0)) F(y0) at w = x + iy.  x and y broadcast against each
-    other; em, A and B are formed on x and the sines on y, so a tensor grid
+    other; A and B are formed on x and the sines on y, so a tensor grid
     pays one multiply-add per node and image."""
-    em = np.expm1(-n * np.abs(x - x0))
-    a = em * em
-    b = 4.0 * (em + 1.0)
+    a, b = _image_terms(n, x, x0)
     return [a + b * np.sin(0.5 * n * (y - y0)) ** 2 for y0 in y0s]
 
 
@@ -106,18 +116,35 @@ class SectorMap:
         gap, = _image_gaps(1, x, y, 0.0, (self._pole,))
         return 2.0 * np.maximum(x, 0.0) + np.log(gap)
 
+    def _gaps(self, z):
+        """z - c+ and z - c- as complex arrays, and the product of their
+        moduli; ValueError at the corners, which have no image."""
+        z = np.asarray(z, dtype=complex)
+        to_plus, to_minus = z - self.cp, z - self.cm
+        near_plus, near_minus = np.abs(to_plus), np.abs(to_minus)
+        if np.any(np.minimum(near_plus, near_minus) <= EPS_CORNER):
+            raise ValueError("kernel undefined at the corner points")
+        return to_plus, to_minus, near_plus * near_minus
+
+    def _image(self, to_plus, to_minus):
+        """w0 = to_w(z) from z - c+ and z - c-, by the same expression, so
+        w0 is the point area_mesh snaps to."""
+        return np.log(self.rotation * to_plus / to_minus)
+
+    @staticmethod
+    def _finite(value):
+        if not np.all(np.isfinite(value)):
+            raise ValueError("kernel has a singularity at zeta == z")
+        return value
+
     def _strip(self, z, x, y, kernel):
         """kernel(n, x, y, x0, y0) with w0 = x0 + i y0 the image of z;
         ValueError at the corners, which have no image, and where the value
         is not finite (zeta at z)."""
-        if np.any(corner_distance(self.params, z) <= EPS_CORNER):
-            raise ValueError("kernel undefined at the corner points")
-        w0 = self.to_w(z)
+        to_plus, to_minus, _ = self._gaps(z)
+        w0 = self._image(to_plus, to_minus)
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = kernel(self.params.n, x, y, w0.real, w0.imag)
-        if not np.all(np.isfinite(value)):
-            raise ValueError("kernel has a singularity at zeta == z")
-        return value
+            return self._finite(kernel(self.params.n, x, y, w0.real, w0.imag))
 
     def strip_green(self, z, x, y):
         """Green function G(z, zeta) at zeta with strip coordinate x + iy;
@@ -139,6 +166,57 @@ class SectorMap:
                    + 4.0 * n * (np.maximum(x, 0.0) - np.maximum(x, x0)))
             return 2.0 * n * np.log(pole) - np.log(f1 * f2) + row
         return self._strip(z, x, y, neumann)
+
+    def strip_neumann_at(self, z, zeta):
+        """strip_neumann at the points zeta rather than their strip
+        coordinates; N is symmetric, so this is N(zeta, z) too."""
+        w = self.to_w(zeta)
+        return self.strip_neumann(z, w.real, w.imag)
+
+    def strip_poisson(self, z, zeta):
+        """Poisson kernel p(z, zeta) = -1/2 dG/dnu at non-corner boundary
+        points zeta; equals KernelField.poisson_kernel.
+
+        With w = x + iy the image of zeta, dG/dnu = sigma dG/dy |w'(zeta)|,
+        the outward normal being +y on the edge Im w = 0 (sigma = +1) and -y
+        on Im w = -theta (sigma = -1), and |w'(zeta)| = |c+ - c-| /
+        (|zeta - c+| |zeta - c-|).  On either edge F1 = F2 = F =
+        A + B sin^2(n v/2) with u + iv = w - w0, and dG/dy = -n B sin(n v)/F,
+        so p = sigma n B sin(n v) |w'(zeta)| / (2F).
+
+        u and v are not taken from w and w0, each rounded on its own: next
+        to the boundary v is small, and p would lose a factor 1/|w'| at its
+        peak.  Instead w - w0 = log(r), r = s(zeta)/s(z) = 1 + q with
+        q = (zeta - z)(c+ - c-) / ((zeta - c-)(z - c+)).  Where |q| < 1/2,
+        u and v come from q, which keeps its relative accuracy as zeta nears
+        z.  Elsewhere u = log|r| and v = Im w - y0 with Im w set to its edge
+        value, so a node rounded off the boundary does not move v.  The edge
+        is the one Im w = arg(r) + y0 lies nearer; unlike Im to_w(zeta) this
+        does not wrap to +pi at n = 1.
+        """
+        zeta = np.asarray(zeta, dtype=complex)
+        z = np.asarray(z, dtype=complex)
+        to_plus, to_minus, corner_product = self._gaps(zeta)
+        z_plus, z_minus, _ = self._gaps(z)
+        y0 = self._image(z_plus, z_minus).imag
+        r = to_plus * z_minus / (to_minus * z_plus)
+        q = (zeta - z) * (self.cp - self.cm) / (to_minus * z_plus)
+        close = np.abs(q) < 0.5
+        n, theta = self.params.n, self.params.theta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log|1 + q| = log1p(2 Re q + |q|^2) / 2
+            u = np.where(close, 0.5 * np.log1p(q.real * (2.0 + q.real)
+                                               + q.imag * q.imag),
+                         np.log(np.abs(r)))
+            upper = np.angle(r) + y0 > -0.5 * theta
+            v = np.where(close, np.arctan2(q.imag, 1.0 + q.real),
+                         np.where(upper, 0.0, -theta) - y0)
+            a, b = _image_terms(n, u, 0.0)
+            # sigma |w'(zeta)| / 2, with |w'(zeta)| = |c+ - c-| / corner_product
+            scale = np.where(upper, 0.5, -0.5) * (abs(self.cp - self.cm)
+                                                  / corner_product)
+            return self._finite(scale * n * b * np.sin(n * v)
+                                / (a + b * np.sin(0.5 * n * v) ** 2))
 
     def to_halfplane(self, z):
         """Image in the closed upper half plane; corners are excluded."""

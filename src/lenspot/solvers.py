@@ -9,6 +9,10 @@ Solutions are assembled pointwise from the representation formulas:
 
 The Neumann problem is solvable iff int_boundary gamma = 4 * int_area f;
 the solver enforces this and returns the zero-constant representative.
+Every kernel is taken in the strip form of conformal.SectorMap, O(1) work
+per node at any n: the Poisson kernel and N at the boundary nodes, G and N
+at the area nodes' strip coordinates.  KernelField's product form is the
+reference they are checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .domain import (LensParams, _is_number, arcs, classify_point,
                      normal_coeffs)
 from .kernels import KernelField
 from .quadrature import (QuadratureSpec, _fsum_weighted, area_mesh,
-                         integrate_area, integrate_boundary)
+                         boundary_mesh, integrate_area, integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
 
@@ -64,7 +68,9 @@ def _expression(kind, payload):
         if not _is_number(payload, numbers.Complex):
             raise ValueError(f"constant payload must be a number, "
                              f"got {payload!r}")
-        c = complex(payload)
+        # a real constant stays real, so real data keeps real sums
+        c = (float(payload) if _is_number(payload, numbers.Real)
+             else complex(payload))
         if not cmath.isfinite(c):
             raise ValueError(f"constant payload must be finite, got {c}")
         return lambda z: np.broadcast_to(c, np.shape(z)).copy() if np.ndim(z) else c
@@ -262,16 +268,17 @@ def _area_term(params, spec, f, area_kernel, z):
 def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
                area_kernel):
     """Representation formula at each point: the boundary integral of
-    gamma * boundary_kernel(z, bp) over scale, minus 1/pi times the area
+    gamma * boundary_kernel(z, zeta) over scale, minus 1/pi times the area
     integral of f * area_kernel(z, x, y), a kernel taken in the strip
-    coordinate x + iy of zeta."""
+    coordinate x + iy of zeta.  The boundary kernel takes the nodes of all
+    arcs in one batch, gamma folded into the weights."""
     out = []
     for z in _check_points(params, points):
-        here = integrate_boundary(
-            spec, params,
-            lambda bp: np.asarray(gamma(bp)) * boundary_kernel(z, bp),
-            near=z)
-        w = here / scale
+        mesh = boundary_mesh(spec, params, near=z)
+        zeta = np.concatenate([bp.point for bp, _ in mesh])
+        weights = np.concatenate([arc_weights * gamma(bp)
+                                  for bp, arc_weights in mesh])
+        w = _fsum_weighted(weights, boundary_kernel(z, zeta)) / scale
         if not f.is_zero:
             w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
         out.append(complex(w))
@@ -291,9 +298,9 @@ def solve_dirichlet(params, spec, gamma, f, points):
 
     Returns a complex array, one value per point.
     """
-    fld = KernelField(params)
-    return _represent(params, spec, gamma, f, points, fld.poisson_kernel,
-                      2.0 * math.pi, SectorMap(params).strip_green)
+    smap = SectorMap(params)
+    return _represent(params, spec, gamma, f, points, smap.strip_poisson,
+                      2.0 * math.pi, smap.strip_green)
 
 
 def check_neumann_solvability(params, spec, gamma, f):
@@ -314,10 +321,10 @@ def solve_neumann(params, spec, gamma, f, points):
     verdict = check_neumann_solvability(params, spec, gamma, f)
     if not verdict["satisfied"]:
         raise SolvabilityError(verdict["lhs"], verdict["rhs"])
-    fld = KernelField(params)
+    smap = SectorMap(params)
     return _represent(params, spec, gamma, f, points,
-                      lambda z, bp: fld.neumann(bp.point, z), 4.0 * math.pi,
-                      SectorMap(params).strip_neumann)
+                      smap.strip_neumann_at, 4.0 * math.pi,
+                      smap.strip_neumann)
 
 
 def probe_normalization_constant(params, spec, zetas):
@@ -328,6 +335,7 @@ def probe_normalization_constant(params, spec, zetas):
     so this reports {values, spread} and passes no judgement.
     """
     fld = KernelField(params)
+    smap = SectorMap(params)
     values = []
     for zeta in zetas:
         zeta = complex(zeta)
@@ -335,7 +343,8 @@ def probe_normalization_constant(params, spec, zetas):
             raise ValueError("probe points must be interior")
         val = integrate_boundary(
             spec, params,
-            lambda bp: fld.normal_density(bp) * fld.neumann(bp.point, zeta))
+            lambda bp: (fld.normal_density(bp)
+                        * smap.strip_neumann_at(zeta, bp.point)))
         values.append(float(np.real(val)))
     values = np.array(values)
     return {"values": values, "spread": float(values.max() - values.min())}

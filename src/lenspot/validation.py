@@ -24,8 +24,8 @@ from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
                      boundary_point, boundary_samples, normal_coeffs,
                      reflection_orbit, sample_interior)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, convergence_report, integrate_area,
-                         integrate_boundary)
+from .quadrature import (QuadratureSpec, boundary_mesh, convergence_report,
+                         integrate_area, integrate_boundary)
 from .solvers import (BoundaryData, SourceTerm, check_neumann_solvability,
                       normal_derivative_data, probe_normalization_constant,
                       solve_dirichlet, solve_neumann)
@@ -345,7 +345,25 @@ def _limit_checks(params, fld):
             for d, label, tol in ((1e-4, "1e-4", 1e-2), (1e-6, "1e-6", 1e-4))]
 
 
-def _conformal_checks(params, rng, tier):
+def _strip_boundary_gap(params, spec, zs):
+    """Largest gap between the strip-form boundary kernels of the solvers
+    and the product kernels, p and N at the boundary_mesh(near=z) nodes of
+    every arc, relative to max(1, |value|)."""
+    fld = KernelField(params)
+    smap = SectorMap(params)
+    gaps = []
+    for z in map(complex, zs):
+        for bp, _ in boundary_mesh(spec, params, near=z):
+            for strip, product in (
+                    (smap.strip_poisson(z, bp.point), fld.poisson_kernel(z, bp)),
+                    (smap.strip_neumann_at(z, bp.point),
+                     fld.neumann(bp.point, z))):
+                gaps.append((np.abs(strip - product)
+                             / np.maximum(1.0, np.abs(product))).max())
+    return _worst(gaps)
+
+
+def _conformal_checks(params, spec, rng, tier):
     fld = KernelField(params)
     smap = SectorMap(params)
     zs, ws = _pairs(params, rng, tier.pairs)
@@ -366,6 +384,10 @@ def _conformal_checks(params, rng, tier):
                    np.abs(fld.green(zs, ws) - oracle).max(), 1e-9),
         # G and N with its constant, as the solvers' area integrals use them
         _err_check("strip form agrees with product kernel", strip_gap, 1e-12),
+        # p and N as the solvers' boundary integrals use them
+        _err_check("strip boundary kernels agree with product kernels",
+                   _strip_boundary_gap(params, spec,
+                                       zs[:max(4, tier.pairs // 4)]), 1e-11),
         _err_check("oracle symmetric",
                    np.abs(oracle - smap.green(ws, zs)).max(), 1e-12),
         _err_check("oracle vanishes on the boundary",
@@ -529,6 +551,6 @@ def run_checks(params, spec=None, quick=False):
     return (_circle_geometry_checks(rng, tier.circles)
             + _domain_checks(params, rng, tier.domain)
             + _kernel_checks(params, spec, rng, tier)
-            + _conformal_checks(params, rng, tier)
+            + _conformal_checks(params, spec, rng, tier)
             + _quadrature_checks(params, spec, rng)
             + _solver_checks(params, spec, rng, tier))

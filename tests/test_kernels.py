@@ -5,10 +5,10 @@ import pytest
 
 import lenspot.kernels
 from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
-                     area_mesh, arcs, boundary_point, boundary_samples,
-                     classify_point, evaluate_on_grid, normal_coeffs,
-                     sample_interior)
-from lenspot.domain import EPS_CORNER, corner_distance
+                     area_mesh, arcs, boundary_mesh, boundary_point,
+                     boundary_samples, classify_point, evaluate_on_grid,
+                     integrate_boundary, normal_coeffs, sample_interior)
+from lenspot.domain import EPS_CORNER, BoundaryPoint, corner_distance
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -305,6 +305,29 @@ STRIP_CASES = [LensParams(0.9 * math.pi, 1), LensParams(math.pi / 2, 1),
                CURVED]
 
 
+# the disc twice, the chord, the thin lenses of the benchmark and beyond,
+# a lens close to the disc and a curved lens
+BOUNDARY_CASES = [LensParams(0.9 * math.pi, 1), LensParams(math.pi / 2, 1),
+                  LensParams(math.pi / 3, 3), LensParams(math.pi / 2 + 0.01, 64),
+                  LensParams(math.pi / 2, 128), LensParams(0.999 * math.pi, 2),
+                  CURVED]
+
+
+def near_boundary(params, d):
+    """Points at distance d inside the boundary, two per arc."""
+    out = []
+    for arc_id, arc in arcs(params).items():
+        for u in (0.3, -0.6):
+            bp = boundary_point(params, arc_id, u * arc.half_width)
+            q, _ = normal_coeffs(params, bp)
+            out.append(complex(bp.point - d * q))
+    return out
+
+
+def relative_gap(a, b):
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
+
+
 class TestStripForm:
     """SectorMap.strip_green/strip_neumann, which the solvers' area integrals
     use, against the product form at zeta's strip coordinate.  Largest
@@ -353,11 +376,88 @@ class TestStripForm:
             gap = np.abs(values.ravel() - product(z, nodes))
             assert np.all(gap < 1e-12 + 1e-14 / np.abs(nodes - z))
 
+    @pytest.mark.parametrize("params", BOUNDARY_CASES)
+    def test_boundary_kernels_agree_with_product_form(self, params):
+        # p and N as the solvers' boundary integrals take them, at the
+        # nodes graded toward z.  Next to z both forms lose about eps/d.  At
+        # (0.999pi, 2) the product form's p is off by up to 3e-9 against
+        # 40-digit values (the strip form's by 7e-12), and N in the strip
+        # form loses a factor 1/|w'| ~ 300 at the peak, where the integral
+        # weights it by the node spacing
+        allowance = 3e-8 if params.alpha > 0.99 * math.pi else 1e-11
+        fld = KernelField(params)
+        smap = SectorMap(params)
+        cases = [(z, 0.0) for z in sample_interior(
+            params, np.random.default_rng(5), 6, margin=1e-2)]
+        cases += [(z, d) for d in (1e-3, 1e-6) for z in near_boundary(params, d)]
+        for z, d in cases:
+            tol = allowance + (1e-15 / d if d else 0.0)
+            for bp, _ in boundary_mesh(QuadratureSpec(), params, near=z):
+                assert relative_gap(smap.strip_poisson(z, bp.point),
+                                    fld.poisson_kernel(z, bp)).max() < tol
+                assert relative_gap(smap.strip_neumann_at(z, bp.point),
+                                    fld.neumann(bp.point, z)).max() < tol
+
+    @pytest.mark.parametrize("params", [LensParams(0.9 * math.pi, 1),
+                                        LensParams(math.pi / 2, 1)])
+    def test_poisson_is_the_disc_kernel_at_n1(self, params):
+        # np.log puts Im w = +pi, not -pi, on part of the circle; the nodes
+        # must reach both halves and that wrap
+        fld = KernelField(params)
+        smap = SectorMap(params)
+        zs = list(sample_interior(params, np.random.default_rng(6), 6,
+                                  margin=1e-2)) + near_boundary(params, 1e-3)
+        for z in zs:
+            (bp, _), = boundary_mesh(QuadratureSpec(), params, near=z)
+            y = smap.to_w(bp.point).imag
+            assert np.any(y > 0.5 * math.pi) and np.any(np.abs(y) < 0.5)
+            assert relative_gap(smap.strip_poisson(z, bp.point),
+                                fld.disc_poisson(z, bp.point)).max() < 1e-13
+
+    @pytest.mark.parametrize("params", [LensParams(0.9 * math.pi, 1),
+                                        LensParams(math.pi / 3, 3),
+                                        LensParams(0.999 * math.pi, 2),
+                                        CURVED])
+    def test_poisson_reproduces_harmonic_data_near_the_boundary(self, params):
+        # p's peak next to z must be resolved in relative terms: a p built
+        # from w and w0 rounded separately is off by 4.5e-9 here at
+        # (0.999pi, 2) and d = 1e-6, where |w'| is about 3e-3
+        smap = SectorMap(params)
+        for d in (1e-3, 1e-6):
+            for z in near_boundary(params, d):
+                mean = integrate_boundary(
+                    QuadratureSpec(), params,
+                    lambda bp: (bp.point ** 3).real
+                    * smap.strip_poisson(z, bp.point), near=z) / (2 * math.pi)
+                assert abs(mean - (z ** 3).real) < 1e-10
+
+    def test_far_pair_stays_positive(self):
+        # n|x - x0| > 40, where expm1(-n|x - x0|) rounds to -1: B is taken
+        # as 4 exp(d), not 4(expm1(d) + 1), which would give p = 0.  The
+        # product form is off by up to 1e-3 at these nodes 1e-6 from a
+        # corner (against 40-digit values at the exact boundary point; the
+        # strip form is within 1e-11 of them)
+        params = LensParams(math.pi / 3, 3)
+        fld = KernelField(params)
+        smap = SectorMap(params)
+        z = complex(smap.pullback(0.0, -0.5 * params.theta)[0])
+        x0 = smap.to_w(z).real
+        for arc_id, arc in arcs(params).items():
+            t = arc.half_width - 1e-6 / arc.speed
+            zeta = complex(arc.point(t))
+            assert params.n * abs(smap.to_w(zeta).real - x0) > 40.0
+            p = smap.strip_poisson(z, zeta)
+            product = fld.poisson_kernel(z, BoundaryPoint(arc_id, t, zeta, 0.0))
+            assert p > 0.0
+            assert abs(p / product - 1.0) < 1e-2
+
     def test_scalars_give_floats(self):
         smap = SectorMap(CURVED)
         w = complex(smap.to_w(0.1 - 0.2j))
         for strip in (smap.strip_green, smap.strip_neumann):
             assert isinstance(strip(0.4 + 0.1j, w.real, w.imag), float)
+        zeta = complex(boundary_point(CURVED, "C0", 0.1).point)
+        assert isinstance(smap.strip_poisson(0.4 + 0.1j, zeta), float)
 
     def test_pole_and_corner_rejected(self):
         smap = SectorMap(CURVED)
@@ -368,6 +468,11 @@ class TestStripForm:
                 strip(z, w.real, w.imag)
             with pytest.raises(ValueError):
                 strip(CURVED.corners[0], w.real - 1.0, w.imag)
+        zeta = complex(boundary_point(CURVED, "C0", 0.1).point)
+        for z_, zeta_ in ((z, z), (CURVED.corners[0], zeta),
+                          (z, CURVED.corners[1])):
+            with pytest.raises(ValueError):
+                smap.strip_poisson(z_, zeta_)
 
 
 class TestBoundaryLimits:

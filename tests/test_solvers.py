@@ -114,6 +114,27 @@ class TestSourceTerm:
         with pytest.raises(ValueError):
             SourceTerm.from_json({"kind": "samples", "payload": {}})
 
+    def test_real_constant_stays_real(self):
+        # a complex constant would send every area sum through math.fsum
+        # twice, once over an all-zero imaginary part
+        f = SourceTerm.constant(1.0)
+        assert isinstance(f(0.1j), float)
+        assert f(np.array([0.1j, 0.2])).dtype == np.float64
+        assert np.iscomplexobj(SourceTerm.constant(1 + 2j)(np.array([0.1j])))
+        with pytest.raises(SolvabilityError,
+                           match=r"4 \* area integral [0-9.]+ \(defect"):
+            solve_neumann(HALF, SPEC, BoundaryData.constant(0.0), f, [0.1])
+        # the answers do not depend on how the constant is stored
+        as_complex = SourceTerm.from_callable(
+            lambda z: np.full(np.shape(z), 1.0 + 0j))
+        z = interior(HALF, 2, seed=13)
+        gamma = BoundaryData.from_expression("abs2")
+        assert np.array_equal(solve_dirichlet(HALF, SPEC, gamma, f, z),
+                              solve_dirichlet(HALF, SPEC, gamma, as_complex, z))
+        flux = normal_derivative_data(HALF, np.conj)
+        assert np.array_equal(solve_neumann(HALF, SPEC, flux, f, z),
+                              solve_neumann(HALF, SPEC, flux, as_complex, z))
+
 
 class TestDirichlet:
     @pytest.mark.parametrize("params", [HALF, CHORD3, CURVED])
@@ -301,6 +322,38 @@ class TestAreaTerm:
                                   lambda zeta: f(zeta) * fld.neumann(z, zeta),
                                   singular_at=z)
             assert abs(w - (boundary / (4.0 * math.pi) - area / math.pi)) < 1e-13
+
+
+class TestBoundaryTerm:
+    """The solvers take the boundary kernels in the strip form; a harmonic
+    solve must equal the boundary integral of gamma times the product-form
+    kernel on the same mesh."""
+
+    CASES = TestAreaTerm.CASES
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_dirichlet_boundary_part(self, params):
+        fld = KernelField(params)
+        gamma = BoundaryData.from_expression("re_zk", 3)
+        for z in interior(params, 3, seed=11, margin=1e-3):
+            w = solve_dirichlet(params, SPEC, gamma, SourceTerm.zero(), [z])[0]
+            boundary = integrate_boundary(
+                SPEC, params,
+                lambda bp: np.asarray(gamma(bp)) * fld.poisson_kernel(z, bp),
+                near=z)
+            assert abs(w - boundary / (2.0 * math.pi)) < 1e-13
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_neumann_boundary_part(self, params):
+        fld = KernelField(params)
+        gamma = normal_derivative_data(params, lambda z: 1.5 * z ** 2)  # Re z^3
+        for z in interior(params, 3, seed=12, margin=1e-3):
+            w = solve_neumann(params, SPEC, gamma, SourceTerm.zero(), [z])[0]
+            boundary = integrate_boundary(
+                SPEC, params,
+                lambda bp: np.asarray(gamma(bp)) * fld.neumann(bp.point, z),
+                near=z)
+            assert abs(w - boundary / (4.0 * math.pi)) < 1e-13
 
 
 class TestProbe:
