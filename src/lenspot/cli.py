@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -240,17 +239,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("LENS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(f"LENS_THREADS must be a positive integer, "
-                             f"got {threads!r}\n")
-            return 2
-        # evaluation is sequential; the value is only validated
-
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -128,7 +128,7 @@ class SectorMap:
 
     def _image(self, to_plus, to_minus):
         """w0 = to_w(z) from z - c+ and z - c-, by the same expression, so
-        w0 is the point area_mesh snaps to."""
+        w0 is the apex of area_mesh's Duffy star."""
         return np.log(self.rotation * to_plus / to_minus)
 
     @staticmethod

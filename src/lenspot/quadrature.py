@@ -18,11 +18,17 @@ d being its distance to an attractor.  The attractors are the nearest
 boundary point of boundary_mesh's near point, if closer than
 _NEAR_BOUNDARY; the Jacobian's poles outside the strip, if closer than
 a panel width (grading the strip's x and y edges); and the image w0 of
-area_mesh's singular point, snapped onto panel edges, toward which only
-the nearby strip cells are split.  The singular point's reflection images
-are the mirror images of w0 in the strip's edges, never closer to a strip
-point than w0, so they need no grading of their own.  Floors shrink as
-panel counts grow, so refined specs refine the mesh everywhere.
+area_mesh's singular point.  Floors shrink as panel counts grow, so
+refined specs refine the mesh everywhere.
+
+The plain area mesh is built once per (spec, params) and kept.  A singular
+point replaces only the plain cells the rule would split toward w0: a
+square around w0 becomes a Duffy star of 8 triangles with apex w0, whose
+radial panels are graded geometrically (_star), and the rest of those
+cells is split toward w0 with no floor.  The singular point's reflection
+images are the mirror images of w0 in the strip's edges; they bound the
+star's size, which stays below half of w0's distance to an edge, and the
+rule's cells are never closer to them than to w0.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ _CORNER_LEVELS = 8          # graded panels appended at each corner
 _CORNER_GRADING = 0.5       # width ratio of successive corner panels
 _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
 _NEAR_BOUNDARY = 0.35       # kernel peak width ~ distance; grade panels below this
-_SINGULAR_FLOOR = 1e-5      # smallest panel width forced at a log singularity
+_SINGULAR_FLOOR = 1e-5      # reach of the Duffy star's innermost panel in w
+_STAR_RATIO = 0.225         # Duffy star half-width per unit distance to a singularity
 _NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
 
 
@@ -247,23 +254,23 @@ def integrate_boundary(spec, params, f, near=None):
 # ----------------------------------------------------------------------
 # area
 
-def area_mesh(spec, params, singular_at=None):
-    """Nodes for area integrals over the domain: (points, weights, (x, y)).
+def _cell_nodes(smap, lo, hi, order):
+    """Gauss tensor nodes on the strip cells [lo, hi]: (points, weights,
+    x, y), x and y shaped (1, order, cells) and (order, 1, cells), the
+    cells along the last axis so that products of x and y factors run
+    along it."""
+    xn, wx, yn, wy = (np.ascontiguousarray(g.T) for axis in zip(lo, hi)
+                      for g in _gauss_nodes(*axis, order))
+    x, y = xn[None, :, :], yn[:, None, :]
+    points, jacobian = smap.pullback(x, y)
+    return points, wx[None, :, :] * wy[:, None, :] * jacobian, x, y
 
-    points and weights are flat arrays.  x and y are the nodes' strip
-    coordinates w = x + iy as factors shaped (1, order, cells) and
-    (order, 1, cells): any g(x, y) built from them broadcasts to
-    (order, order, cells) and its ravel lines up with points, so a kernel
-    evaluated in the strip pays for the x and y factors once per cell
-    (SectorMap.strip_green and strip_neumann).
 
-    With singular_at set (a strictly interior point), the image w0 of that
-    point is snapped onto panel edges and the cells near it are split
-    locally (see _split), so integrands with a log singularity
-    there converge at full order.  The strip is truncated where nodes
-    would enter the corner exclusion zone; the Jacobian is ~1e-14 there,
-    so nothing of the integral is lost.
-    """
+@lru_cache(maxsize=8)
+def _plain_area(spec, params):
+    """The plain strip mesh of (spec, params), built once and read-only:
+    (smap, X, lo, hi, points, weights, x, y), lo and hi holding the cells'
+    corners and the node arrays laid out as in _cell_nodes."""
     smap = SectorMap(params)
     X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha)))
     theta = params.theta
@@ -281,36 +288,125 @@ def area_mesh(spec, params, singular_at=None):
         y_att.append((0.0, _ATTRACT_RATIO * smap.gap_top * fy))
     if smap.gap_bottom < 1.5 * hy:
         y_att.append((-theta, _ATTRACT_RATIO * smap.gap_bottom * fy))
-
-    w0 = None
-    if singular_at is not None:
-        z0 = complex(singular_at)
-        if classify_point(params, z0) != "interior":
-            raise ValueError("singular point must lie strictly inside the domain")
-        w0 = complex(smap.to_w(z0))
-
-    x_edges = _insert_edges(np.linspace(-X, X, spec.area_radial + 1),
-                            [] if w0 is None else [w0.real])
-    x_edges = _graded_edges(x_edges, x_att, min_width=1e-13 * X)
-    y_edges = _insert_edges(np.linspace(-theta, 0.0, spec.area_angular + 1),
-                            [] if w0 is None else [w0.imag])
-    y_edges = _graded_edges(y_edges, y_att, min_width=1e-13 * theta)
+    x_edges = _graded_edges(np.linspace(-X, X, spec.area_radial + 1), x_att,
+                            min_width=1e-13 * X)
+    y_edges = _graded_edges(np.linspace(-theta, 0.0, spec.area_angular + 1),
+                            y_att, min_width=1e-13 * theta)
 
     grid = np.meshgrid(x_edges, y_edges, indexing="ij")
     lo = np.stack([g[:-1, :-1].ravel() for g in grid])
     hi = np.stack([g[1:, 1:].ravel() for g in grid])
-    if w0 is not None:
-        lo, hi = _split(lo, hi, [((w0.real, w0.imag),
-                                  (_SINGULAR_FLOOR * fx, _SINGULAR_FLOOR * fy))])
+    mesh = (lo, hi) + _cell_nodes(smap, lo, hi, spec.gauss_order)
+    for a in mesh:
+        a.setflags(write=False)
+    return (smap, X) + mesh
 
-    # Gauss tensor nodes on every cell, the cells along the last axis so
-    # that products of x and y factors run along it
-    xn, wx, yn, wy = (np.ascontiguousarray(g.T) for axis in zip(lo, hi)
-                      for g in _gauss_nodes(*axis, spec.gauss_order))
-    x, y = xn[None, :, :], yn[:, None, :]
+
+def _carve(lo, hi, center, half):
+    """The boxes [lo, hi] cut along the edge lines of the square of
+    half-width half around center, the pieces inside the square left out."""
+    # per axis: the parts below, across and above the square's span
+    cuts = [np.clip(center[k] + s * half, lo[k], hi[k]) for k in range(2)
+            for s in (-1.0, 1.0)]
+    spans = [((lo[k], cuts[2 * k]), (cuts[2 * k], cuts[2 * k + 1]),
+              (cuts[2 * k + 1], hi[k])) for k in range(2)]
+    pieces = [(np.stack([a, c]), np.stack([b, d]))
+              for i, (a, b) in enumerate(spans[0])
+              for j, (c, d) in enumerate(spans[1]) if (i, j) != (1, 1)]
+    lo = np.concatenate([p for p, _ in pieces], axis=1)
+    hi = np.concatenate([q for _, q in pieces], axis=1)
+    keep = np.all(hi > lo, axis=0)
+    return lo[:, keep], hi[:, keep]
+
+
+def _star(smap, w0, half, floor, order):
+    """Nodes of the Duffy star: the square of half-width half around w0 as
+    8 right triangles with apex w0, each the image of the unit square under
+    w = w0 + u * half * e * (1 + i t v), e running over the four axis
+    directions and t over +-1, with Jacobian u * half^2 (Duffy, SIAM J.
+    Numer. Anal. 19, 1982).  The log pole log|w - w0| = log u + log half +
+    log|1 + i v| then splits off the smooth part.
+
+    Gauss-Legendre is not full order for u log u (8 nodes on [0, 1] are off
+    by 4.9e-5), so u = s^2 and the panels in s halve toward 0 until the
+    innermost reaches at most floor from w0; in s the integrand is
+    s^3 log s, which 8 nodes on [0, 1] integrate to 3.6e-8.  v takes two
+    more nodes than s: log(1 + v^2) has poles at v = +-i, and 8 nodes leave
+    3.9e-12 of its integral where 10 leave 5.5e-15.  Returns (points,
+    weights, x, y) as flat arrays."""
+    levels = max(0, math.ceil(0.5 * math.log2(half / floor)))
+    edges = 0.5 ** np.arange(levels, -1, -1.0)
+    s, ws = (g.ravel() for g in _gauss_nodes(np.append(0.0, edges[:-1]),
+                                               edges, order))
+    v, wv = (g[0] for g in _gauss_nodes(np.zeros(1), np.ones(1), order + 2))
+    legs = np.array([e * (1.0 + 1j * t * v) for t in (1.0, -1.0)
+                     for e in (1.0, 1j, -1.0, -1j)])[:, :, None]
+    w = w0 + half * legs * (s * s)
+    x, y = w.real.ravel(), w.imag.ravel()
     points, jacobian = smap.pullback(x, y)
-    weights = wx[None, :, :] * wy[:, None, :] * jacobian
-    return points.ravel(), weights.ravel(), (x, y)
+    # u du = 2 s^3 ds
+    weights = np.broadcast_to(wv[:, None] * (2.0 * s ** 3 * ws), w.shape)
+    return points, weights.ravel() * (half * half) * jacobian, x, y
+
+
+def area_mesh(spec, params, singular_at=None):
+    """Nodes for area integrals over the domain: (points, weights, blocks).
+
+    points and weights are flat arrays.  blocks is a tuple of (x, y) pairs,
+    the nodes' strip coordinates w = x + iy: any g(x, y) evaluated block by
+    block, each raveled and concatenated, lines up with points.  In the
+    blocks of tensor cells x and y are factors shaped (1, order, cells) and
+    (order, 1, cells), so a kernel evaluated in the strip pays for the x and
+    y factors once per cell (SectorMap.strip_green and strip_neumann); the
+    Duffy star's x and y are flat.
+
+    Without singular_at this is the plain mesh of (spec, params), built
+    once and kept read-only.  With singular_at set (a strictly interior
+    point), only the plain cells that _split would split toward its image
+    w0 are replaced: the square of half-width R around w0 becomes the Duffy
+    star (_star), and the rest of those cells is split toward w0 by the same
+    rule with no floor, which leaves the cells bordering the square at most
+    0.7 R wide.  R is
+    _STAR_RATIO times the distance from w0 to the nearest singularity of the
+    integrand's smooth part (the mirror images of w0 in the strip's edges
+    and the Jacobian's poles beyond them) or to the mirror of the strip's
+    cut, so the star stays inside the strip.  The strip is truncated where
+    nodes would enter the corner exclusion zone; the Jacobian is ~1e-14
+    there, so nothing of the integral is lost.
+    """
+    smap, X, lo, hi, points, weights, x, y = _plain_area(spec, params)
+    plain = (points.ravel(), weights.ravel(), ((x, y),))
+    if singular_at is None:
+        return plain
+    z0 = complex(singular_at)
+    if classify_point(params, z0) != "interior":
+        raise ValueError("singular point must lie strictly inside the domain")
+    w0 = complex(smap.to_w(z0))
+    top, bottom = -w0.imag, w0.imag + params.theta
+    shrink = min(_shrink(spec, "area_radial"), _shrink(spec, "area_angular"))
+    half = _STAR_RATIO * shrink * min(2.0 * top, 2.0 * bottom,
+                                      top + smap.gap_top,
+                                      bottom + smap.gap_bottom,
+                                      2.0 * (X - abs(w0.real)))
+    if not half > 0.0:
+        # w0 lies beyond the strip's cut, where nothing is meshed
+        return plain
+
+    center = np.array([[w0.real], [w0.imag]])
+    gap = reduce(np.hypot, np.maximum(np.maximum(lo - center, center - hi),
+                                      0.0))
+    zone = (np.any(hi - lo > _ATTRACT_RATIO * gap, axis=0)
+            | np.all((lo < center + half) & (hi > center - half), axis=0))
+    zone_lo, zone_hi = _split(*_carve(lo[:, zone], hi[:, zone], center[:, 0],
+                                      half),
+                              [((w0.real, w0.imag), (0.0, 0.0))])
+    blocks = [tuple(a[..., ~zone] for a in (points, weights, x, y)),
+              _cell_nodes(smap, zone_lo, zone_hi, spec.gauss_order),
+              _star(smap, w0, half, _SINGULAR_FLOOR * shrink,
+                    spec.gauss_order)]
+    return (np.concatenate([b[0].ravel() for b in blocks]),
+            np.concatenate([b[1].ravel() for b in blocks]),
+            tuple(b[2:] for b in blocks))
 
 
 def integrate_area(spec, params, f, singular_at=None):

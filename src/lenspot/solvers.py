@@ -259,9 +259,12 @@ def _check_points(params, points):
 
 def _area_term(params, spec, f, area_kernel, z):
     """Area integral of f * area_kernel(z, .) on the mesh graded toward z,
-    the kernel evaluated at the nodes' strip coordinates (x, y)."""
-    nodes, weights, (x, y) = area_mesh(spec, params, singular_at=z)
-    values = area_kernel(z, x, y).ravel() * np.asarray(f(nodes))
+    the kernel evaluated at the strip coordinates (x, y) of each block of
+    nodes."""
+    nodes, weights, blocks = area_mesh(spec, params, singular_at=z)
+    values = (np.concatenate([area_kernel(z, x, y).ravel()
+                              for x, y in blocks])
+              * np.asarray(f(nodes)))
     return _fsum_weighted(weights, values)
 
 

@@ -368,12 +368,18 @@ class TestStripForm:
         smap = SectorMap(params)
         z = complex(sample_interior(params, np.random.default_rng(4), 1,
                                     margin=1e-3)[0])
-        nodes, _, (x, y) = area_mesh(QuadratureSpec(), params, singular_at=z)
+        nodes, _, blocks = area_mesh(QuadratureSpec(), params, singular_at=z)
+        # plain cells, cells graded toward z, and the Duffy star
+        assert len(blocks) == 3
         for strip, product in ((smap.strip_green, fld.green),
                                (smap.strip_neumann, fld.neumann)):
-            values = strip(z, x, y)
-            assert values.shape == (y.shape[0], x.shape[1], x.shape[2])
-            gap = np.abs(values.ravel() - product(z, nodes))
+            values = [strip(z, x, y) for x, y in blocks]
+            for (x, y), block in zip(blocks[:2], values):
+                assert block.shape == (y.shape[0], x.shape[1], x.shape[2])
+            assert values[2].shape == blocks[2][0].shape == blocks[2][1].shape
+            values = np.concatenate([block.ravel() for block in values])
+            assert values.shape == nodes.shape
+            gap = np.abs(values - product(z, nodes))
             assert np.all(gap < 1e-12 + 1e-14 / np.abs(nodes - z))
 
     @pytest.mark.parametrize("params", BOUNDARY_CASES)

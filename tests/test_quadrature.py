@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from lenspot import (KernelField, LensParams, QuadratureSpec, arc_lengths,
-                     area_mesh, arcs, boundary_distance, boundary_mesh,
-                     convergence_report, integrate_area, integrate_boundary,
-                     load_problem, sample_interior)
-from lenspot.domain import corner_distance
-from lenspot.quadrature import _split
+from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
+                     arc_lengths, area_mesh, arcs, boundary_distance,
+                     boundary_mesh, classify_point, convergence_report,
+                     integrate_area, integrate_boundary, load_problem,
+                     sample_interior)
+from lenspot.domain import EPS_CORNER, corner_distance
+from lenspot.quadrature import _plain_area, _split
 from lenspot.validation import analytic_area
 
 HALF = LensParams(math.pi / 2, 2)
@@ -180,6 +181,51 @@ class TestArea:
             np.trapezoid(rr * 2 * np.log(np.maximum(rr, abs(z0))), rr))
         assert val == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.9 * math.pi],
+                             ids=["0.3", "0.9pi"])
+    def test_singular_green_exact_on_disc(self, alpha):
+        # on the unit disc (n = 1) w = 1 - |z|^2 solves w_{z conj(z)} = -1
+        # with zero boundary values, so int G(z, .) dA = pi (1 - |z|^2)
+        params = LensParams(alpha, 1)
+        fld = KernelField(params)
+        for r in (0.0, 0.3, 0.9, 0.99, 0.999, 0.9999):
+            for angle in (0.4, 2.0, 4.5):
+                z = r * cmath.exp(1j * angle)
+                val = integrate_area(QuadratureSpec(), params,
+                                     lambda w: fld.green(z, w), singular_at=z)
+                assert abs(val - math.pi * (1.0 - r * r)) < 1e-11
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_singular_log_closed_form(self, radius):
+        # on the unit disc int log|z - z0|^2 dA = pi (|z0|^2 - 1) and
+        # int G(z0, .) dA = pi (1 - |z0|^2); at alpha = pi/2 no Jacobian
+        # pole comes near the strip, so this pins the Duffy star's own error
+        params = LensParams(math.pi / 2, 1)
+        fld = KernelField(params)
+        for angle in (0.4, 2.0, 4.5):
+            z0 = radius * cmath.exp(1j * angle)
+            log = integrate_area(QuadratureSpec(), params,
+                                 lambda z: np.log(np.abs(z - z0) ** 2),
+                                 singular_at=z0)
+            green = integrate_area(QuadratureSpec(), params,
+                                   lambda w: fld.green(z0, w), singular_at=z0)
+            assert abs(log - math.pi * (radius ** 2 - 1.0)) < 2e-13
+            assert abs(green - math.pi * (1.0 - radius ** 2)) < 2e-13
+
+    def test_star_clear_of_jacobian_pole(self):
+        # at alpha = 0.97 pi the Jacobian's pole is 0.03 pi above the strip,
+        # and the star's size is bounded by it as well as by the mirror
+        # images; without that bound the gap reaches 1.7e-13
+        params = LensParams(0.97 * math.pi, 1)
+        fld = KernelField(params)
+        for radius in (0.0, 0.3, 0.6, 0.9, 0.99, 0.999):
+            for angle in (0.4, 2.0, 4.5):
+                z0 = radius * cmath.exp(1j * angle)
+                green = integrate_area(QuadratureSpec(), params,
+                                       lambda w: fld.green(z0, w),
+                                       singular_at=z0)
+                assert abs(green - math.pi * (1.0 - radius ** 2)) < 1.2e-13
+
     def test_boundary_singular_point_rejected(self):
         with pytest.raises(ValueError):
             integrate_area(QuadratureSpec(), HALF, lambda z: 1.0,
@@ -263,6 +309,23 @@ class TestLocalMesh:
                                           singular_at=z0)
             assert nodes.size == weights.size
             assert plain < nodes.size < 150_000
+            # the Duffy star stops the grading at R, about 0.45 times the
+            # distance to an edge
+            assert nodes.size <= 42_000
+
+    def test_singular_point_beyond_strip_cut(self):
+        # an interior point closer than 1.5 * EPS_CORNER to a corner maps
+        # past the strip's cut, where nothing is meshed or split
+        smap = SectorMap(HALF)
+        X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(HALF.alpha)))
+        z0 = complex(smap.pullback(X + 0.1, -HALF.theta / 2)[0])
+        assert classify_point(HALF, z0) == "interior"
+        nodes, weights, blocks = area_mesh(QuadratureSpec(), HALF,
+                                           singular_at=z0)
+        plain, plain_weights, _ = area_mesh(QuadratureSpec(), HALF)
+        assert len(blocks) == 1
+        assert np.array_equal(nodes, plain)
+        assert np.array_equal(weights, plain_weights)
 
     @pytest.mark.parametrize("params", BENCH)
     def test_near_boundary_matches_refined(self, params):
@@ -317,6 +380,8 @@ class TestConvergence:
         spec = QuadratureSpec()
         fld = KernelField(CURVED)
         z0 = 0.4 + 0.1j
+        # the first call builds the plain mesh, the second reuses it
+        _plain_area.cache_clear()
         v1 = integrate_area(spec, CURVED, lambda w: fld.green(z0, w),
                             singular_at=z0)
         v2 = integrate_area(spec, CURVED, lambda w: fld.green(z0, w),
