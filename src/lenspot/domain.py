@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -225,12 +227,15 @@ class Arc:
         return data
 
 
+@lru_cache(maxsize=64)
 def arcs(params):
     """The boundary arcs keyed by arc id: C0 and C1, or C1 alone for the
-    n == 1 disc."""
+    n == 1 disc.  Built once per lens (the last 64) and returned as a
+    read-only mapping."""
     alpha, theta, n = params.alpha, params.theta, params.n
     if n == 1:
-        return {"C1": Arc("C1", "unit", 0.0, 1.0, 0.0, math.pi)}
+        return MappingProxyType(
+            {"C1": Arc("C1", "unit", 0.0, 1.0, 0.0, math.pi)})
     c1 = Arc("C1", "unit", 0.0, 1.0, 0.0, alpha)
     if params.is_chord:
         c0 = Arc("C0", "segment", complex(math.cos(alpha), 0.0), 0.0, 0.0,
@@ -243,7 +248,7 @@ def arcs(params):
         apex = math.cos(0.5 * (alpha + theta)) / math.cos(0.5 * (alpha - theta))
         c0 = Arc("C0", "circle", complex(m, 0.0), r, phi_mid,
                  abs(alpha - theta), apex)
-    return {"C0": c0, "C1": c1}
+    return MappingProxyType({"C0": c0, "C1": c1})
 
 
 def arc_of(params, arc_id):

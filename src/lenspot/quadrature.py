@@ -12,23 +12,31 @@ the corners.  area_mesh hands back the nodes' strip coordinates with the
 points, so the solvers evaluate their area kernels in the strip, where
 they cost O(1) per node at any n.
 
-Every other grading follows one rule (_split): a panel or cell is halved
-until it is at most max(floor, _ATTRACT_RATIO * d) wide along each axis,
-d being its distance to an attractor.  The attractors are the nearest
-boundary point of boundary_mesh's near point, if closer than
-_NEAR_BOUNDARY; the Jacobian's poles outside the strip, if closer than
-a panel width (grading the strip's x and y edges); and the image w0 of
-area_mesh's singular point.  Floors shrink as panel counts grow, so
-refined specs refine the mesh everywhere.
+Every other grading follows one rule: a panel or cell is halved until it
+is at most max(floor, _ATTRACT_RATIO * d) wide along each axis, d being
+its distance to an attractor.  _split applies it to the area's cells and
+_graded_edges, a scalar bisection with the same arithmetic and leaves, to
+panel edges.  The attractors are the nearest boundary point of
+boundary_mesh's near point, if closer than _NEAR_BOUNDARY; the Jacobian's
+poles outside the strip, if closer than a panel width (grading the strip's
+x and y edges); and the image w0 of area_mesh's singular point.  Floors
+shrink as panel counts grow, so refined specs refine the mesh everywhere.
 
-The plain area mesh is built once per (spec, params) and kept.  A singular
-point replaces only the plain cells the rule would split toward w0: a
-square around w0 becomes a Duffy star of 8 triangles with apex w0, whose
-radial panels are graded geometrically (_star), and the rest of those
-cells is split toward w0 with no floor.  The singular point's reflection
-images are the mirror images of w0 in the strip's edges; they bound the
-star's size, which stays below half of w0's distance to an edge, and the
-rule's cells are never closer to them than to w0.
+Both plain meshes, boundary and area, are built once per (spec, params)
+and kept read-only, the last 8 pairs of each.  A near point regrades only
+its nearest arc: the rule runs over that arc's panel edges with the
+nearest boundary point inserted, the leaves before the first panel it
+changes and after the last keep their plain nodes, and every other arc
+returns its plain batch as it is.
+
+A singular point replaces only the plain area cells the rule would split
+toward w0: a square around w0 becomes a Duffy star of 8 triangles with
+apex w0, whose radial panels are graded geometrically (_star), and the
+rest of those cells is split toward w0 with no floor.  The singular
+point's reflection images are the mirror images of w0 in the strip's
+edges; they bound the star's size, which stays below half of w0's
+distance to an edge, and the rule's cells are never closer to them than
+to w0.
 """
 
 from __future__ import annotations
@@ -82,6 +90,9 @@ class QuadratureSpec:
                        area_angular=self.area_angular * factor)
 
 
+_DEFAULT_SPEC = QuadratureSpec()
+
+
 @lru_cache(maxsize=32)
 def _gauss(order):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -116,7 +127,8 @@ def _split(lo, hi, attractors):
     wide along each axis, d being its Euclidean distance to the attractor's
     point.  Each level halves every box still too wide across the axis that
     overshoots its allowance most (the first on a tie), for the whole batch
-    at once.
+    at once.  The area mesh's cells go through here; _graded_edges gives
+    the same leaves for panel edges.
     """
     dim = len(lo)
     attractors = [(np.array(p, dtype=float)[:, None],
@@ -147,21 +159,42 @@ def _split(lo, hi, attractors):
 
 
 def _graded_edges(edges, attractors, min_width):
-    """Panel edges after _split toward (position, floor) attractors; no
-    panel is split below twice min_width."""
+    """Panel edges after _split's rule toward (position, floor)
+    attractors, in order; no panel is split below twice min_width.
+
+    A scalar bisection with _split's arithmetic, so the leaves are _split's
+    in one dimension.  Only a handful of panels are active at each level,
+    and _split's array round trip per level would cost several times more.
+    """
     if not attractors:
         return edges
-    edges = np.asarray(edges, dtype=float)
-    lo, _ = _split(edges[None, :-1], edges[None, 1:],
-                   [((p,), (max(f, 2.0 * min_width),)) for p, f in attractors])
-    return np.append(np.sort(lo[0]), edges[-1])
+    attractors = [(p, max(f, 2.0 * min_width)) for p, f in attractors]
+    out = []
+    stack = list(zip(edges[:-1], edges[1:]))[::-1]
+    while stack:
+        lo, hi = stack.pop()
+        allowance = math.inf
+        for p, floor in attractors:
+            bound = _ATTRACT_RATIO * (lo - p if lo > p else
+                                      p - hi if p > hi else 0.0)
+            if bound < floor:
+                bound = floor
+            if bound < allowance:
+                allowance = bound
+        if (hi - lo) / allowance > 1.0:
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi), (lo, mid)]
+        else:
+            out.append(lo)
+    out.append(edges[-1])
+    return out
 
 
 def _shrink(spec, count):
     """Attractor floors shrink with the panel count named count, so doubled
     counts refine the mesh everywhere and self-convergence studies stay
     honest."""
-    return min(1.0, getattr(QuadratureSpec(), count) / getattr(spec, count))
+    return min(1.0, getattr(_DEFAULT_SPEC, count) / getattr(spec, count))
 
 
 def _graded_base_edges(lo, hi, panels, corner_width):
@@ -195,22 +228,19 @@ def _fsum_weighted(weights, values):
 # ----------------------------------------------------------------------
 # boundary
 
-def boundary_mesh(spec, params, near=None):
-    """Quadrature nodes along the whole boundary.
+def _arc_nodes(arc, lo, hi, order):
+    """Gauss nodes on the arc's panels [lo, hi]: (t, point, arclen,
+    weights), one row per panel, the weights per unit arc length."""
+    t, w = _gauss_nodes(lo, hi, order)
+    return t, arc.point(t), arc.arclen(t), w * arc.speed
 
-    With near set (an evaluation point), panels are graded toward its
-    nearest boundary point when that is closer than _NEAR_BOUNDARY, down to
-    about half the distance, so kernels peaked there are resolved.  Returns
-    [(BoundaryPoint batch, weights), ...]; nodes never coincide with the
-    corner points.
-    """
-    near_arc = None
-    if near is not None:
-        d, arc_id, near_t = boundary_distance(params, near)
-        if d < _NEAR_BOUNDARY:
-            near_arc = arc_id
-            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
-                        1e-10)
+
+@lru_cache(maxsize=8)
+def _plain_boundary(spec, params):
+    """The plain boundary mesh of (spec, params), built once and read-only:
+    per arc (arc, edges, rows, (BoundaryPoint, weights)), rows being
+    _arc_nodes' arrays on the panels between successive edges and the
+    BoundaryPoint batch and weights their flat views."""
     # a corner panel at least this long keeps its first Gauss node
     # 2 * EPS_CORNER clear of the corner
     first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
@@ -224,15 +254,64 @@ def boundary_mesh(spec, params, near=None):
         if params.n == 1:
             # keep nodes clear of the two marked points on the circle
             edges = _insert_edges(edges, [-params.alpha, params.alpha])
+        edges = np.array(edges, dtype=float)
+        rows = _arc_nodes(arc, edges[:-1], edges[1:], spec.gauss_order)
+        for a in (edges,) + rows:
+            a.setflags(write=False)
+        t, point, arclen, w = (a.ravel() for a in rows)
+        out.append((arc, edges, rows,
+                    (BoundaryPoint(arc.arc_id, t, point, arclen), w)))
+    return tuple(out)
+
+
+def _regraded(arc, edges, rows, near_t, floor, order):
+    """The arc's (BoundaryPoint, weights) graded toward near_t.  The rule
+    runs over the whole arc, and the leaves before the first one that is
+    not a plain panel and after the last keep their plain rows: only the
+    span between gets new nodes."""
+    lo, hi = arc.t_range
+    leaves = np.array(_graded_edges(_insert_edges(edges.tolist(), [near_t]),
+                                    [(near_t, floor)], 1e-13 * (hi - lo)))
+    a, b = leaves[:-1], leaves[1:]
+    k = np.minimum(np.searchsorted(edges, a), edges.size - 2)
+    new = np.flatnonzero((edges[k] != a) | (edges[k + 1] != b))
+    first, last = (new[0], new[-1] + 1) if new.size else (0, 0)
+    # the leaves after the span are the last a.size - last plain panels
+    tail = edges.size - 1 - (a.size - last)
+    fresh = _arc_nodes(arc, a[first:last], b[first:last], order)
+    t, point, arclen, w = (np.concatenate([old[:first], mid, old[tail:]])
+                           .ravel() for old, mid in zip(rows, fresh))
+    return BoundaryPoint(arc.arc_id, t, point, arclen), w
+
+
+def boundary_mesh(spec, params, near=None):
+    """Quadrature nodes along the whole boundary.
+
+    With near set (an evaluation point), panels are graded toward its
+    nearest boundary point when that is closer than _NEAR_BOUNDARY, down to
+    about half the distance, so kernels peaked there are resolved.  Returns
+    [(BoundaryPoint batch, weights), ...], t increasing along each arc;
+    nodes never coincide with the corner points.
+
+    The plain mesh of (spec, params) is built once and kept read-only
+    (_plain_boundary).  Every arc that is not graded returns it as it is,
+    and on the graded arc only the span of panels the rule changes gets
+    new nodes (_regraded).
+    """
+    near_arc = None
+    if near is not None:
+        d, arc_id, near_t = boundary_distance(params, near)
+        if d < _NEAR_BOUNDARY:
+            near_arc = arc_id
+            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
+                        1e-10)
+    out = []
+    for arc, edges, rows, plain in _plain_boundary(spec, params):
         if arc.arc_id == near_arc:
-            edges = _graded_edges(_insert_edges(edges, [near_t]),
-                                  [(near_t, floor / arc.speed)],
-                                  1e-13 * (hi - lo))
-        edges = np.asarray(edges)
-        t, w = (a.ravel() for a in _gauss_nodes(edges[:-1], edges[1:],
-                                                  spec.gauss_order))
-        bp = BoundaryPoint(arc.arc_id, t, arc.point(t), arc.arclen(t))
-        out.append((bp, w * arc.speed))
+            out.append(_regraded(arc, edges, rows, near_t, floor / arc.speed,
+                                 spec.gauss_order))
+        else:
+            out.append(plain)
     return out
 
 

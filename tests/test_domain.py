@@ -220,6 +220,18 @@ class TestBoundaryParam:
         assert list(arcs(DISC)) == ["C1"]
         assert list(arcs(HALF)) == ["C0", "C1"]
 
+    def test_arcs_built_once_and_read_only(self):
+        # a memoized mapping that a caller could edit would change every
+        # later caller's arcs
+        arcmap = arcs(CURVED)
+        assert arcs(LensParams(2 * math.pi / 3, 2)) is arcmap
+        with pytest.raises(TypeError):
+            arcmap["C0"] = arcmap["C1"]
+        with pytest.raises(TypeError):
+            del arcmap["C1"]
+        assert list(arcs(CURVED)) == ["C0", "C1"]
+        assert arcs(CURVED)["C0"].kind == "circle"
+
     @pytest.mark.parametrize("call", [
         lambda p, arc_id: boundary_point(p, arc_id, 0.0),
         lambda p, arc_id: boundary_samples(p, arc_id, 4),

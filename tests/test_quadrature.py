@@ -7,11 +7,16 @@ import pytest
 
 from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      arc_lengths, area_mesh, arcs, boundary_distance,
-                     boundary_mesh, classify_point, convergence_report,
-                     integrate_area, integrate_boundary, load_problem,
-                     sample_interior)
+                     boundary_mesh, boundary_point, classify_point,
+                     convergence_report, integrate_area, integrate_boundary,
+                     load_problem, normal_coeffs, sample_interior,
+                     solve_dirichlet, solve_neumann)
 from lenspot.domain import EPS_CORNER, corner_distance
-from lenspot.quadrature import _plain_area, _split
+from lenspot.quadrature import (_NEAR_BOUNDARY, _gauss, _gauss_nodes,
+                                _graded_base_edges, _graded_edges,
+                                _insert_edges, _plain_area, _plain_boundary,
+                                _shrink, _split)
+from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
 HALF = LensParams(math.pi / 2, 2)
@@ -236,22 +241,24 @@ class TestSplit:
     """_split, the one grading rule behind the boundary and area meshes."""
 
     @staticmethod
-    def _edges(rng, count):
-        return np.cumsum(rng.uniform(0.05, 1.0, count + 1)) - 1.0
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_leaves_tile_boxes_within_allowance(self, dim, seed):
+    def _boxes(seed, dim):
+        """Abutting panels in 1-d, a tensor grid of cells in 2-d, and one to
+        three attractors: (lo, hi, attractors)."""
         rng = np.random.default_rng(seed)
-        # abutting panels in 1-d, a tensor grid of cells in 2-d
-        grids = np.meshgrid(*(self._edges(rng, 4) for _ in range(dim)),
-                            indexing="ij")
+        grids = np.meshgrid(*(np.cumsum(rng.uniform(0.05, 1.0, 5)) - 1.0
+                              for _ in range(dim)), indexing="ij")
         cut = (slice(None, -1),) * dim
         lo = np.stack([g[cut].ravel() for g in grids])
         hi = np.stack([g[tuple(slice(1, None) for _ in range(dim))].ravel()
                        for g in grids])
         attractors = [(rng.uniform(-1.5, 3.0, dim), rng.uniform(5e-3, 0.1, dim))
                       for _ in range(rng.integers(1, 4))]
+        return lo, hi, attractors
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaves_tile_boxes_within_allowance(self, dim, seed):
+        lo, hi, attractors = self._boxes(seed, dim)
         leaf_lo, leaf_hi = _split(lo, hi, attractors)
         width = leaf_hi - leaf_lo
         assert np.all(width > 0)
@@ -285,6 +292,21 @@ class TestSplit:
         assert sum(np.sum(np.all(leaf_lo >= bl[:, None], axis=0)
                           & np.all(leaf_hi <= bh[:, None], axis=0))
                    for bl, bh in zip(lo.T, hi.T)) == leaf_lo.shape[1]
+
+    # floors scaled by 1e-4 grade deep, where most leaves sit next to the
+    # rule's threshold
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graded_edges_are_split_leaves(self, seed, scale):
+        # the scalar 1-d bisection gives _split's leaves bit for bit
+        lo, hi, attractors = self._boxes(seed, 1)
+        attractors = [(p, f * scale) for p, f in attractors]
+        edges = np.append(lo[0], hi[0, -1])
+        leaf_lo, _ = _split(lo, hi, attractors)
+        graded = _graded_edges(edges, [(p[0], f[0]) for p, f in attractors],
+                               min_width=0.0)
+        assert np.array_equal(graded, np.append(np.sort(leaf_lo[0]), edges[-1]))
+        assert len(graded) > len(edges)
 
 
 class TestLocalMesh:
@@ -340,6 +362,187 @@ class TestLocalMesh:
             v2 = integrate_area(spec.refined(), params,
                                 lambda w: fld.green(z0, w), singular_at=z0)
             assert abs(v1 - v2) < 1e-6
+
+
+# the lens sets and specs the boundary patch is checked on
+PATCH_SETS = BENCH + [DISC, LensParams(0.999 * math.pi, 2),
+                      LensParams(0.3, 1), CURVED, LensParams(math.pi / 2, 1),
+                      LensParams(0.3, 128), LensParams(0.001, 1)]
+PATCH_SPECS = [QuadratureSpec(), QuadratureSpec().refined(2),
+               QuadratureSpec(gauss_order=5), QuadratureSpec(boundary_panels=3)]
+
+
+def whole_arc_mesh(spec, params, near):
+    """boundary_mesh built whole: every arc's panel edges from the base
+    edges (the n = 1 marks inserted), and on the graded arc _insert_edges of
+    near_t, then _graded_edges over the whole arc; nodes and weights for
+    every panel."""
+    near_arc = None
+    if near is not None:
+        d, arc_id, near_t = boundary_distance(params, near)
+        if d < _NEAR_BOUNDARY:
+            near_arc = arc_id
+            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
+                        1e-10)
+    first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
+    corner_arclen = 2.0 * EPS_CORNER / first_node
+    out = []
+    for arc in arcs(params).values():
+        lo, hi = arc.t_range
+        edges = _graded_base_edges(
+            lo, hi, spec.boundary_panels,
+            corner_arclen / arc.speed if params.n > 1 else math.inf)
+        if params.n == 1:
+            edges = _insert_edges(edges, [-params.alpha, params.alpha])
+        if arc.arc_id == near_arc:
+            edges = _graded_edges(_insert_edges(edges, [near_t]),
+                                  [(near_t, floor / arc.speed)],
+                                  1e-13 * (hi - lo))
+        edges = np.asarray(edges)
+        t, w = (a.ravel() for a in _gauss_nodes(edges[:-1], edges[1:],
+                                                  spec.gauss_order))
+        out.append((arc.arc_id, t, arc.point(t), arc.arclen(t), w * arc.speed))
+    return out
+
+
+def inside(params, arc, t, depth):
+    """The point depth inside the arc along its normal at parameter t."""
+    bp = boundary_point(params, arc.arc_id, t)
+    if arc.kind == "unit":
+        return (1.0 - depth) * bp.point
+    return bp.point - depth * normal_coeffs(params, bp)[0]
+
+
+class TestBoundaryPatch:
+    """boundary_mesh(near=z) regrades only the panels the rule splits, and
+    returns exactly the mesh built whole."""
+
+    @staticmethod
+    def _assert_same(spec, params, near):
+        mesh = boundary_mesh(spec, params, near=near)
+        expected = whole_arc_mesh(spec, params, near)
+        assert [bp.arc_id for bp, _ in mesh] == [e[0] for e in expected]
+        for (bp, w), (_, *arrays) in zip(mesh, expected):
+            for got, want in zip((bp.t, bp.point, bp.arclen, w), arrays):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", PATCH_SPECS, ids=["default", "refined",
+                                                       "order5", "panels3"])
+    @pytest.mark.parametrize("params", PATCH_SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_matches_whole_arc_mesh(self, params, spec):
+        points = [None]
+        for arc in arcs(params).values():
+            half = arc.half_width
+            for frac in (-0.97, -0.6, -0.13, 0.0, 0.41, 0.88):
+                for depth in (1e-2, 1e-4, 1e-7, 1e-9):
+                    points.append(inside(params, arc, frac * half, depth))
+            # on either side of _NEAR_BOUNDARY from the arc's midpoint
+            points += [inside(params, arc, 0.0, _NEAR_BOUNDARY * (1 + s))
+                       for s in (-1e-6, 1e-6)]
+        for z in points:
+            self._assert_same(spec, params, z)
+
+    @pytest.mark.parametrize("params", PATCH_SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_nearest_point_on_a_plain_edge(self, params):
+        # near_t equal to a plain edge, or within _insert_edges' duplicate
+        # tolerance of one, so that it drops an edge; at n = 1 the edges
+        # include the marks at +-alpha
+        spec = QuadratureSpec()
+        hits = {"equal": 0, "near": 0}
+        for arc, edges, _, _ in _plain_boundary(spec, params):
+            tol = 1e-13 * (edges[-1] - edges[0])
+            for e in edges[1:-1]:
+                for dt in (0.0, 0.3 * tol, -0.3 * tol):
+                    z = inside(params, arc, e + dt, 1e-3)
+                    d, arc_id, near_t = boundary_distance(params, z)
+                    if arc_id == arc.arc_id and d < _NEAR_BOUNDARY:
+                        if near_t == e:
+                            hits["equal"] += 1
+                        elif abs(near_t - e) <= tol:
+                            hits["near"] += 1
+                    self._assert_same(spec, params, z)
+        assert hits["equal"] > 0 and hits["near"] > 0
+
+    def test_point_that_splits_nothing(self):
+        # mid-lens on the real axis at (0.5, 2): near_t = 0 is a plain edge
+        # and every panel is below the floor 0.1, so no leaf is new
+        params = LensParams(0.5, 2)
+        z = 0.5 * sum(complex(arc.point(0.0))
+                      for arc in arcs(params).values())
+        d, arc_id, near_t = boundary_distance(params, z)
+        assert d < _NEAR_BOUNDARY and arc_id == "C1" and near_t == 0.0
+        self._assert_same(QuadratureSpec(), params, z)
+        plain = _plain_boundary(QuadratureSpec(), params)[1][3]
+        bp, w = boundary_mesh(QuadratureSpec(), params, near=z)[1]
+        assert np.array_equal(bp.t, plain[0].t)
+        assert np.array_equal(w, plain[1])
+
+    def test_threshold_points_straddle_near_boundary(self):
+        # the half disc has room for both of test_matches_whole_arc_mesh's
+        # points at the 0.35 threshold
+        arc = arcs(HALF)["C1"]
+        d = [boundary_distance(HALF, inside(HALF, arc, 0.0,
+                                            _NEAR_BOUNDARY * (1 + s)))[0]
+             for s in (-1e-6, 1e-6)]
+        assert d[0] < _NEAR_BOUNDARY <= d[1]
+
+    def test_far_point_gets_the_plain_mesh(self):
+        spec = QuadratureSpec()
+        plain = [pair for *_, pair in _plain_boundary(spec, HALF)]
+        mesh = boundary_mesh(spec, HALF, near=0.5)
+        assert all(a is b for (a, _), (b, _) in zip(mesh, plain))
+        # a near point shares the other arc's batch with the plain mesh
+        mesh = boundary_mesh(spec, HALF, near=0.999)
+        assert mesh[0][0] is plain[0][0]
+        assert mesh[1][0] is not plain[1][0]
+
+
+class TestBoundaryCache:
+    """The plain boundary mesh is cached per (spec, lens) and read-only."""
+
+    def test_cached_arrays_read_only(self):
+        spec = QuadratureSpec()
+        before = integrate_boundary(spec, CURVED, lambda bp: bp.point)
+
+        def write_point(bp):
+            bp.point[0] = 0.0
+            return 1.0
+
+        def write_t(bp):
+            bp.t[:] = 0.0
+            return 1.0
+
+        for f in (write_point, write_t):
+            with pytest.raises(ValueError):
+                integrate_boundary(spec, CURVED, f)
+        for bp, w in boundary_mesh(spec, CURVED):
+            assert not any(a.flags.writeable
+                           for a in (bp.t, bp.point, bp.arclen, w))
+        assert integrate_boundary(spec, CURVED, lambda bp: bp.point) == before
+
+    @pytest.mark.parametrize("params", BENCH)
+    def test_solves_cold_and_warm(self, params):
+        spec = QuadratureSpec()
+        points = sample_interior(params, np.random.default_rng(7), 8,
+                                 margin=1e-3)
+        problems = [
+            (solve_dirichlet, BoundaryData.from_expression("re_zk", 3)),
+            (solve_neumann,
+             normal_derivative_data(params, lambda z: 1.5 * z ** 2))]
+
+        def solve():
+            return [fn(params, spec, gamma, SourceTerm.zero(), points)
+                    for fn, gamma in problems]
+
+        _plain_boundary.cache_clear()
+        arcs.cache_clear()
+        cold = solve()
+        warm = solve()
+        for a, b in zip(cold, warm):
+            assert np.array_equal(a, b)
 
 
 class TestConvergence:
