@@ -30,7 +30,7 @@ from .conformal import SectorMap
 from .domain import (LensParams, _is_number, arcs, classify_point,
                      normal_coeffs)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, _fsum_weighted, area_mesh,
+from .quadrature import (QuadratureSpec, _exact_weighted_sum, area_mesh,
                          boundary_mesh, integrate_area, integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
@@ -262,10 +262,12 @@ def _area_term(params, spec, f, area_kernel, z):
     the kernel evaluated at the strip coordinates (x, y) of each block of
     nodes."""
     nodes, weights, blocks = area_mesh(spec, params, singular_at=z)
-    values = (np.concatenate([area_kernel(z, x, y).ravel()
-                              for x, y in blocks])
-              * np.asarray(f(nodes)))
-    return _fsum_weighted(weights, values)
+    kernel = np.concatenate([area_kernel(z, x, y).ravel() for x, y in blocks])
+    with np.errstate(invalid="ignore"):
+        # the kernel is 0 far from z, so an infinite f makes a nan there,
+        # which the sum reports as not finite
+        values = kernel * np.asarray(f(nodes))
+    return _exact_weighted_sum(weights, values)
 
 
 def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
@@ -281,7 +283,7 @@ def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
         zeta = np.concatenate([bp.point for bp, _ in mesh])
         weights = np.concatenate([arc_weights * gamma(bp)
                                   for bp, arc_weights in mesh])
-        w = _fsum_weighted(weights, boundary_kernel(z, zeta)) / scale
+        w = _exact_weighted_sum(weights, boundary_kernel(z, zeta)) / scale
         if not f.is_zero:
             w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
         out.append(complex(w))

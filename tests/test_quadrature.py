@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      arc_lengths, area_mesh, arcs, boundary_distance,
@@ -12,10 +15,10 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      load_problem, normal_coeffs, sample_interior,
                      solve_dirichlet, solve_neumann)
 from lenspot.domain import EPS_CORNER, corner_distance
-from lenspot.quadrature import (_NEAR_BOUNDARY, _gauss, _gauss_nodes,
-                                _graded_base_edges, _graded_edges,
-                                _insert_edges, _plain_area, _plain_boundary,
-                                _shrink, _split)
+from lenspot.quadrature import (_NEAR_BOUNDARY, _exact_sum, _gauss,
+                                _gauss_nodes, _graded_base_edges,
+                                _graded_edges, _insert_edges, _plain_area,
+                                _plain_boundary, _shrink, _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
@@ -126,11 +129,27 @@ class TestBoundary:
         assert nodes(0.998 * cmath.exp(0.2j)) > nodes(None)
         assert nodes(0.5) == nodes(None)
 
+    @pytest.mark.parametrize("panels", [1, 2, 3, 16])
+    @pytest.mark.parametrize("params", CASES)
+    def test_plain_panels_have_positive_width(self, params, panels):
+        # with one panel both ends' first corner level is the middle edge
+        for _, edges, _, (bp, w) in _plain_boundary(
+                QuadratureSpec(boundary_panels=panels), params):
+            assert np.all(np.diff(edges) > 0.0)
+            assert np.all(w > 0.0)
+
     def test_complex_integrand(self):
         total = integrate_boundary(QuadratureSpec(), HALF, lambda bp: bp.point)
         # centroid of the half-disc boundary times its length; sanity: finite
         assert isinstance(total, complex)
         assert abs(total.imag) < 1e-12  # symmetric domain
+
+    def test_non_finite_integrand_raises(self):
+        def f(bp):
+            return np.where(bp.t > 0.0, np.nan, 1.0)
+
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_boundary(QuadratureSpec(), HALF, f)
 
 
 class TestArea:
@@ -235,6 +254,104 @@ class TestArea:
         with pytest.raises(ValueError):
             integrate_area(QuadratureSpec(), HALF, lambda z: 1.0,
                            singular_at=1.0 + 0.0j)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integrand_raises(self, value):
+        def f(z):
+            return np.where(z.real > 0.0, value, 1.0)
+
+        for singular_at in (None, 0.3 + 0.2j):
+            with pytest.raises(ValueError, match="not finite"):
+                integrate_area(QuadratureSpec(), HALF, f,
+                               singular_at=singular_at)
+
+
+# magnitudes from the subnormals up to 1e300, so no sum of 40k overflows
+_FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _large_sums(draw, max_size=40_000):
+    """Seeded arrays of up to max_size values: log-uniform magnitudes over
+    a drawn span of decimal exponents (-323 reaches the subnormals), random
+    signs, and a drawn share of the values cancelled by negated copies
+    perturbed in their last bits or not at all, in shuffled order."""
+    # half of the draws near max_size: plain integers favour small sizes
+    n = draw(st.integers(0, max_size) | st.integers(3 * max_size // 4,
+                                                    max_size))
+    lo = draw(st.integers(-323, 300))
+    hi = draw(st.integers(lo, 300))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    wobble = draw(st.sampled_from([0.0, 1e-15, 1e-9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    k = int(share * n) // 2
+    x[n - k:] = -x[:k] * (1.0 + wobble * rng.standard_normal(k))
+    return rng.permutation(x)
+
+
+class TestExactSum:
+    """_exact_sum is math.fsum's correctly rounded sum, bit for bit."""
+
+    @staticmethod
+    def check(x):
+        expected = math.fsum(np.ravel(x).tolist())
+        got = _exact_sum(x)
+        assert isinstance(got, float)
+        assert got.hex() == expected.hex()
+
+    @settings(deadline=None)
+    @given(hnp.arrays(float, st.integers(0, 300), elements=_FINITE),
+           st.booleans())
+    def test_drawn_values(self, x, cancel):
+        if cancel:
+            # the negated copies leave only the tail's own sum
+            x = np.concatenate([x, -x[: x.size // 2]])
+        self.check(x)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_large_sums())
+    def test_large_arrays(self, x):
+        self.check(x)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_large_sums(max_size=5000), _large_sums(max_size=5000))
+    def test_strided_views(self, x, y):
+        n = min(x.size, y.size)
+        c = x[:n] + 1j * y[:n]
+        for view in (c.real, c.imag, x[::3], x[::-1],
+                     np.resize(x, (2, x.size)).T):
+            self.check(view)
+            assert _exact_sum(view) == _exact_sum(view.copy())
+
+    @pytest.mark.parametrize("x", [
+        # four tiers that cancel down to the smallest: a fixed number of
+        # extraction passes leaves the wrong sign
+        [1e300, 1e150, 1.0, 1e-150, -1e300, -1e150, -1.0],
+        # the partials end on a tie, 1 + 2^-53, and 2^-170 breaks it
+        # upward; a sum of the remainder that loses it against +-d rounds
+        # the tie to even, down to 1
+        [1.0, 2.0 ** -53, 1.2345 * 2.0 ** -104, 2.0 ** -170,
+         -1.2345 * 2.0 ** -104],
+        [], [-0.0], [0.0, -0.0], [5e-324] * 7, [5e-324, -1e-310, 1e-310],
+        [2.0 ** 1000] * 40_000,
+    ], ids=["tiers", "tie", "empty", "minus-zero", "zeros", "subnormal",
+            "subnormal-cancel", "large"])
+    def test_pinned(self, x):
+        self.check(np.array(x, dtype=float))
+
+    @pytest.mark.parametrize("x", [[1.0, math.inf], [math.nan, 1.0],
+                                   [-math.inf, math.inf], [math.inf]])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(ValueError, match="not finite"):
+            _exact_sum(np.array(x))
+
+    def test_overflow_raises(self):
+        # fsum raises here too: its running sum overflows
+        for x in ([1e308, 1e308, -1e308], [1.7e308]):
+            with pytest.raises(OverflowError):
+                _exact_sum(np.array(x))
 
 
 class TestSplit:

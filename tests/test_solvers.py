@@ -115,8 +115,8 @@ class TestSourceTerm:
             SourceTerm.from_json({"kind": "samples", "payload": {}})
 
     def test_real_constant_stays_real(self):
-        # a complex constant would send every area sum through math.fsum
-        # twice, once over an all-zero imaginary part
+        # a complex constant would make every area sum exact twice, once
+        # over an all-zero imaginary part
         f = SourceTerm.constant(1.0)
         assert isinstance(f(0.1j), float)
         assert f(np.array([0.1j, 0.2])).dtype == np.float64
@@ -285,6 +285,27 @@ class TestNeumann:
                            SourceTerm.constant(1.0), pts)
         diff = np.real(w2 - w1)
         assert diff.max() - diff.min() < 1e-5
+
+
+class TestNonFiniteData:
+    """Data that is not finite on part of the domain raises instead of
+    coming back as a nan or an infinite answer."""
+
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_boundary_data(self, solve, value):
+        gamma = BoundaryData.from_callable(
+            lambda bp: np.where(bp.t > 0.0, value, 0.0))
+        with pytest.raises(ValueError, match="not finite"):
+            solve(HALF, SPEC, gamma, SourceTerm.zero(), [0.3 + 0.2j])
+
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_source(self, solve, value):
+        f = SourceTerm.from_callable(
+            lambda z: np.where(np.real(z) > 0.0, value, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            solve(HALF, SPEC, BoundaryData.constant(0.0), f, [0.3 + 0.2j])
 
 
 class TestAreaTerm:
