@@ -3,7 +3,7 @@
 from .circles import (CircleMatrix, HomogeneousPoint, INFINITY, circle_contains,
                       equivalent, from_center_radius, real_axis, reflect_circle,
                       reflect_point, unit_circle)
-from .conformal import SectorMap
+from .conformal import SectorMap, sector_map
 from .domain import (Arc, BoundaryPoint, LensParams, ReflectionOrbit, arc_lengths,
                      arc_matrix, arcs, boundary_distance, boundary_point,
                      boundary_samples, classify_point, normal_coeffs,
@@ -30,5 +30,6 @@ __all__ = [
     "integrate_boundary", "load_problem", "normal_coeffs",
     "normal_derivative_data", "probe_normalization_constant", "real_axis",
     "reflect_circle", "reflect_point", "reflection_orbit", "sample_interior",
-    "solution_rows", "solve_dirichlet", "solve_neumann", "unit_circle",
+    "sector_map", "solution_rows", "solve_dirichlet", "solve_neumann",
+    "unit_circle",
 ]

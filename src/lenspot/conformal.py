@@ -36,6 +36,7 @@ takes one gap and two sines (see strip_poisson).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,41 +138,28 @@ class SectorMap:
             raise ValueError("kernel has a singularity at zeta == z")
         return value
 
-    def _strip(self, z, x, y, kernel):
-        """kernel(n, x, y, x0, y0) with w0 = x0 + i y0 the image of z;
-        ValueError at the corners, which have no image, and where the value
-        is not finite (zeta at z)."""
-        to_plus, to_minus, _ = self._gaps(z)
-        w0 = self._image(to_plus, to_minus)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._finite(kernel(self.params.n, x, y, w0.real, w0.imag))
-
     def strip_green(self, z, x, y):
         """Green function G(z, zeta) at zeta with strip coordinate x + iy;
-        equals KernelField.green."""
-        def green(n, x, y, x0, y0):
-            f1, f2 = _image_gaps(n, x, y, x0, (y0, -y0))
-            return np.log(f2 / f1)
-        return self._strip(z, x, y, green)
+        equals KernelField.green.  ValueError at the corners, which have no
+        image, and where the value is not finite (zeta at z)."""
+        to_plus, to_minus, _ = self._gaps(z)
+        w0 = self._image(to_plus, to_minus)
+        x0, y0 = w0.real, w0.imag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f1, f2 = _image_gaps(self.params.n, x, y, x0, (y0, -y0))
+            return self._finite(np.log(f2 / f1))
 
     def strip_neumann(self, z, x, y):
         """Neumann function N(z, zeta) at zeta with strip coordinate x + iy;
         equals KernelField.neumann, its additive constant included."""
-        def neumann(n, x, y, x0, y0):
-            f1, f2 = _image_gaps(n, x, y, x0, (y0, -y0))
-            pole, = _image_gaps(1, x, y, 0.0, (self._pole,))
-            # the terms in x alone: the constant, z's L(w0), the x part of
-            # zeta's L(w) and -4n max(x, x0)
-            row = (self._neumann_const + 2.0 * n * self._log_gap(x0, y0)
-                   + 4.0 * n * (np.maximum(x, 0.0) - np.maximum(x, x0)))
-            return 2.0 * n * np.log(pole) - np.log(f1 * f2) + row
-        return self._strip(z, x, y, neumann)
+        return self._neumann_pair(self._neumann_source(z),
+                                  self._neumann_nodes(x, y))
 
     def strip_neumann_at(self, z, zeta):
         """strip_neumann at the points zeta rather than their strip
         coordinates; N is symmetric, so this is N(zeta, z) too."""
-        w = self.to_w(zeta)
-        return self.strip_neumann(z, w.real, w.imag)
+        return self._neumann_pair(self._neumann_source(z),
+                                  self._neumann_nodes_at(zeta))
 
     def strip_poisson(self, z, zeta):
         """Poisson kernel p(z, zeta) = -1/2 dG/dnu at non-corner boundary
@@ -194,29 +182,95 @@ class SectorMap:
         is the one Im w = arg(r) + y0 lies nearer; unlike Im to_w(zeta) this
         does not wrap to +pi at n = 1.
         """
-        zeta = np.asarray(zeta, dtype=complex)
+        return self._poisson_pair(self._poisson_source(z),
+                                  self._poisson_nodes(zeta))
+
+    def poisson_steps(self):
+        """strip_poisson in three steps, for many points against one set
+        of nodes: (source, nodes, pair), with strip_poisson(z, zeta) ==
+        pair(source(z), nodes(zeta)).  source(z) is the z side of one
+        point, nodes(zeta) the part that does not depend on z, and pair
+        takes the z sides of many points stacked part by part (one row
+        each, or one value per node), broadcast against the nodes' arrays.
+
+        Stack the z sides of single points rather than take the z side of
+        an array: they come from numpy scalar arithmetic, whose complex
+        multiply can round differently from the array loop's, and stacked
+        they keep every answer equal to a one-point call's.  The node-side
+        and pair ufuncs give the same values at any array length."""
+        return self._poisson_source, self._poisson_nodes, self._poisson_pair
+
+    def neumann_steps(self):
+        """strip_neumann_at in three steps, as poisson_steps."""
+        return (self._neumann_source, self._neumann_nodes_at,
+                self._neumann_pair)
+
+    def _poisson_source(self, z):
+        """z, z - c+, z - c- and y0 = Im w0."""
         z = np.asarray(z, dtype=complex)
-        to_plus, to_minus, corner_product = self._gaps(zeta)
         z_plus, z_minus, _ = self._gaps(z)
-        y0 = self._image(z_plus, z_minus).imag
-        r = to_plus * z_minus / (to_minus * z_plus)
-        q = (zeta - z) * (self.cp - self.cm) / (to_minus * z_plus)
+        return z, z_plus, z_minus, self._image(z_plus, z_minus).imag
+
+    def _poisson_nodes(self, zeta):
+        """zeta, zeta - c+, zeta - c- and |w'(zeta)|."""
+        zeta = np.asarray(zeta, dtype=complex)
+        to_plus, to_minus, corner_product = self._gaps(zeta)
+        return (zeta, to_plus, to_minus,
+                abs(self.cp - self.cm) / corner_product)
+
+    def _poisson_pair(self, source, nodes):
+        z, z_plus, z_minus, y0 = source
+        zeta, to_plus, to_minus, speed = nodes
+        den = to_minus * z_plus
+        r = to_plus * z_minus / den
+        q = (zeta - z) * (self.cp - self.cm) / den
         close = np.abs(q) < 0.5
+        q = np.asarray(q)[close]
         n, theta = self.params.n, self.params.theta
         with np.errstate(divide="ignore", invalid="ignore"):
-            # log|1 + q| = log1p(2 Re q + |q|^2) / 2
-            u = np.where(close, 0.5 * np.log1p(q.real * (2.0 + q.real)
-                                               + q.imag * q.imag),
-                         np.log(np.abs(r)))
+            u = np.asarray(np.log(np.abs(r)))
             upper = np.angle(r) + y0 > -0.5 * theta
-            v = np.where(close, np.arctan2(q.imag, 1.0 + q.real),
-                         np.where(upper, 0.0, -theta) - y0)
+            v = np.asarray(np.where(upper, 0.0, -theta) - y0)
+            # next to z: log|1 + q| = log1p(2 Re q + |q|^2) / 2 and
+            # v = arg(1 + q)
+            u[close] = 0.5 * np.log1p(q.real * (2.0 + q.real)
+                                      + q.imag * q.imag)
+            v[close] = np.arctan2(q.imag, 1.0 + q.real)
             a, b = _image_terms(n, u, 0.0)
-            # sigma |w'(zeta)| / 2, with |w'(zeta)| = |c+ - c-| / corner_product
-            scale = np.where(upper, 0.5, -0.5) * (abs(self.cp - self.cm)
-                                                  / corner_product)
+            # sigma |w'(zeta)| / 2
+            scale = np.where(upper, 0.5, -0.5) * speed
             return self._finite(scale * n * b * np.sin(n * v)
                                 / (a + b * np.sin(0.5 * n * v) ** 2))
+
+    def _neumann_source(self, z):
+        """x0, y0 and the terms of N in z alone: the constant and 2n L(w0)."""
+        to_plus, to_minus, _ = self._gaps(z)
+        w0 = self._image(to_plus, to_minus)
+        x0, y0 = w0.real, w0.imag
+        return (x0, y0, self._neumann_const
+                + 2.0 * self.params.n * self._log_gap(x0, y0))
+
+    def _neumann_nodes(self, x, y):
+        """x, y and the terms of N in zeta alone: 2n log of the pole gap and
+        max(x, 0)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pole, = _image_gaps(1, x, y, 0.0, (self._pole,))
+            return x, y, 2.0 * self.params.n * np.log(pole), np.maximum(x, 0.0)
+
+    def _neumann_nodes_at(self, zeta):
+        w = self.to_w(zeta)
+        return self._neumann_nodes(w.real, w.imag)
+
+    def _neumann_pair(self, source, nodes):
+        x0, y0, row = source
+        x, y, log_pole, x_plus = nodes
+        n = self.params.n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f1, f2 = _image_gaps(n, x, y, x0, (y0, -y0))
+            # the rest of the terms in x alone: the x part of zeta's L(w)
+            # and -4n max(x, x0)
+            row = row + 4.0 * n * (x_plus - np.maximum(x, x0))
+            return self._finite(log_pole - np.log(f1 * f2) + row)
 
     def to_halfplane(self, z):
         """Image in the closed upper half plane; corners are excluded."""
@@ -241,3 +295,11 @@ class SectorMap:
         if np.ndim(z) == 0 and np.ndim(zeta) == 0:
             return float(val)
         return val
+
+
+@lru_cache(maxsize=64)
+def sector_map(params):
+    """The SectorMap of a lens, built and checked once (the last 64 lenses)
+    and shared by the solvers, the quadrature and the catalog; no method
+    changes it."""
+    return SectorMap(params)

@@ -24,10 +24,12 @@ shrink as panel counts grow, so refined specs refine the mesh everywhere.
 
 Both plain meshes, boundary and area, are built once per (spec, params)
 and kept read-only, the last 8 pairs of each.  A near point regrades only
-its nearest arc: the rule runs over that arc's panel edges with the
-nearest boundary point inserted, the leaves before the first panel it
-changes and after the last keep their plain nodes, and every other arc
-returns its plain batch as it is.
+its nearest arc, and there only the span of plain panels the rule changes
+(_patch): the panels before and after it keep their plain nodes, and every
+other arc keeps its plain batch.  boundary_mesh splices the span's new
+panels into the plain rows; the solvers keep the two apart, evaluating
+the plain mesh once for all the points of a call and each point's span on
+its own.
 
 A singular point replaces only the plain area cells the rule would split
 toward w0: a square around w0 becomes a Duffy star of 8 triangles with
@@ -41,14 +43,16 @@ to w0.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .conformal import SectorMap
+from .conformal import sector_map
 from .domain import (EPS_CORNER, BoundaryPoint, _is_number, arcs,
                      boundary_distance, classify_point)
 
@@ -277,9 +281,14 @@ def _exact_weighted_sum(weights, values):
     with np.errstate(invalid="ignore"):
         # inf times a zero weight is nan, which _exact_sum reports
         contrib = np.asarray(values) * weights
-    if np.iscomplexobj(contrib):
-        return complex(_exact_sum(contrib.real), _exact_sum(contrib.imag))
-    return _exact_sum(contrib)
+    return _exact_total(contrib)
+
+
+def _exact_total(x):
+    """The correctly rounded sum of an array, a complex one part by part."""
+    if np.iscomplexobj(x):
+        return complex(_exact_sum(x.real), _exact_sum(x.imag))
+    return _exact_sum(x)
 
 
 # ----------------------------------------------------------------------
@@ -321,24 +330,65 @@ def _plain_boundary(spec, params):
     return tuple(out)
 
 
-def _regraded(arc, edges, rows, near_t, floor, order):
-    """The arc's (BoundaryPoint, weights) graded toward near_t.  The rule
-    runs over the whole arc, and the leaves before the first one that is
-    not a plain panel and after the last keep their plain rows: only the
-    span between gets new nodes."""
-    lo, hi = arc.t_range
-    leaves = np.array(_graded_edges(_insert_edges(edges.tolist(), [near_t]),
-                                    [(near_t, floor)], 1e-13 * (hi - lo)))
-    a, b = leaves[:-1], leaves[1:]
-    k = np.minimum(np.searchsorted(edges, a), edges.size - 2)
-    new = np.flatnonzero((edges[k] != a) | (edges[k + 1] != b))
-    first, last = (new[0], new[-1] + 1) if new.size else (0, 0)
-    # the leaves after the span are the last a.size - last plain panels
-    tail = edges.size - 1 - (a.size - last)
-    fresh = _arc_nodes(arc, a[first:last], b[first:last], order)
-    t, point, arclen, w = (np.concatenate([old[:first], mid, old[tail:]])
-                           .ravel() for old, mid in zip(rows, fresh))
-    return BoundaryPoint(arc.arc_id, t, point, arclen), w
+def _patch(spec, params, near):
+    """Where boundary_mesh(spec, params, near) departs from the plain mesh:
+    None where it does not, else (index, first, end, lo, hi), the plain
+    panels first to end - 1 of the index-th arc giving way to the panels
+    [lo, hi].
+
+    The nearest arc is graded toward near's nearest boundary point near_t,
+    which becomes a panel edge (with _insert_edges' tolerances), and the
+    rule runs only over the span of plain panels it changes.  Those are the
+    one or two panels that inserting near_t changes and the panels the rule
+    would split, found with _graded_edges' arithmetic by walking out from
+    near_t on both sides: the rule treats each panel on its own, and the
+    walk stops where 0.7 times the distance to near_t reaches the widest
+    plain panel, beyond which no panel is split.  Panels between the first
+    and the last changed one that the rule keeps are rebuilt as they were.
+    """
+    d, arc_id, near_t = boundary_distance(params, near)
+    if not d < _NEAR_BOUNDARY:
+        return None
+    plain = _plain_boundary(spec, params)
+    index = next(i for i, (arc, *_) in enumerate(plain)
+                 if arc.arc_id == arc_id)
+    arc, edges = plain[index][:2]
+    floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
+                1e-10) / arc.speed
+    edges = edges.tolist()
+    lo, hi = edges[0], edges[-1]
+    tol = 1e-13 * (hi - lo)
+    allowance = max(floor, 2.0 * tol)
+    reach = max(map(operator.sub, edges[1:], edges[:-1]))
+    j = bisect.bisect_left(edges, near_t)
+    changed = []
+    for panels in (range(max(j - 1, 0), -1, -1), range(j, len(edges) - 1)):
+        for k in panels:
+            a, b = edges[k], edges[k + 1]
+            bound = _ATTRACT_RATIO * (a - near_t if a > near_t else
+                                      near_t - b if near_t > b else 0.0)
+            if bound >= reach:
+                break
+            if (b - a) / max(bound, allowance) > 1.0:
+                changed.append(k)
+    # near_t becomes an edge unless it is a plain edge or within tol after
+    # one; it takes the place of the next edge if that is within tol after
+    # it, unless that is the last edge, which would be put back
+    replaced = None
+    if (lo + 1e-12 < near_t < hi - 1e-12 and near_t != edges[j]
+            and near_t - edges[j - 1] > tol):
+        drop = edges[j] - near_t <= tol
+        if not (drop and j == len(edges) - 1):
+            replaced = slice(j, j + drop)
+            changed += range(j - 1, j + drop)
+    if not changed:
+        return None
+    first, end = min(changed), max(changed) + 1
+    span = edges[first:end + 1]
+    if replaced is not None:
+        span[replaced.start - first:replaced.stop - first] = [near_t]
+    leaves = np.array(_graded_edges(span, [(near_t, floor)], tol))
+    return index, first, end, leaves[:-1], leaves[1:]
 
 
 def boundary_mesh(spec, params, near=None):
@@ -353,22 +403,19 @@ def boundary_mesh(spec, params, near=None):
     The plain mesh of (spec, params) is built once and kept read-only
     (_plain_boundary).  Every arc that is not graded returns it as it is,
     and on the graded arc only the span of panels the rule changes gets
-    new nodes (_regraded).
+    new nodes (_patch), spliced between the plain rows before and after.
+    The solvers take the plain mesh and the patches apart instead.
     """
-    near_arc = None
-    if near is not None:
-        d, arc_id, near_t = boundary_distance(params, near)
-        if d < _NEAR_BOUNDARY:
-            near_arc = arc_id
-            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
-                        1e-10)
-    out = []
-    for arc, edges, rows, plain in _plain_boundary(spec, params):
-        if arc.arc_id == near_arc:
-            out.append(_regraded(arc, edges, rows, near_t, floor / arc.speed,
-                                 spec.gauss_order))
-        else:
-            out.append(plain)
+    plain = _plain_boundary(spec, params)
+    out = [mesh for *_, mesh in plain]
+    patch = None if near is None else _patch(spec, params, near)
+    if patch is not None:
+        index, first, end, lo, hi = patch
+        arc, _, rows, _ = plain[index]
+        fresh = _arc_nodes(arc, lo, hi, spec.gauss_order)
+        t, point, arclen, w = (np.concatenate([old[:first], new, old[end:]])
+                               .ravel() for old, new in zip(rows, fresh))
+        out[index] = (BoundaryPoint(arc.arc_id, t, point, arclen), w)
     return out
 
 
@@ -407,7 +454,7 @@ def _plain_area(spec, params):
     """The plain strip mesh of (spec, params), built once and read-only:
     (smap, X, lo, hi, points, weights, x, y), lo and hi holding the cells'
     corners and the node arrays laid out as in _cell_nodes."""
-    smap = SectorMap(params)
+    smap = sector_map(params)
     X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha)))
     theta = params.theta
 

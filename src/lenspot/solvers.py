@@ -13,6 +13,16 @@ Every kernel is taken in the strip form of conformal.SectorMap, O(1) work
 per node at any n: the Poisson kernel and N at the boundary nodes, G and N
 at the area nodes' strip coordinates.  KernelField's product form is the
 reference they are checked against.
+
+The points of one call are solved together.  Their boundary integrals
+share the plain boundary mesh of (spec, params): gamma is evaluated on it
+once per call, and the boundary kernel once as a (points x plain nodes)
+array, in chunks of at most _PAIR_BUDGET pairs.  A point near the boundary
+then leaves out the plain nodes its patch replaces (quadrature._patch) and
+adds its fresh nodes, which are built and evaluated for all the points of
+a chunk on one arc together.  Every sum is exact, so each answer is bit
+for bit the one a call with that point alone gives.  The area integrals
+are taken point by point.
 """
 
 from __future__ import annotations
@@ -23,17 +33,22 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .conformal import SectorMap
-from .domain import (LensParams, _is_number, arcs, classify_point,
-                     normal_coeffs)
+from .conformal import sector_map
+from .domain import (BoundaryPoint, LensParams, _is_number, arcs,
+                     classify_point, normal_coeffs)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, _exact_weighted_sum, area_mesh,
-                         boundary_mesh, integrate_area, integrate_boundary)
+from .quadrature import (QuadratureSpec, _arc_nodes, _exact_total,
+                         _exact_weighted_sum, _patch, _plain_boundary,
+                         area_mesh, integrate_area, integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
+# (point, node) pairs the boundary kernel takes at once: a call's points
+# are solved together in chunks of at most this many pairs
+_PAIR_BUDGET = 2 ** 14
 
 
 class SolvabilityError(ValueError):
@@ -270,24 +285,104 @@ def _area_term(params, spec, f, area_kernel, z):
     return _exact_weighted_sum(weights, values)
 
 
-def _represent(params, spec, gamma, f, points, boundary_kernel, scale,
-               area_kernel):
+@lru_cache(maxsize=8)
+def _plain_nodes(spec, params, nodes_of):
+    """A boundary kernel's node side on the plain boundary mesh of
+    (spec, params), all arcs in one batch, built once and read-only."""
+    zeta = np.concatenate([bp.point
+                           for *_, (bp, _) in _plain_boundary(spec, params)])
+    nodes = nodes_of(zeta)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _plain_weights(spec, params, gamma):
+    """gamma times the weights on each arc of the plain boundary mesh."""
+    return [w * gamma(bp) for *_, (bp, w) in _plain_boundary(spec, params)]
+
+
+def _kernel_rows(kernel, points, nodes):
+    """(chunk, z sides, values) over chunks of points, values holding the
+    kernel of each point against the nodes' side, one row per point; no
+    chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
+    the chunk's one-point z sides stacked part by part, one row each."""
+    source, _, pair = kernel
+    rows = max(1, _PAIR_BUDGET // nodes[0].size)
+    for i in range(0, len(points), rows):
+        chunk = points[i:i + rows]
+        sides = tuple(np.array(part)[:, None]
+                      for part in zip(*map(source, chunk)))
+        yield chunk, sides, pair(sides, nodes)
+
+
+def _patched(spec, params, gamma, kernel, chunk, sides):
+    """Each point's patch of the plain boundary mesh (quadrature._patch)
+    and the gamma * kernel * weight values on its fresh nodes; the fresh
+    nodes of all points on one arc are built and evaluated together, each
+    against its own point's row of the z sides."""
+    patches = [_patch(spec, params, z) for z in chunk]
+    fresh = [None] * len(chunk)
+    plain = _plain_boundary(spec, params)
+    _, nodes_of, pair = kernel
+    for index, (arc, *_) in enumerate(plain):
+        mine = [k for k, patch in enumerate(patches)
+                if patch is not None and patch[0] == index]
+        if not mine:
+            continue
+        lo, hi = (np.concatenate([patches[k][j] for k in mine])
+                  for j in (3, 4))
+        t, point, arclen, w = (a.ravel() for a in _arc_nodes(
+            arc, lo, hi, spec.gauss_order))
+        weights = w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen))
+        counts = [patches[k][3].size * spec.gauss_order for k in mine]
+        sides_of = tuple(np.repeat(part[mine, 0], counts) for part in sides)
+        with np.errstate(invalid="ignore"):
+            values = pair(sides_of, nodes_of(point)) * weights
+        for k, part in zip(mine, np.split(values, np.cumsum(counts)[:-1])):
+            fresh[k] = part
+    return patches, fresh
+
+
+def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
+               plain_weights=None):
     """Representation formula at each point: the boundary integral of
-    gamma * boundary_kernel(z, zeta) over scale, minus 1/pi times the area
-    integral of f * area_kernel(z, x, y), a kernel taken in the strip
-    coordinate x + iy of zeta.  The boundary kernel takes the nodes of all
-    arcs in one batch, gamma folded into the weights."""
+    gamma * boundary kernel over scale, minus 1/pi times the area integral
+    of f * area_kernel(z, x, y), a kernel taken in the strip coordinate
+    x + iy of zeta.
+
+    kernel is a boundary kernel of conformal.SectorMap in three steps
+    (z side, node side, pair).  The points of a call share the plain
+    boundary mesh: gamma * weights is formed on it once (or passed in as
+    plain_weights, one array per arc), and the kernel once for all points
+    against all its nodes, in chunks (_kernel_rows).  A point near the
+    boundary then drops the plain nodes its patch replaces and adds its
+    fresh ones (_patched).  Each point's values are summed exactly, so the
+    answer is the one its own spliced mesh (boundary_mesh) gives."""
+    points = _check_points(params, points)
+    if plain_weights is None:
+        plain_weights = _plain_weights(spec, params, gamma)
+    weights = np.concatenate(plain_weights)
+    starts = np.cumsum([0] + [w.size for w in plain_weights])
+    order = spec.gauss_order
     out = []
-    for z in _check_points(params, points):
-        mesh = boundary_mesh(spec, params, near=z)
-        zeta = np.concatenate([bp.point for bp, _ in mesh])
-        weights = np.concatenate([arc_weights * gamma(bp)
-                                  for bp, arc_weights in mesh])
-        w = _exact_weighted_sum(weights, boundary_kernel(z, zeta)) / scale
-        if not f.is_zero:
-            w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
-        out.append(complex(w))
-    return np.array(out)
+    for chunk, sides, values in _kernel_rows(
+            kernel, points, _plain_nodes(spec, params, kernel[1])):
+        with np.errstate(invalid="ignore"):
+            values = values * weights
+        patches, fresh = _patched(spec, params, gamma, kernel, chunk, sides)
+        for z, row, patch, new in zip(chunk, values, patches, fresh):
+            if patch is not None:
+                index, first, end = patch[:3]
+                # the plain nodes the patch replaces are left out, not
+                # zeroed, so that gamma need not be finite there
+                row = np.concatenate([row[:starts[index] + first * order],
+                                      row[starts[index] + end * order:], new])
+            w = _exact_total(row) / scale
+            if not f.is_zero:
+                w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
+            out.append(complex(w))
+    return np.array(out, dtype=complex)
 
 
 def solve_dirichlet(params, spec, gamma, f, points):
@@ -303,18 +398,27 @@ def solve_dirichlet(params, spec, gamma, f, points):
 
     Returns a complex array, one value per point.
     """
-    smap = SectorMap(params)
-    return _represent(params, spec, gamma, f, points, smap.strip_poisson,
+    smap = sector_map(params)
+    return _represent(params, spec, gamma, f, points, smap.poisson_steps(),
                       2.0 * math.pi, smap.strip_green)
+
+
+def _verdict(lhs, rhs):
+    defect = abs(lhs - rhs)
+    satisfied = defect <= TOL_SOLVABILITY * (1.0 + abs(lhs) + abs(rhs))
+    return {"satisfied": satisfied, "lhs": lhs, "rhs": rhs, "defect": defect}
+
+
+def _area_side(spec, params, f):
+    """4 times the area integral of f, the right side of the compatibility
+    condition."""
+    return 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
 
 
 def check_neumann_solvability(params, spec, gamma, f):
     """Both sides of the compatibility condition and the verdict."""
-    lhs = integrate_boundary(spec, params, gamma)
-    rhs = 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
-    defect = abs(lhs - rhs)
-    satisfied = defect <= TOL_SOLVABILITY * (1.0 + abs(lhs) + abs(rhs))
-    return {"satisfied": satisfied, "lhs": lhs, "rhs": rhs, "defect": defect}
+    return _verdict(integrate_boundary(spec, params, gamma),
+                    _area_side(spec, params, f))
 
 
 def solve_neumann(params, spec, gamma, f, points):
@@ -322,14 +426,20 @@ def solve_neumann(params, spec, gamma, f, points):
 
     Raises SolvabilityError when the data violates the compatibility
     condition; add any constant (or use a pin) to select another solution.
+    The condition's boundary side is summed from the same gamma * weights
+    on the plain mesh as the solution, per arc in arc order, as
+    integrate_boundary sums it.
     """
-    verdict = check_neumann_solvability(params, spec, gamma, f)
+    plain_weights = _plain_weights(spec, params, gamma)
+    lhs = 0.0
+    for arc_weights in plain_weights:
+        lhs = lhs + _exact_total(arc_weights)
+    verdict = _verdict(lhs, _area_side(spec, params, f))
     if not verdict["satisfied"]:
         raise SolvabilityError(verdict["lhs"], verdict["rhs"])
-    smap = SectorMap(params)
-    return _represent(params, spec, gamma, f, points,
-                      smap.strip_neumann_at, 4.0 * math.pi,
-                      smap.strip_neumann)
+    smap = sector_map(params)
+    return _represent(params, spec, gamma, f, points, smap.neumann_steps(),
+                      4.0 * math.pi, smap.strip_neumann, plain_weights)
 
 
 def probe_normalization_constant(params, spec, zetas):
@@ -337,20 +447,31 @@ def probe_normalization_constant(params, spec, zetas):
 
     If the integral is independent of zeta, subtracting its (scaled) value
     would normalize the Neumann function; constancy is only conjectured,
-    so this reports {values, spread} and passes no judgement.
+    so this reports {values, spread} and passes no judgement.  The density
+    is evaluated once on the plain boundary mesh and N for all zetas
+    against its nodes together; each arc is summed on its own, as
+    integrate_boundary sums it.
     """
+    zetas = [complex(zeta) for zeta in zetas]
+    if np.any(classify_point(params, np.array(zetas, dtype=complex))
+              != "interior"):
+        raise ValueError("probe points must be interior")
     fld = KernelField(params)
-    smap = SectorMap(params)
+    smap = sector_map(params)
+    kernel = smap.neumann_steps()
+    plain = _plain_boundary(spec, params)
+    density = np.concatenate([fld.normal_density(bp)
+                              for *_, (bp, _) in plain])
+    weights = np.concatenate([w for *_, (_, w) in plain])
+    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain])
     values = []
-    for zeta in zetas:
-        zeta = complex(zeta)
-        if classify_point(params, zeta) != "interior":
-            raise ValueError("probe points must be interior")
-        val = integrate_boundary(
-            spec, params,
-            lambda bp: (fld.normal_density(bp)
-                        * smap.strip_neumann_at(zeta, bp.point)))
-        values.append(float(np.real(val)))
+    for _, _, rows in _kernel_rows(kernel, zetas,
+                                   _plain_nodes(spec, params, kernel[1])):
+        for row in (density * rows) * weights:
+            val = 0.0
+            for a, b in zip(starts[:-1], starts[1:]):
+                val = val + _exact_total(row[a:b])
+            values.append(float(np.real(val)))
     values = np.array(values)
     return {"values": values, "spread": float(values.max() - values.min())}
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circles import (CircleMatrix, HomogeneousPoint, circle_contains,
                       from_center_radius, reflect_circle, reflect_point)
-from .conformal import SectorMap
+from .conformal import sector_map
 from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
                      boundary_point, boundary_samples, normal_coeffs,
                      reflection_orbit, sample_interior)
@@ -350,7 +350,7 @@ def _strip_boundary_gap(params, spec, zs):
     and the product kernels, p and N at the boundary_mesh(near=z) nodes of
     every arc, relative to max(1, |value|)."""
     fld = KernelField(params)
-    smap = SectorMap(params)
+    smap = sector_map(params)
     gaps = []
     for z in map(complex, zs):
         for bp, _ in boundary_mesh(spec, params, near=z):
@@ -365,7 +365,7 @@ def _strip_boundary_gap(params, spec, zs):
 
 def _conformal_checks(params, spec, rng, tier):
     fld = KernelField(params)
-    smap = SectorMap(params)
+    smap = sector_map(params)
     zs, ws = _pairs(params, rng, tier.pairs)
     oracle = smap.green(zs, ws)
     w = smap.to_w(ws)

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lenspot import (KernelField, LensParams, SectorMap, boundary_samples,
-                     sample_interior)
+from lenspot import (BoundaryData, KernelField, LensParams, QuadratureSpec,
+                     SectorMap, SourceTerm, boundary_samples,
+                     normal_derivative_data, probe_normalization_constant,
+                     sample_interior, sector_map, solve_dirichlet,
+                     solve_neumann)
+from lenspot import conformal
+from lenspot.quadrature import _plain_area
+from lenspot.validation import run_checks
 
 CASES = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
          LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 4, 4),
@@ -95,3 +101,37 @@ def test_strip_coordinate_and_pullback(params):
     dz_dw = (smap.pullback(w.real + h, w.imag)[0]
              - smap.pullback(w.real - h, w.imag)[0]) / (2.0 * h)
     assert np.abs(jacobian / np.abs(dz_dw) ** 2 - 1.0).max() < 1e-7
+
+
+def test_sector_map_is_built_once_per_lens(monkeypatch):
+    # the solvers, the area quadrature and the catalog share one map per
+    # lens, and none of them changes it
+    built = []
+
+    class Counting(SectorMap):
+        def __init__(self, params):
+            built.append(params)
+            super().__init__(params)
+
+    params = LensParams(math.pi / 2, 2)
+    monkeypatch.setattr(conformal, "SectorMap", Counting)
+    sector_map.cache_clear()
+    _plain_area.cache_clear()
+    try:
+        smap = sector_map(params)
+        before = dict(vars(smap))
+        spec = QuadratureSpec()
+        points = sample_interior(params, np.random.default_rng(4), 3)
+        f = SourceTerm.constant(1.0)
+        solve_dirichlet(params, spec, BoundaryData.from_expression("abs2"), f,
+                        points)
+        solve_neumann(params, spec, normal_derivative_data(params, np.conj),
+                      f, points)
+        probe_normalization_constant(params, spec, points)
+        run_checks(params, quick=True)
+        assert built == [params]
+        assert sector_map(params) is smap
+        assert vars(smap) == before
+    finally:
+        sector_map.cache_clear()
+        _plain_area.cache_clear()

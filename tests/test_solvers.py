@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import lenspot.solvers
-from lenspot import (BoundaryData, LensParams, QuadratureSpec, SolvabilityError,
-                     SourceTerm, arc_lengths, arcs, boundary_point,
-                     KernelField, check_neumann_solvability,
+from lenspot import (BoundaryData, LensParams, QuadratureSpec, SectorMap,
+                     SolvabilityError, SourceTerm, arc_lengths, arcs,
+                     boundary_mesh, boundary_point, KernelField,
+                     check_neumann_solvability,
                      classify_point, integrate_area, integrate_boundary,
                      load_problem, normal_coeffs,
                      normal_derivative_data, probe_normalization_constant,
-                     sample_interior, solution_rows, solve_dirichlet,
-                     solve_neumann)
+                     sample_interior, sector_map, solution_rows,
+                     solve_dirichlet, solve_neumann)
+from lenspot.quadrature import _exact_weighted_sum, _patch, _plain_boundary
+from lenspot.solvers import _PAIR_BUDGET
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -246,6 +249,25 @@ class TestNeumannSolvability:
         defect = verdict["defect"] / (1 + abs(verdict["lhs"]) + abs(verdict["rhs"]))
         assert defect < 1e-8
 
+    @pytest.mark.parametrize("gamma", [
+        BoundaryData.constant(1.0),
+        BoundaryData.from_callable(lambda bp: np.asarray(bp.point) + 0.5),
+        BoundaryData.from_samples({"C0": ([0.0, 2.0], [1.0, 3.0]),
+                                   "C1": ([0.0, 3.2], [2.0, 1j])}),
+        BoundaryData.from_expression("re_zk", 3)],
+        ids=["constant", "complex", "samples", "re_z3"])
+    @pytest.mark.parametrize("params", [HALF, CURVED], ids=["half", "curved"])
+    def test_solver_checks_what_the_public_check_does(self, params, gamma):
+        # solve_neumann sums the condition from its own plain gamma *
+        # weights, each arc on its own as integrate_boundary does
+        f = SourceTerm.constant(0.25)
+        verdict = check_neumann_solvability(params, SPEC, gamma, f)
+        assert not verdict["satisfied"]
+        with pytest.raises(SolvabilityError) as err:
+            solve_neumann(params, SPEC, gamma, f, interior(params, 1))
+        assert (err.value.lhs, err.value.rhs) == (verdict["lhs"],
+                                                  verdict["rhs"])
+
 
 class TestNeumann:
     def test_zero_problem(self):
@@ -306,6 +328,139 @@ class TestNonFiniteData:
             lambda z: np.where(np.real(z) > 0.0, value, 1.0))
         with pytest.raises(ValueError, match="not finite"):
             solve(HALF, SPEC, BoundaryData.constant(0.0), f, [0.3 + 0.2j])
+
+
+def harmonic_problems(params, source):
+    """(solve, gamma, f) for the benchmark's manufactured problems: |z|^2
+    with f = 1, or Re z^3 with f = 0."""
+    if source:
+        f = SourceTerm.constant(1.0)
+        return [(solve_dirichlet, BoundaryData.from_expression("abs2"), f),
+                (solve_neumann, normal_derivative_data(params, np.conj), f)]
+    f = SourceTerm.zero()
+    return [(solve_dirichlet, BoundaryData.from_expression("re_zk", 3), f),
+            (solve_neumann,
+             normal_derivative_data(params, lambda z: 1.5 * z ** 2), f)]
+
+
+def one_by_one(solve, params, spec, gamma, f, points):
+    return np.array([solve(params, spec, gamma, f, [z])[0] for z in points])
+
+
+def spliced(solve, params, spec, gamma, z):
+    """The boundary term of a solve at z as one sum over z's own spliced
+    boundary_mesh, with the public strip kernel of one point."""
+    smap = sector_map(params)
+    kernel, scale = {
+        solve_dirichlet: (smap.strip_poisson, 2.0 * math.pi),
+        solve_neumann: (smap.strip_neumann_at, 4.0 * math.pi)}[solve]
+    mesh = boundary_mesh(spec, params, near=z)
+    weights = np.concatenate([w * gamma(bp) for bp, w in mesh])
+    zeta = np.concatenate([bp.point for bp, _ in mesh])
+    return complex(_exact_weighted_sum(weights, kernel(z, zeta)) / scale)
+
+
+class TestBatchedPoints:
+    """The points of one call are solved together on the shared plain
+    boundary mesh; every answer is bit for bit the one a call with that
+    point alone gives, and the one of the point's own spliced mesh."""
+
+    SETS = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
+            LensParams(math.pi / 2, 8), LensParams(math.pi / 2 + 0.01, 64),
+            LensParams(0.9 * math.pi, 1), LensParams(0.999 * math.pi, 2)]
+
+    @pytest.mark.parametrize("source", [False, True], ids=["f0", "f1"])
+    @pytest.mark.parametrize("params", SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_call_equals_one_point_calls(self, params, source):
+        rng = np.random.default_rng(21)
+        points = np.concatenate([sample_interior(params, rng, 8, margin=1e-3),
+                                 sample_interior(params, rng, 8, margin=1e-2)])
+        for solve, gamma, f in harmonic_problems(params, source):
+            w = solve(params, SPEC, gamma, f, points)
+            assert w.dtype == complex and w.shape == (16,)
+            assert np.array_equal(
+                w, one_by_one(solve, params, SPEC, gamma, f, points))
+            if not source:
+                assert [spliced(solve, params, SPEC, gamma, z)
+                        for z in points] == w.tolist()
+
+    def test_call_larger_than_a_chunk(self, monkeypatch):
+        passes = []
+
+        def recording(step):
+            def pair(smap, sides, nodes):
+                values = step(smap, sides, nodes)
+                if values.ndim == 2:
+                    passes.append(values.shape)
+                return values
+            return pair
+
+        for name in ("_poisson_pair", "_neumann_pair"):
+            monkeypatch.setattr(SectorMap, name,
+                                recording(getattr(SectorMap, name)))
+        spec = SPEC.refined()
+        nodes = sum(w.size for *_, (_, w) in _plain_boundary(spec, CURVED))
+        points = interior(CURVED, 200, seed=22, margin=1e-3)
+        assert len(points) * nodes > 3 * _PAIR_BUDGET
+        for solve, gamma, f in harmonic_problems(CURVED, False):
+            passes.clear()
+            w = solve(CURVED, spec, gamma, f, points)
+            # whole chunks of at most _PAIR_BUDGET pairs, every point once
+            assert len(passes) > 3
+            assert all(rows * cols <= _PAIR_BUDGET and cols == nodes
+                       for rows, cols in passes)
+            assert sum(rows for rows, _ in passes) == len(points)
+            assert np.array_equal(
+                w, one_by_one(solve, CURVED, spec, gamma, f, points))
+
+    def test_patches_on_both_arcs_and_far_points(self):
+        # the half disc: C0 is the chord x = 0, and (0.5, 0) is 0.5 from
+        # the boundary
+        points = [0.5, 0.45 + 0.05j, 0.999, 0.6 + 0.7j, 0.001 + 0.2j,
+                  0.05 - 0.4j, 0.52 - 0.03j, 0.3 + 0.01j]
+        patches = [_patch(SPEC, HALF, z) for z in points]
+        assert {None if p is None else p[0] for p in patches} == {None, 0, 1}
+        for solve, gamma, f in harmonic_problems(HALF, False):
+            w = solve(HALF, SPEC, gamma, f, points)
+            assert np.array_equal(
+                w, one_by_one(solve, HALF, SPEC, gamma, f, points))
+            assert [spliced(solve, HALF, SPEC, gamma, z)
+                    for z in points] == w.tolist()
+
+    def test_data_is_not_needed_where_a_patch_replaces_the_plain_mesh(self):
+        # 1e-3 inside the chord of the half disc
+        z = 0.001 + 0.3j
+        index, *_ = _patch(SPEC, HALF, z)
+        bp, _ = boundary_mesh(SPEC, HALF, near=z)[index]
+        plain_bp = _plain_boundary(SPEC, HALF)[index][3][0]
+        dropped = np.setdiff1d(plain_bp.t, bp.t)
+        assert dropped.size > 0
+        clean = BoundaryData.from_expression("re_zk", 3)
+
+        def holes(batch):
+            values = np.array(clean(batch), dtype=float)
+            if batch.arc_id == bp.arc_id:
+                values[np.isin(batch.t, dropped)] = math.nan
+            return values
+
+        gamma = BoundaryData.from_callable(holes)
+        w = solve_dirichlet(HALF, SPEC, gamma, SourceTerm.zero(), [z])
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(
+            w, solve_dirichlet(HALF, SPEC, clean, SourceTerm.zero(), [z]))
+        # a point whose mesh keeps those nodes does need the data there
+        with pytest.raises(ValueError, match="not finite"):
+            solve_dirichlet(HALF, SPEC, gamma, SourceTerm.zero(), [z, 0.5])
+        # and so does the Neumann compatibility check, on the plain mesh
+        with pytest.raises(ValueError, match="not finite"):
+            solve_neumann(HALF, SPEC, gamma, SourceTerm.zero(), [z])
+
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    def test_no_points(self, solve):
+        w = solve(HALF, SPEC, BoundaryData.constant(0.0), SourceTerm.zero(),
+                  [])
+        assert w.dtype == complex and w.shape == (0,)
 
 
 class TestAreaTerm:
@@ -401,6 +556,21 @@ class TestProbe:
         a = probe_normalization_constant(HALF, SPEC, zetas)
         b = probe_normalization_constant(HALF, SPEC, zetas[::-1])
         assert a["spread"] == pytest.approx(b["spread"], abs=1e-14)
+
+    @pytest.mark.parametrize("params", [CURVED, LensParams(math.pi / 2, 8)],
+                             ids=["curved", "n8"])
+    def test_values_are_the_boundary_integrals(self, params):
+        # bit for bit the integral of density * N taken one zeta at a
+        # time, each arc summed on its own; the 40 zetas take two chunks
+        fld = KernelField(params)
+        smap = sector_map(params)
+        zetas = interior(params, 40, seed=12, margin=1e-3)
+        values = probe_normalization_constant(params, SPEC, zetas)["values"]
+        expected = [float(np.real(integrate_boundary(
+            SPEC, params, lambda bp: (fld.normal_density(bp)
+                                      * smap.strip_neumann_at(z, bp.point)))))
+            for z in zetas]
+        assert values.tolist() == expected
 
 
 class TestProblemFiles:
