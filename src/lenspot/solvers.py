@@ -9,6 +9,22 @@ Solutions are assembled pointwise from the representation formulas:
 
 The Neumann problem is solvable iff int_boundary gamma = 4 * int_area f;
 the solver enforces this and returns the zero-constant representative.
+
+A source from the expression catalog has a particular solution w_p in
+closed form (w_p,z conj(z) = f: c|z|^2 for a constant c, Re and Im of
+z^(k+1) conj(z)/(k+1) for Re and Im z^k, |z|^4/4 for |z|^2), and the area
+integral is then traded for boundary data:
+
+    dirichlet:  w = w_p + (the formula with gamma - w_p and f = 0)
+    neumann:    w = w_p + (the formula with gamma - dw_p/dnu and f = 0)
+                    + 1/(4 pi) * int_boundary w_p * dN/dnu
+
+the last term keeping the zero-constant representative (dN/dnu is
+KernelField.normal_density's piecewise constant).  The compatibility
+condition's right side is then int_boundary dw_p/dnu, equal to
+4 * int_area f by the divergence theorem.  A source given as a callable
+has no closed form and takes the area integral.
+
 Every kernel is taken in the strip form of conformal.SectorMap, O(1) work
 per node at any n: the Poisson kernel and N at the boundary nodes, G and N
 at the area nodes' strip coordinates.  KernelField's product form is the
@@ -22,7 +38,7 @@ then leaves out the plain nodes its patch replaces (quadrature._patch) and
 adds its fresh nodes, which are built and evaluated for all the points of
 a chunk on one arc together.  Every sum is exact, so each answer is bit
 for bit the one a call with that point alone gives.  The area integrals
-are taken point by point.
+of callable sources are taken point by point.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +87,35 @@ _CATALOG = ("const", "re", "im", "re_z2", "im_z2", "abs2", "re_zk", "im_zk")
 _PAYLOADS = {"const": "the value", "re_zk": "the power", "im_zk": "the power"}
 
 
+def _constant(payload):
+    """The value of a const payload; a real constant stays real, so real
+    data keeps real sums."""
+    if not _is_number(payload, numbers.Complex):
+        raise ValueError(f"constant payload must be a number, "
+                         f"got {payload!r}")
+    c = (float(payload) if _is_number(payload, numbers.Real)
+         else complex(payload))
+    if not cmath.isfinite(c):
+        raise ValueError(f"constant payload must be finite, got {c}")
+    return c
+
+
+# the powers k of the kinds Re z^k and Im z^k that name none
+_POWERS = {"re": 1, "im": 1, "re_z2": 2, "im_z2": 2}
+
+
+def _power(kind, payload):
+    """The k of the kind Re z^k or Im z^k that kind names."""
+    if kind in _POWERS:
+        return _POWERS[kind]
+    if not _is_number(payload, numbers.Integral):
+        raise ValueError(f"power must be an integer, got {payload!r}")
+    k = int(payload)
+    if k < 0:
+        raise ValueError("power must be nonnegative")
+    return k
+
+
 def _expression(kind, payload):
     """The function of z that kind names; None for SourceTerm's zero."""
     if payload is None and kind in _PAYLOADS:
@@ -80,14 +125,7 @@ def _expression(kind, payload):
     if kind == "zero":
         return None
     if kind == "const":
-        if not _is_number(payload, numbers.Complex):
-            raise ValueError(f"constant payload must be a number, "
-                             f"got {payload!r}")
-        # a real constant stays real, so real data keeps real sums
-        c = (float(payload) if _is_number(payload, numbers.Real)
-             else complex(payload))
-        if not cmath.isfinite(c):
-            raise ValueError(f"constant payload must be finite, got {c}")
+        c = _constant(payload)
         return lambda z: np.broadcast_to(c, np.shape(z)).copy() if np.ndim(z) else c
     if kind == "re":
         return lambda z: np.asarray(z, complex).real
@@ -95,16 +133,9 @@ def _expression(kind, payload):
         return lambda z: np.asarray(z, complex).imag
     if kind == "abs2":
         return lambda z: np.abs(np.asarray(z, complex)) ** 2
-    if kind in ("re_z2", "im_z2"):
-        k = 2
-    elif kind in ("re_zk", "im_zk"):
-        if not _is_number(payload, numbers.Integral):
-            raise ValueError(f"power must be an integer, got {payload!r}")
-        k = int(payload)
-        if k < 0:
-            raise ValueError("power must be nonnegative")
-    else:
+    if kind not in ("re_z2", "im_z2", "re_zk", "im_zk"):
         raise ValueError(f"unknown expression kind {kind!r}")
+    k = _power(kind, payload)
     if kind.startswith("re"):
         return lambda z: (np.asarray(z, complex) ** k).real
     return lambda z: (np.asarray(z, complex) ** k).imag
@@ -204,11 +235,55 @@ def _interp(s, vals):
     return fn
 
 
+def _closed_form(kind, payload):
+    """The particular solution of w_{z conj(z)} = f for the catalog source
+    kind names, as (c, w, dw_dz): c * w(z) solves it, w being real with the
+    holomorphic derivative dw_dz, so that its outward normal derivative is
+    c * normal_derivative_data(params, dw_dz).
+
+    const c gives c|z|^2, Re z^k and Im z^k give Re and Im of
+    z^(k+1) conj(z)/(k + 1), and |z|^2 gives |z|^4/4; c is 1 but for
+    const."""
+    if kind == "const":
+        return _constant(payload), lambda z: np.abs(z) ** 2, np.conj
+    if kind == "abs2":
+        return (1.0, lambda z: 0.25 * np.abs(z) ** 4,
+                lambda z: 0.5 * np.abs(z) ** 2 * np.conj(z))
+    k = _power(kind, payload)
+    part = np.real if kind.startswith("re") else np.imag
+
+    def w(z):
+        # part(g), g = z^(k+1) conj(z)/(k+1)
+        z = np.asarray(z, complex)
+        return part(z ** (k + 1) * np.conj(z)) / (k + 1)
+
+    def dw_dz(z):
+        # d/dz of (g + conj(g))/2 or (g - conj(g))/2i, w = part(g)
+        z = np.asarray(z, complex)
+        zc = np.conj(z)
+        g_z, conj_g_z = z ** k * zc, zc ** (k + 1) / (k + 1)
+        if part is np.real:
+            return 0.5 * (g_z + conj_g_z)
+        return -0.5j * (g_z - conj_g_z)
+
+    return 1.0, w, dw_dz
+
+
 @dataclass(frozen=True)
 class SourceTerm:
-    """Right-hand side of the Poisson equation, bounded on the closure."""
+    """Right-hand side of the Poisson equation, bounded on the closure.
+
+    A source from the expression catalog carries its particular solution
+    in closed form (_closed_form), and the solvers take it on the boundary
+    alone.  A callable source has none, and the solvers integrate it over
+    the area.
+    """
 
     func: object = None  # None means identically zero
+    # (c, w, dw_dz) of _closed_form, set by from_expression; None for a
+    # zero or callable source
+    _particular: object = field(default=None, init=False, compare=False,
+                                repr=False)
 
     @property
     def is_zero(self):
@@ -233,7 +308,11 @@ class SourceTerm:
     def from_expression(cls, kind, payload=None):
         if kind not in (*_CATALOG, "zero"):
             raise ValueError(f"unknown source kind {kind!r}")
-        return cls(_expression(kind, payload))
+        term = cls(_expression(kind, payload))
+        if not term.is_zero:
+            object.__setattr__(term, "_particular",
+                               _closed_form(kind, payload))
+        return term
 
     @classmethod
     def from_callable(cls, fn):
@@ -358,8 +437,8 @@ def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
     against all its nodes, in chunks (_kernel_rows).  A point near the
     boundary then drops the plain nodes its patch replaces and adds its
     fresh ones (_patched).  Each point's values are summed exactly, so the
-    answer is the one its own spliced mesh (boundary_mesh) gives."""
-    points = _check_points(params, points)
+    answer is the one its own spliced mesh (boundary_mesh) gives.  The
+    points are interior (_check_points)."""
     if plain_weights is None:
         plain_weights = _plain_weights(spec, params, gamma)
     weights = np.concatenate(plain_weights)
@@ -396,11 +475,28 @@ def solve_dirichlet(params, spec, gamma, f, points):
     f : SourceTerm
     points : iterable of interior complex evaluation points
 
-    Returns a complex array, one value per point.
+    Returns a complex array, one value per point.  A catalog source is
+    taken as w_p + (the harmonic solution with data gamma - w_p), w_p its
+    particular solution (_closed_form).
     """
+    points = _check_points(params, points)
     smap = sector_map(params)
-    return _represent(params, spec, gamma, f, points, smap.poisson_steps(),
-                      2.0 * math.pi, smap.strip_green)
+    particular = f._particular
+    if particular is not None:
+        c, w_p, _ = particular
+        gamma = _minus(gamma, lambda bp: c * w_p(bp.point))
+        f = SourceTerm.zero()
+    w = _represent(params, spec, gamma, f, points, smap.poisson_steps(),
+                   2.0 * math.pi, smap.strip_green)
+    if particular is not None:
+        w = w + c * w_p(np.array(points, dtype=complex))
+    return w
+
+
+def _minus(gamma, other):
+    """Boundary data gamma - other, other a function of a BoundaryPoint
+    batch."""
+    return BoundaryData.from_callable(lambda bp: gamma(bp) - other(bp))
 
 
 def _verdict(lhs, rhs):
@@ -409,16 +505,34 @@ def _verdict(lhs, rhs):
     return {"satisfied": satisfied, "lhs": lhs, "rhs": rhs, "defect": defect}
 
 
-def _area_side(spec, params, f):
-    """4 times the area integral of f, the right side of the compatibility
-    condition."""
-    return 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
+def _arc_total(arc_values):
+    """The sum of values given one array per arc: each arc summed exactly
+    on its own, in arc order, as integrate_boundary sums them."""
+    total = 0.0
+    for values in arc_values:
+        total = total + _exact_total(values)
+    return total
+
+
+def _source_side(spec, params, f):
+    """The right side of the compatibility condition, 4 times the area
+    integral of f, and for a catalog source the flux dw_p/dnu times the
+    weights on each arc of the plain boundary mesh (else None).  A catalog
+    source's right side is the boundary integral of that flux, which
+    equals it by the divergence theorem."""
+    if f._particular is None:
+        area = 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
+        return area, None
+    c, _, dw_dz = f._particular
+    flux = [c * weights for weights in _plain_weights(
+        spec, params, normal_derivative_data(params, dw_dz))]
+    return _arc_total(flux), flux
 
 
 def check_neumann_solvability(params, spec, gamma, f):
     """Both sides of the compatibility condition and the verdict."""
     return _verdict(integrate_boundary(spec, params, gamma),
-                    _area_side(spec, params, f))
+                    _source_side(spec, params, f)[0])
 
 
 def solve_neumann(params, spec, gamma, f, points):
@@ -429,17 +543,37 @@ def solve_neumann(params, spec, gamma, f, points):
     The condition's boundary side is summed from the same gamma * weights
     on the plain mesh as the solution, per arc in arc order, as
     integrate_boundary sums it.
+
+    A catalog source is taken as w_p + (the harmonic solution with data
+    gamma - dw_p/dnu) + c(w_p), w_p its particular solution (_closed_form)
+    and c(w_p) = 1/(4 pi) int_boundary w_p * dN/dnu, the constant that
+    keeps the representation formula's zero-constant representative.  On
+    the plain mesh the data's weights are gamma's less the flux's of the
+    compatibility condition.
     """
     plain_weights = _plain_weights(spec, params, gamma)
-    lhs = 0.0
-    for arc_weights in plain_weights:
-        lhs = lhs + _exact_total(arc_weights)
-    verdict = _verdict(lhs, _area_side(spec, params, f))
+    rhs, flux = _source_side(spec, params, f)
+    verdict = _verdict(_arc_total(plain_weights), rhs)
     if not verdict["satisfied"]:
         raise SolvabilityError(verdict["lhs"], verdict["rhs"])
+    points = _check_points(params, points)
+    particular = f._particular
+    if particular is not None:
+        c, w_p, dw_dz = particular
+        normal = normal_derivative_data(params, dw_dz)
+        gamma = _minus(gamma, lambda bp: c * normal(bp))
+        plain_weights = [a - b for a, b in zip(plain_weights, flux)]
+        f = SourceTerm.zero()
     smap = sector_map(params)
-    return _represent(params, spec, gamma, f, points, smap.neumann_steps(),
-                      4.0 * math.pi, smap.strip_neumann, plain_weights)
+    w = _represent(params, spec, gamma, f, points, smap.neumann_steps(),
+                   4.0 * math.pi, smap.strip_neumann, plain_weights)
+    if particular is not None:
+        density = KernelField(params).normal_density
+        shift = integrate_boundary(
+            spec, params, lambda bp: density(bp) * w_p(bp.point))
+        w = w + c * (w_p(np.array(points, dtype=complex))
+                     + shift / (4.0 * math.pi))
+    return w
 
 
 def probe_normalization_constant(params, spec, zetas):

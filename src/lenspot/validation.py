@@ -466,8 +466,12 @@ def _solver_checks(params, spec, rng, tier):
             ("w = 1", BoundaryData.constant(1.0), SourceTerm.zero(), 1.0, 1e-6),
             ("Re z^3", BoundaryData.from_expression("re_zk", 3),
              SourceTerm.zero(), np.real(pts ** 3), 1e-5),
-            ("|z|^2 with unit source", BoundaryData.from_expression("abs2"),
-             SourceTerm.constant(1.0), np.abs(pts) ** 2, 1e-4)):
+            # |z|^2 is the unit source's own particular solution, so the
+            # harmonic Re z^3 is added to keep the boundary kernel at work
+            ("|z|^2 with unit source", BoundaryData.from_callable(
+                lambda bp: np.abs(bp.point) ** 2 + np.real(bp.point ** 3)),
+             SourceTerm.constant(1.0), np.abs(pts) ** 2 + np.real(pts ** 3),
+             1e-4)):
         w = solve_dirichlet(params, spec, gamma, f, pts)
         out.append(_err_check(f"dirichlet reproduces {name}",
                               np.abs(w - exact).max(), tol))
@@ -500,13 +504,16 @@ def _solver_checks(params, spec, rng, tier):
                           diff.max() - diff.min(), 1e-4))
 
     gamma = normal_derivative_data(params, np.conj)  # w* = |z|^2
-    verdict = check_neumann_solvability(params, spec, gamma,
-                                        SourceTerm.constant(1.0))
+    # f = 1 as a callable, whose right side is 4 times integrate_area's
+    unit = SourceTerm.from_callable(lambda z: np.ones(np.shape(z)))
+    verdict = check_neumann_solvability(params, spec, gamma, unit)
     out.append(_err_check("divergence-theorem pair is solvable",
                           verdict["defect"] / (1.0 + abs(verdict["lhs"])
                                                + abs(verdict["rhs"])), 1e-8))
+    # w* = |z|^2 + Re z^3, so that the data is not the unit source's own
+    gamma = normal_derivative_data(params, lambda z: np.conj(z) + 1.5 * z ** 2)
     w = solve_neumann(params, spec, gamma, SourceTerm.constant(1.0), pts)
-    diff = np.real(w - np.abs(pts) ** 2)
+    diff = np.real(w - np.abs(pts) ** 2 - np.real(pts ** 3))
     out.append(_err_check("neumann reproduces |z|^2 up to a constant",
                           diff.max() - diff.min(), 1e-4))
 
@@ -539,6 +546,33 @@ def _solver_checks(params, spec, rng, tier):
         params, spec, pts[:tier.probe_points])["spread"]
     out.append(CheckResult("normalization-constant probe spread", spread,
                            math.inf, ok=math.isfinite(spread)))
+    return out + _area_route_checks(params, spec, pts)
+
+
+def _area_route_checks(params, spec, pts):
+    """f = Re z^2 as a callable, which takes the singular area integral,
+    against the same f from the catalog, solved on the boundary alone with
+    its particular solution w_p = Re(z^3 conj(z))/3.  The data is w_p's own
+    (gamma = w_p, dw_p/dnu), so the closed-form route returns w_p up to
+    rounding (plus its Neumann constant), and each line measures the area
+    route's quadrature against an exact answer.  The tolerance is the
+    default spec's target on smooth data."""
+    catalog = SourceTerm.from_expression("re_z2")
+    as_callable = SourceTerm.from_callable(lambda z: np.real(z ** 2))
+    w_p = lambda z: np.real(z ** 3 * np.conj(z)) / 3.0
+    out = []
+    gamma = BoundaryData.from_callable(lambda bp: w_p(bp.point))
+    area, closed = (solve_dirichlet(params, spec, gamma, f, pts)
+                    for f in (as_callable, catalog))
+    out.append(_err_check("dirichlet area route agrees with closed-form "
+                          "source", np.abs(area - closed).max(), 1e-8))
+    gamma = normal_derivative_data(
+        params, lambda z: 0.5 * (z ** 2 * np.conj(z) + np.conj(z) ** 3 / 3.0))
+    area, closed = (solve_neumann(params, spec, gamma, f, pts)
+                    for f in (as_callable, catalog))
+    diff = np.real(area - closed)
+    out.append(_err_check("neumann area route agrees with closed-form source "
+                          "(up to a constant)", diff.max() - diff.min(), 1e-8))
     return out
 
 

@@ -118,8 +118,9 @@ class TestSourceTerm:
             SourceTerm.from_json({"kind": "samples", "payload": {}})
 
     def test_real_constant_stays_real(self):
-        # a complex constant would make every area sum exact twice, once
-        # over an all-zero imaginary part
+        # a complex constant would make every sum exact twice, once over an
+        # all-zero imaginary part: the boundary sums of a catalog constant's
+        # particular solution, the area sums of a callable's
         f = SourceTerm.constant(1.0)
         assert isinstance(f(0.1j), float)
         assert f(np.array([0.1j, 0.2])).dtype == np.float64
@@ -127,16 +128,23 @@ class TestSourceTerm:
         with pytest.raises(SolvabilityError,
                            match=r"4 \* area integral [0-9.]+ \(defect"):
             solve_neumann(HALF, SPEC, BoundaryData.constant(0.0), f, [0.1])
-        # the answers do not depend on how the constant is stored
+        # the answers do not depend on how the constant is stored: the real
+        # catalog constant, solved in closed form, agrees with the complex
+        # callable one, which takes the area integral, within the latter's
+        # own error against |z|^2
         as_complex = SourceTerm.from_callable(
             lambda z: np.full(np.shape(z), 1.0 + 0j))
         z = interior(HALF, 2, seed=13)
+        exact = np.abs(z) ** 2
         gamma = BoundaryData.from_expression("abs2")
-        assert np.array_equal(solve_dirichlet(HALF, SPEC, gamma, f, z),
-                              solve_dirichlet(HALF, SPEC, gamma, as_complex, z))
+        real, area = (solve_dirichlet(HALF, SPEC, gamma, g, z)
+                      for g in (f, as_complex))
+        assert np.abs(real - area).max() <= np.abs(area - exact).max() + 1e-15
         flux = normal_derivative_data(HALF, np.conj)
-        assert np.array_equal(solve_neumann(HALF, SPEC, flux, f, z),
-                              solve_neumann(HALF, SPEC, flux, as_complex, z))
+        real, area = (solve_neumann(HALF, SPEC, flux, g, z)
+                      for g in (f, as_complex))
+        assert (np.abs(real - area).max()
+                <= np.ptp(np.real(area) - exact) + 1e-15)
 
 
 class TestDirichlet:
@@ -463,10 +471,59 @@ class TestBatchedPoints:
         assert w.dtype == complex and w.shape == (0,)
 
 
+def unit_source_problems(params, f):
+    """(solve, gamma, f) for f = 1 with exact solution |z|^2 + Re z^3: the
+    data is not the unit source's own particular solution |z|^2, so its
+    harmonic part takes the boundary kernel on either route."""
+    return [(solve_dirichlet, BoundaryData.from_callable(
+                lambda bp: np.abs(bp.point) ** 2 + np.real(bp.point ** 3)), f),
+            (solve_neumann, normal_derivative_data(
+                params, lambda z: np.conj(z) + 1.5 * z ** 2), f)]
+
+
+# f = 1 from the catalog, solved in closed form, and as a callable, which
+# takes the area integral
+UNIT_SOURCES = {"catalog": SourceTerm.constant(1.0),
+                "callable": SourceTerm.from_callable(
+                    lambda z: np.ones(np.shape(z)))}
+
+
+class TestUnitSourceRoutes:
+    """Batched calls and refinement with a unit source, on both routes,
+    with data whose harmonic part the boundary kernel must solve."""
+
+    @pytest.mark.parametrize("route", list(UNIT_SOURCES))
+    @pytest.mark.parametrize("params", TestBatchedPoints.SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_call_equals_one_point_calls(self, params, route):
+        rng = np.random.default_rng(21)
+        points = np.concatenate([sample_interior(params, rng, 8, margin=1e-3),
+                                 sample_interior(params, rng, 8, margin=1e-2)])
+        for solve, gamma, f in unit_source_problems(params,
+                                                    UNIT_SOURCES[route]):
+            w = solve(params, SPEC, gamma, f, points)
+            assert w.dtype == complex and w.shape == (16,)
+            assert np.array_equal(
+                w, one_by_one(solve, params, SPEC, gamma, f, points))
+
+    @pytest.mark.parametrize("route", list(UNIT_SOURCES))
+    def test_gauge_stability(self, route):
+        pts = interior(HALF, 4, seed=8)
+        _, (solve, gamma, f) = unit_source_problems(HALF, UNIT_SOURCES[route])
+        w1, w2 = (solve(HALF, spec, gamma, f, pts)
+                  for spec in (SPEC, SPEC.refined()))
+        diff = np.real(w2 - w1)
+        assert diff.max() - diff.min() < 1e-5
+        exact = np.abs(pts) ** 2 + np.real(pts ** 3)
+        diff = np.real(w1) - exact
+        assert diff.max() - diff.min() < 1e-10
+
+
 class TestAreaTerm:
     """The solvers take the area kernels in the strip form; a solve must
     equal the representation formula with the product-form kernels
-    integrated on the same meshes."""
+    integrated on the same meshes.  The sources are callables, which take
+    the area route: a catalog source is solved on the boundary alone."""
 
     CASES = [HALF, LensParams(math.pi / 2 + 0.01, 64),
              LensParams(0.9 * math.pi, 1)]
@@ -474,7 +531,7 @@ class TestAreaTerm:
     @pytest.mark.parametrize("params", CASES)
     def test_dirichlet_area_part(self, params):
         fld = KernelField(params)
-        f = SourceTerm.from_expression("re")
+        f = SourceTerm.from_callable(lambda z: np.asarray(z, complex).real)
         for z in interior(params, 3, seed=9, margin=1e-3):
             w = solve_dirichlet(params, SPEC, BoundaryData.constant(0.0), f,
                                 [z])[0]
@@ -487,7 +544,7 @@ class TestAreaTerm:
     def test_neumann_area_part(self, params):
         fld = KernelField(params)
         gamma = normal_derivative_data(params, np.conj)  # w* = |z|^2
-        f = SourceTerm.constant(1.0)
+        f = SourceTerm.from_callable(lambda z: np.ones(np.shape(z)))
         for z in interior(params, 3, seed=10, margin=1e-3):
             w = solve_neumann(params, SPEC, gamma, f, [z])[0]
             boundary = integrate_boundary(
@@ -530,6 +587,224 @@ class TestBoundaryTerm:
                 lambda bp: np.asarray(gamma(bp)) * fld.neumann(bp.point, z),
                 near=z)
             assert abs(w - boundary / (4.0 * math.pi)) < 1e-13
+
+
+# central differences of order 8 on offsets -4..4: exact on polynomials of
+# degree up to 8 (first derivative) and 9 (second), so on every particular
+# solution below they leave only rounding
+_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
+                4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
+                8 / 5, -1 / 5, 8 / 315, -1 / 560])
+_STEP = 0.1
+
+
+def _stencil(fn, z, direction, weights, order):
+    offsets = np.multiply.outer(np.arange(-4, 5) * _STEP, direction)
+    values = np.array([fn(z + d) for d in offsets])
+    return np.tensordot(weights, values, axes=1) / _STEP ** order
+
+
+def _polar_area_integral(params, f):
+    """The area integral of f over the half disc or the (2 pi/3, 2) lens,
+    in polar coordinates around 0: the lens is r < R(phi), R = 1 on the
+    unit arc and behind C0 the nearer root of |r e^(i phi) + 2| = sqrt 3.
+    f is a polynomial of degree at most 3 in x and y here, so 6 Gauss
+    nodes take the radial integral exactly.  Behind C0, phi = pi +
+    (pi/3) sin t turns R's square-root ends at the corners into an
+    analytic integrand in t."""
+    x, w = np.polynomial.legendre.leggauss(6)
+    xo, wo = np.polynomial.legendre.leggauss(60)
+
+    def radial(phi, radius):
+        r = radius[:, None] * (1 + x) / 2
+        values = np.asarray(f(r * np.exp(1j * phi)[:, None]))
+        return radius / 2 * np.sum(w * r * values, axis=1)
+
+    if params == HALF:
+        phi = math.pi / 2 * xo
+        return math.pi / 2 * np.sum(wo * radial(phi, np.ones_like(phi)))
+    assert params == CURVED
+    phi = 2 * math.pi / 3 * xo
+    total = 2 * math.pi / 3 * np.sum(wo * radial(phi, np.ones_like(phi)))
+    t = math.pi / 2 * xo
+    c = np.cos(math.pi + math.pi / 3 * np.sin(t))
+    radius = 1 / (np.sqrt(4 * c ** 2 - 1) - 2 * c)
+    return total + math.pi / 3 * math.pi / 2 * np.sum(
+        wo * np.cos(t) * radial(math.pi + math.pi / 3 * np.sin(t), radius))
+
+
+CATALOG_SOURCES = (
+    [("const", 1.0), ("const", -2.5), ("const", 1.5 - 0.5j), ("re", None),
+     ("im", None), ("re_z2", None), ("im_z2", None), ("abs2", None)]
+    + [(kind, k) for kind in ("re_zk", "im_zk") for k in (0, 1, 3, 5)])
+
+
+def _source_id(source):
+    kind, payload = source
+    return kind if payload is None else f"{kind}-{payload}"
+
+
+class TestParticularSolution:
+    """Every catalog source has a closed-form particular solution w_p, and
+    the solvers take it on the boundary alone: w_p + the harmonic solution
+    with data gamma - w_p (Dirichlet) or gamma - dw_p/dnu (Neumann), plus
+    the constant that keeps the Neumann representative."""
+
+    SETS = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
+            LensParams(math.pi / 2, 8), LensParams(math.pi / 2 + 0.01, 64),
+            LensParams(0.9 * math.pi, 1), LensParams(2 * math.pi / 3, 2)]
+
+    @pytest.mark.parametrize("source", CATALOG_SOURCES, ids=_source_id)
+    def test_solves_the_poisson_equation(self, source):
+        f = SourceTerm.from_expression(*source)
+        c, w, dw_dz = f._particular
+        rng = np.random.default_rng(30)
+        z = rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)
+        assert np.isrealobj(w(z))
+        assert isinstance(c, complex) == np.iscomplexobj(f(z))
+        dx = _stencil(w, z, 1.0, _D1, 1)
+        dy = _stencil(w, z, 1j, _D1, 1)
+        laplacian = _stencil(w, z, 1.0, _D2, 2) + _stencil(w, z, 1j, _D2, 2)
+        scale = 1.0 + np.abs(f(z))
+        assert np.abs(0.5 * (dx - 1j * dy) - dw_dz(z)).max() < 1e-10
+        # w_{z conj(z)} = laplacian / 4, and d/dconj(z) of dw_p/dz
+        assert np.abs(0.25 * c * laplacian - f(z)).max() / scale.max() < 1e-9
+        dzbar_dz = 0.5 * (_stencil(dw_dz, z, 1.0, _D1, 1)
+                          + 1j * _stencil(dw_dz, z, 1j, _D1, 1))
+        assert np.abs(c * dzbar_dz - f(z)).max() / scale.max() < 1e-10
+
+    @pytest.mark.parametrize("source", CATALOG_SOURCES, ids=_source_id)
+    @pytest.mark.parametrize("params", [HALF, CURVED],
+                             ids=["half", "curved"])
+    def test_normal_flux(self, params, source):
+        # dw_p/dnu, c * normal_derivative_data of dw_p/dz, against a
+        # difference of w_p along the outward normal at the plain nodes;
+        # the compatibility condition's flux is it times the weights
+        f = SourceTerm.from_expression(*source)
+        c, w, dw_dz = f._particular
+        _, flux = lenspot.solvers._source_side(SPEC, params, f)
+        data = normal_derivative_data(params, dw_dz)
+        for (*_, (bp, weights)), arc_flux in zip(_plain_boundary(SPEC, params),
+                                                 flux):
+            q, _ = normal_coeffs(params, bp)
+            along = _stencil(w, bp.point, q, _D1, 1)
+            assert np.abs(data(bp) - along).max() < 1e-10
+            assert np.array_equal(arc_flux, c * (weights * data(bp)))
+
+    def test_zero_and_callable_sources_have_none(self):
+        assert SourceTerm.zero()._particular is None
+        assert SourceTerm.constant(0.0)._particular is None
+        assert SourceTerm.from_expression("zero")._particular is None
+        assert SourceTerm.from_callable(lambda z: z.real)._particular is None
+        assert "_particular" not in repr(SourceTerm.constant(1.0))
+
+    @pytest.mark.parametrize("source", CATALOG_SOURCES, ids=_source_id)
+    @pytest.mark.parametrize("params", [HALF, CURVED], ids=["half", "curved"])
+    def test_catalog_source_with_harmonic_data(self, params, source):
+        # data w_p + Re z^3 (or its flux): the closed-form route leaves
+        # the kernel Re z^3 up to rounding, which the f = 0 solve of Re z^3
+        # gets too
+        f = SourceTerm.from_expression(*source)
+        c, w, dw_dz = f._particular
+        points = interior(params, 6, seed=33, margin=1e-3)
+        w_p = c * w(points)
+        exact = w_p + np.real(points ** 3)
+        gamma = BoundaryData.from_callable(
+            lambda bp: c * w(bp.point) + np.real(bp.point ** 3))
+        cubic = BoundaryData.from_expression("re_zk", 3)
+        got = solve_dirichlet(params, SPEC, gamma, f, points)
+        harmonic = solve_dirichlet(params, SPEC, cubic, SourceTerm.zero(),
+                                   points)
+        assert np.abs(got - w_p - harmonic).max() < 1e-13
+        assert np.abs(got - exact).max() < 1e-12
+        normal = normal_derivative_data(params, dw_dz)
+        cubic = normal_derivative_data(params, lambda z: 1.5 * z ** 2)
+        flux = BoundaryData.from_callable(lambda bp: c * normal(bp) + cubic(bp))
+        got = solve_neumann(params, SPEC, flux, f, points)
+        harmonic = solve_neumann(params, SPEC, cubic, SourceTerm.zero(),
+                                 points)
+        for diff in (got - w_p - harmonic, got - exact):
+            assert np.ptp(diff.real) < 1e-12 and np.ptp(diff.imag) < 1e-12
+
+    @pytest.mark.parametrize("params", SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_catalog_agrees_with_callable(self, params):
+        # f = Re z^2 with exact solution Re(z^3 conj(z))/3 + Re z^3; the
+        # two routes agree within the area route's own error
+        points = interior(params, 12, seed=31, margin=1e-3)
+        exact = np.real(points ** 3 * np.conj(points)) / 3 + np.real(points ** 3)
+        catalog = SourceTerm.from_expression("re_z2")
+        as_callable = SourceTerm.from_callable(lambda z: np.real(z ** 2))
+        gamma = BoundaryData.from_callable(
+            lambda bp: (np.real(bp.point ** 3 * np.conj(bp.point)) / 3
+                        + np.real(bp.point ** 3)))
+        closed, area = (solve_dirichlet(params, SPEC, gamma, f, points)
+                        for f in (catalog, as_callable))
+        assert np.abs(closed - area).max() <= np.abs(area - exact).max() + 1e-12
+        flux = normal_derivative_data(
+            params, lambda z: (0.5 * (z ** 2 * np.conj(z) + np.conj(z) ** 3 / 3)
+                               + 1.5 * z ** 2))
+        closed, area = (solve_neumann(params, SPEC, flux, f, points)
+                        for f in (catalog, as_callable))
+        # the answers are the same representative, not only up to a constant
+        spread = np.ptp(np.real(area) - exact)
+        assert np.abs(closed - area).max() <= spread + 1e-12
+
+    @pytest.mark.parametrize("solve", [solve_dirichlet, solve_neumann])
+    def test_routes(self, solve, monkeypatch):
+        # a callable source takes the area integral at every point, the
+        # answer being the f = 0 solve minus 1/pi times it; a catalog
+        # source never does
+        terms = []
+
+        def recording(*args):
+            terms.append(area_term(*args))
+            return terms[-1]
+
+        area_term = lenspot.solvers._area_term
+        monkeypatch.setattr(lenspot.solvers, "_area_term", recording)
+        points = interior(HALF, 3, seed=32)
+        # Re z^2 integrates to 0 over the half disc, so this Neumann data
+        # is compatible with both f = 0 and f = Re z^2
+        gamma = normal_derivative_data(HALF, lambda z: z)
+        w0 = solve(HALF, SPEC, gamma, SourceTerm.zero(), points)
+        assert terms == []
+        f = SourceTerm.from_callable(lambda z: np.real(z ** 2))
+        w = solve(HALF, SPEC, gamma, f, points)
+        assert len(terms) == len(points)
+        assert w.tolist() == [complex(a - t / math.pi)
+                              for a, t in zip(w0, terms)]
+        terms.clear()
+        solve(HALF, SPEC, gamma, SourceTerm.from_expression("re_z2"), points)
+        assert terms == []
+
+    @pytest.mark.parametrize("source", [("const", 1.0), ("const", 2 + 1j),
+                                        ("abs2", None), ("re_zk", 0),
+                                        ("re_z2", None), ("im_zk", 3)],
+                             ids=_source_id)
+    @pytest.mark.parametrize("params", [HALF, CURVED], ids=["half", "curved"])
+    def test_compatibility_on_the_boundary(self, params, source):
+        # the right side is the flux of w_p, which is 4 times the area
+        # integral of f: against that integral taken in polar coordinates
+        f = SourceTerm.from_expression(*source)
+        gamma = BoundaryData.constant(1.0)
+        verdict = check_neumann_solvability(params, SPEC, gamma, f)
+        exact = 4.0 * _polar_area_integral(params, f)
+        assert abs(verdict["rhs"] - exact) < 1e-13 * (1.0 + abs(exact))
+        assert isinstance(verdict["rhs"], complex) == (source[1] == 2 + 1j)
+        with pytest.raises(SolvabilityError) as err:
+            solve_neumann(params, SPEC, gamma, f, interior(params, 1))
+        assert (err.value.lhs, err.value.rhs) == (verdict["lhs"],
+                                                  verdict["rhs"])
+
+    @pytest.mark.parametrize("source", [("const", 1.0), ("abs2", None),
+                                        ("re_zk", 0)], ids=_source_id)
+    def test_unbalanced_pair_raises(self, source):
+        with pytest.raises(SolvabilityError,
+                           match=r"4 \* area integral [0-9.]+ \(defect"):
+            solve_neumann(HALF, SPEC, BoundaryData.constant(0.0),
+                          SourceTerm.from_expression(*source), [0.1])
 
 
 class TestProbe:
