@@ -9,12 +9,14 @@ seeded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
 
 import numpy as np
 
+from .conformal import sector_map
 from .domain import (LensParams, arc_matrix, arcs, boundary_samples,
                      classify_point, reflection_orbit)
 from .kernels import KernelField, evaluate_on_grid
@@ -60,10 +62,14 @@ def _parse_pin(text):
         point, value = text.split("=")
         z0 = _parse_complex(point)
         parts = [float(v) for v in value.split(",")]
-        v0 = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
+        if len(parts) > 2:
+            raise ValueError("too many parts")
+        v0 = complex(*parts)
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"expected re,im=value (value may be re or re,im), got {text!r}")
+    if not cmath.isfinite(v0):
+        raise argparse.ArgumentTypeError(f"pin value must be finite, got {text!r}")
     return z0, v0
 
 
@@ -153,11 +159,11 @@ def _cmd_poisson(args):
     params = _params_from(args)
     if classify_point(params, args.z) != "interior":
         raise CommandLineError("--z must be an interior point")
-    field = KernelField(params)
+    smap = sector_map(params)
     rows = ["arc,t,x,y,p"]
     for arc_id in arcs(params):
         bp = boundary_samples(params, arc_id, args.samples)
-        values = field.poisson_kernel(args.z, bp)
+        values = smap.strip_poisson(args.z, bp.point)
         for t, pt, v in zip(np.atleast_1d(bp.t), np.atleast_1d(bp.point),
                             np.atleast_1d(values)):
             rows.append(f"{arc_id},{_fmt(t)},{_fmt(pt.real)},{_fmt(pt.imag)},{_fmt(v)}")

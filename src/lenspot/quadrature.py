@@ -17,19 +17,22 @@ is at most max(floor, _ATTRACT_RATIO * d) wide along each axis, d being
 its distance to an attractor.  _split applies it to the area's cells and
 _graded_edges, a scalar bisection with the same arithmetic and leaves, to
 panel edges.  The attractors are the nearest boundary point of
-boundary_mesh's near point, if closer than _NEAR_BOUNDARY; the Jacobian's
-poles outside the strip, if closer than a panel width (grading the strip's
-x and y edges); and the image w0 of area_mesh's singular point.  Floors
-shrink as panel counts grow, so refined specs refine the mesh everywhere.
+boundary_mesh's near point, at any distance (far from the boundary its
+floor, half the distance, keeps every plain panel), and at n = 1 also its
+image across the seam t = +-pi, where the circle's ends meet; the
+Jacobian's poles outside the strip, grading the strip's x and y edges;
+and the image w0 of area_mesh's singular point.  Floors shrink as panel
+counts grow, so refined specs refine the mesh everywhere, next to the
+poles too.
 
 Both plain meshes, boundary and area, are built once per (spec, params)
 and kept read-only, the last 8 pairs of each.  A near point regrades only
-its nearest arc, and there only the span of plain panels the rule changes
-(_patch): the panels before and after it keep their plain nodes, and every
-other arc keeps its plain batch.  boundary_mesh splices the span's new
-panels into the plain rows; the solvers keep the two apart, evaluating
-the plain mesh once for all the points of a call and each point's span on
-its own.
+its nearest arc, and there only the span from the first plain panel the
+rule splits to the last (_patch): the panels before and after it keep
+their plain nodes, and every other arc keeps its plain batch.
+boundary_mesh splices the span's new panels into the plain rows; the
+solvers keep the two apart, evaluating the plain mesh once for all the
+points of a call and each point's span on its own.
 
 A singular point replaces only the plain area cells the rule would split
 toward w0: a square around w0 becomes a Duffy star of 8 triangles with
@@ -43,10 +46,8 @@ to w0.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
-import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 
@@ -59,7 +60,6 @@ from .domain import (EPS_CORNER, BoundaryPoint, _is_number, arcs,
 _CORNER_LEVELS = 8          # graded panels appended at each corner
 _CORNER_GRADING = 0.5       # width ratio of successive corner panels
 _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
-_NEAR_BOUNDARY = 0.35       # kernel peak width ~ distance; grade panels below this
 _SINGULAR_FLOOR = 1e-5      # reach of the Duffy star's innermost panel in w
 _STAR_RATIO = 0.225         # Duffy star half-width per unit distance to a singularity
 _NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
@@ -171,8 +171,6 @@ def _graded_edges(edges, attractors, min_width):
     in one dimension.  Only a handful of panels are active at each level,
     and _split's array round trip per level would cost several times more.
     """
-    if not attractors:
-        return edges
     attractors = [(p, max(f, 2.0 * min_width)) for p, f in attractors]
     out = []
     stack = list(zip(edges[:-1], edges[1:]))[::-1]
@@ -337,74 +335,56 @@ def _patch(spec, params, near):
     [lo, hi].
 
     The nearest arc is graded toward near's nearest boundary point near_t,
-    which becomes a panel edge (with _insert_edges' tolerances), and the
-    rule runs only over the span of plain panels it changes.  Those are the
-    one or two panels that inserting near_t changes and the panels the rule
-    would split, found with _graded_edges' arithmetic by walking out from
-    near_t on both sides: the rule treats each panel on its own, and the
-    walk stops where 0.7 times the distance to near_t reaches the widest
-    plain panel, beyond which no panel is split.  Panels between the first
-    and the last changed one that the rule keeps are rebuilt as they were.
+    and at n = 1 also toward its image across the seam t = +-pi, where
+    the circle's ends meet.  The rule treats each panel on its own, so the
+    panels it splits are marked by _graded_edges' test in one array pass
+    over the arc, and it runs only over the span from the first marked
+    panel to the last; the panels between them that it keeps come out as
+    they were.
     """
     d, arc_id, near_t = boundary_distance(params, near)
-    if not d < _NEAR_BOUNDARY:
-        return None
     plain = _plain_boundary(spec, params)
     index = next(i for i, (arc, *_) in enumerate(plain)
                  if arc.arc_id == arc_id)
     arc, edges = plain[index][:2]
     floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
                 1e-10) / arc.speed
-    edges = edges.tolist()
-    lo, hi = edges[0], edges[-1]
-    tol = 1e-13 * (hi - lo)
-    allowance = max(floor, 2.0 * tol)
-    reach = max(map(operator.sub, edges[1:], edges[:-1]))
-    j = bisect.bisect_left(edges, near_t)
-    changed = []
-    for panels in (range(max(j - 1, 0), -1, -1), range(j, len(edges) - 1)):
-        for k in panels:
-            a, b = edges[k], edges[k + 1]
-            bound = _ATTRACT_RATIO * (a - near_t if a > near_t else
-                                      near_t - b if near_t > b else 0.0)
-            if bound >= reach:
-                break
-            if (b - a) / max(bound, allowance) > 1.0:
-                changed.append(k)
-    # near_t becomes an edge unless it is a plain edge or within tol after
-    # one; it takes the place of the next edge if that is within tol after
-    # it, unless that is the last edge, which would be put back
-    replaced = None
-    if (lo + 1e-12 < near_t < hi - 1e-12 and near_t != edges[j]
-            and near_t - edges[j - 1] > tol):
-        drop = edges[j] - near_t <= tol
-        if not (drop and j == len(edges) - 1):
-            replaced = slice(j, j + drop)
-            changed += range(j - 1, j + drop)
-    if not changed:
+    tol = 1e-13 * (edges[-1] - edges[0])
+    least = max(floor, 2.0 * tol)
+    lo, hi = edges[:-1], edges[1:]
+    width = hi - lo
+    targets = [near_t]
+    gap = np.maximum(lo - near_t, near_t - hi)
+    if params.n == 1:
+        image = near_t - math.copysign(2.0 * math.pi, near_t)
+        targets.append(image)
+        # the allowance grows with the distance: the nearer target sets it
+        gap = np.minimum(gap, np.maximum(lo - image, image - hi))
+    marked = np.flatnonzero(width > np.maximum(_ATTRACT_RATIO * gap, least))
+    if not marked.size:
         return None
-    first, end = min(changed), max(changed) + 1
-    span = edges[first:end + 1]
-    if replaced is not None:
-        span[replaced.start - first:replaced.stop - first] = [near_t]
-    leaves = np.array(_graded_edges(span, [(near_t, floor)], tol))
+    first, end = int(marked[0]), int(marked[-1]) + 1
+    leaves = np.array(_graded_edges(edges[first:end + 1].tolist(),
+                                    [(p, floor) for p in targets], tol))
     return index, first, end, leaves[:-1], leaves[1:]
 
 
 def boundary_mesh(spec, params, near=None):
     """Quadrature nodes along the whole boundary.
 
-    With near set (an evaluation point), panels are graded toward its
-    nearest boundary point when that is closer than _NEAR_BOUNDARY, down to
-    about half the distance, so kernels peaked there are resolved.  Returns
-    [(BoundaryPoint batch, weights), ...], t increasing along each arc;
-    nodes never coincide with the corner points.
+    With near set (an evaluation point), the nearest arc's panels are
+    graded by the splitting rule toward near's nearest boundary point (at
+    n = 1 from both sides of the seam t = +-pi), down to about half the
+    distance, so kernels peaked there are resolved; a point far from the
+    boundary splits no panel.  Returns [(BoundaryPoint batch, weights),
+    ...], t increasing along each arc; nodes never coincide with the corner
+    points.
 
     The plain mesh of (spec, params) is built once and kept read-only
     (_plain_boundary).  Every arc that is not graded returns it as it is,
-    and on the graded arc only the span of panels the rule changes gets
-    new nodes (_patch), spliced between the plain rows before and after.
-    The solvers take the plain mesh and the patches apart instead.
+    and on the graded arc only the span of panels the rule splits gets new
+    nodes (_patch), spliced between the plain rows before and after.  The
+    solvers take the plain mesh and the patches apart instead.
     """
     plain = _plain_boundary(spec, params)
     out = [mesh for *_, mesh in plain]
@@ -457,24 +437,18 @@ def _plain_area(spec, params):
     smap = sector_map(params)
     X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(params.alpha)))
     theta = params.theta
-
-    hx = 2.0 * X / spec.area_radial
-    hy = theta / spec.area_angular
     fx = _shrink(spec, "area_radial")
     fy = _shrink(spec, "area_angular")
-    x_att = []
-    y_att = []
+    # the Jacobian's poles sit at x = 0, above and below the strip
     gap = min(smap.gap_top, smap.gap_bottom)
-    if gap < 1.5 * hx:
-        x_att.append((0.0, _ATTRACT_RATIO * gap * fx))
-    if smap.gap_top < 1.5 * hy:
-        y_att.append((0.0, _ATTRACT_RATIO * smap.gap_top * fy))
-    if smap.gap_bottom < 1.5 * hy:
-        y_att.append((-theta, _ATTRACT_RATIO * smap.gap_bottom * fy))
-    x_edges = _graded_edges(np.linspace(-X, X, spec.area_radial + 1), x_att,
+    x_edges = _graded_edges(np.linspace(-X, X, spec.area_radial + 1),
+                            [(0.0, _ATTRACT_RATIO * gap * fx)],
                             min_width=1e-13 * X)
-    y_edges = _graded_edges(np.linspace(-theta, 0.0, spec.area_angular + 1),
-                            y_att, min_width=1e-13 * theta)
+    y_edges = _graded_edges(
+        np.linspace(-theta, 0.0, spec.area_angular + 1),
+        [(0.0, _ATTRACT_RATIO * smap.gap_top * fy),
+         (-theta, _ATTRACT_RATIO * smap.gap_bottom * fy)],
+        min_width=1e-13 * theta)
 
     grid = np.meshgrid(x_edges, y_edges, indexing="ij")
     lo = np.stack([g[:-1, :-1].ravel() for g in grid])

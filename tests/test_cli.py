@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lenspot import KernelField, LensParams
+from lenspot import (KernelField, LensParams, arcs, boundary_samples,
+                     sector_map)
 from lenspot.cli import main
 
 # a valid problem file: |z|^2 solves the Poisson equation with f = 1
@@ -97,6 +98,23 @@ class TestPoissonTab:
         assert sum(line.startswith("C0") for line in lines) == 5
         assert sum(line.startswith("C1") for line in lines) == 5
 
+    @pytest.mark.parametrize("p, q, n", [(1, 2, 2), (999, 1000, 2),
+                                         (9, 10, 1)])
+    def test_rows_are_the_strip_kernel(self, capsys, p, q, n):
+        # the tabulated kernel is SectorMap.strip_poisson at the samples
+        code, out, _ = run(capsys, "poisson", "--alpha-pi", f"{p}/{q}",
+                           "--n", str(n), "--z", "0.4,0.1", "--samples", "16")
+        assert code == 0
+        params = LensParams(math.pi * p / q, n)
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 16 * len(arcs(params))
+        for arc_id in arcs(params):
+            mine = [r for r in rows if r[0] == arc_id]
+            bp = boundary_samples(params, arc_id, 16)
+            assert [float(r[1]) for r in mine] == list(bp.t)
+            expected = sector_map(params).strip_poisson(0.4 + 0.1j, bp.point)
+            assert [float(r[4]) for r in mine] == list(expected)
+
     def test_nan_z_rejected(self, capsys):
         code, _, err = run(capsys, "poisson", "--alpha-pi", "1/2", "--n", "2",
                            "--z", "nan,0")
@@ -153,6 +171,17 @@ class TestSolveCommands:
         lines = out.strip().splitlines()
         _, _, w_re, _ = (float(v) for v in lines[1].split(","))
         assert w_re == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("pin", ["0.4,0.1=1,2,3", "0.4,0.1=nan",
+                                     "0.4,0.1=inf", "0.4,0.1=0,-inf"],
+                             ids=["three_parts", "nan", "inf", "inf_im"])
+    def test_bad_pin_exits_two(self, capsys, neumann_problem, pin):
+        with pytest.raises(SystemExit) as err:
+            main(["solve-neumann", "--problem", neumann_problem, "--pin", pin])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--pin" in captured.err
 
     def test_violating_neumann_exits_one(self, capsys, tmp_path):
         payload = {"alpha": math.pi / 2, "n": 2,

@@ -15,9 +15,9 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      load_problem, normal_coeffs, sample_interior,
                      solve_dirichlet, solve_neumann)
 from lenspot.domain import EPS_CORNER, corner_distance
-from lenspot.quadrature import (_NEAR_BOUNDARY, _exact_sum, _gauss,
-                                _gauss_nodes, _graded_base_edges,
-                                _graded_edges, _insert_edges, _plain_area,
+from lenspot.quadrature import (_exact_sum, _gauss, _gauss_nodes,
+                                _graded_base_edges, _graded_edges,
+                                _insert_edges, _patch, _plain_area,
                                 _plain_boundary, _shrink, _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
@@ -177,6 +177,19 @@ class TestArea:
         area = integrate_area(QuadratureSpec(), DISC,
                               lambda z: np.abs(z) ** 2)
         assert area == pytest.approx(math.pi / 2, abs=1e-8)
+
+    @pytest.mark.parametrize("params", [CURVED, LensParams(0.3, 1), DISC],
+                             ids=["2pi/3-2", "0.3-1", "0.9pi-1"])
+    def test_refined_mesh_grades_toward_the_jacobian_poles(self, params):
+        # divergence theorem for w_p = Re(z^4 conj(z)) / 4, whose w_{z conj(z)}
+        # is Re z^3: 4 int Re z^3 dA equals the flux of w_p, which the
+        # boundary rule takes to rounding.  The default mesh is off by
+        # about 3e-10, and a refined spec refines next to the poles too
+        spec = QuadratureSpec().refined()
+        area = 4.0 * integrate_area(spec, params, lambda z: (z ** 3).real)
+        flux = integrate_boundary(spec, params, normal_derivative_data(
+            params, lambda z: 0.5 * z ** 3 * np.conj(z) + np.conj(z) ** 4 / 8))
+        assert abs(area - flux) < 1e-12
 
     @pytest.mark.parametrize("params", [HALF, CURVED, LENS])
     def test_singular_self_convergence(self, params):
@@ -491,16 +504,17 @@ PATCH_SPECS = [QuadratureSpec(), QuadratureSpec().refined(2),
 
 def whole_arc_mesh(spec, params, near):
     """boundary_mesh built whole: every arc's panel edges from the base
-    edges (the n = 1 marks inserted), and on the graded arc _insert_edges of
-    near_t, then _graded_edges over the whole arc; nodes and weights for
-    every panel."""
+    edges (the n = 1 marks inserted), and on the graded arc _graded_edges
+    over the whole arc toward near_t (and at n = 1 its image across the
+    seam t = +-pi); nodes and weights for every panel."""
     near_arc = None
     if near is not None:
-        d, arc_id, near_t = boundary_distance(params, near)
-        if d < _NEAR_BOUNDARY:
-            near_arc = arc_id
-            floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
-                        1e-10)
+        d, near_arc, near_t = boundary_distance(params, near)
+        floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
+                    1e-10)
+        targets = [near_t]
+        if params.n == 1:
+            targets.append(near_t - math.copysign(2 * math.pi, near_t))
     first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
     corner_arclen = 2.0 * EPS_CORNER / first_node
     out = []
@@ -512,8 +526,8 @@ def whole_arc_mesh(spec, params, near):
         if params.n == 1:
             edges = _insert_edges(edges, [-params.alpha, params.alpha])
         if arc.arc_id == near_arc:
-            edges = _graded_edges(_insert_edges(edges, [near_t]),
-                                  [(near_t, floor / arc.speed)],
+            edges = _graded_edges(edges,
+                                  [(p, floor / arc.speed) for p in targets],
                                   1e-13 * (hi - lo))
         edges = np.asarray(edges)
         t, w = (a.ravel() for a in _gauss_nodes(edges[:-1], edges[1:],
@@ -555,18 +569,23 @@ class TestBoundaryPatch:
             for frac in (-0.97, -0.6, -0.13, 0.0, 0.41, 0.88):
                 for depth in (1e-2, 1e-4, 1e-7, 1e-9):
                     points.append(inside(params, arc, frac * half, depth))
-            # on either side of _NEAR_BOUNDARY from the arc's midpoint
-            points += [inside(params, arc, 0.0, _NEAR_BOUNDARY * (1 + s))
-                       for s in (-1e-6, 1e-6)]
+            # far from the arc, where the rule splits few panels or none
+            points += [inside(params, arc, 0.0, depth)
+                       for depth in (0.2, 0.35, 0.6)]
+        if params.n == 1:
+            # across the seam t = +-pi, where the circle's ends meet
+            points += [inside(params, arc, t, depth)
+                       for t in (-math.pi, math.pi - 1e-3)
+                       for depth in (1e-2, 1e-5)]
         for z in points:
             self._assert_same(spec, params, z)
 
     @pytest.mark.parametrize("params", PATCH_SETS,
                              ids=lambda p: f"{p.alpha:.4g}-{p.n}")
     def test_nearest_point_on_a_plain_edge(self, params):
-        # near_t equal to a plain edge, or within _insert_edges' duplicate
-        # tolerance of one, so that it drops an edge; at n = 1 the edges
-        # include the marks at +-alpha
+        # near_t equal to a plain edge, or within 1e-13 of the arc's
+        # parameter range of one: both panels there are at distance 0 or
+        # nearly, and at n = 1 the edges include the marks at +-alpha
         spec = QuadratureSpec()
         hits = {"equal": 0, "near": 0}
         for arc, edges, _, _ in _plain_boundary(spec, params):
@@ -574,8 +593,8 @@ class TestBoundaryPatch:
             for e in edges[1:-1]:
                 for dt in (0.0, 0.3 * tol, -0.3 * tol):
                     z = inside(params, arc, e + dt, 1e-3)
-                    d, arc_id, near_t = boundary_distance(params, z)
-                    if arc_id == arc.arc_id and d < _NEAR_BOUNDARY:
+                    _, arc_id, near_t = boundary_distance(params, z)
+                    if arc_id == arc.arc_id:
                         if near_t == e:
                             hits["equal"] += 1
                         elif abs(near_t - e) <= tol:
@@ -584,27 +603,19 @@ class TestBoundaryPatch:
         assert hits["equal"] > 0 and hits["near"] > 0
 
     def test_point_that_splits_nothing(self):
-        # mid-lens on the real axis at (0.5, 2): near_t = 0 is a plain edge
-        # and every panel is below the floor 0.1, so no leaf is new
+        # mid-lens on the real axis at (0.5, 2): every panel is below the
+        # floor 0.1, so no leaf is new
         params = LensParams(0.5, 2)
         z = 0.5 * sum(complex(arc.point(0.0))
                       for arc in arcs(params).values())
-        d, arc_id, near_t = boundary_distance(params, z)
-        assert d < _NEAR_BOUNDARY and arc_id == "C1" and near_t == 0.0
+        _, arc_id, near_t = boundary_distance(params, z)
+        assert arc_id == "C1" and near_t == 0.0
+        assert _patch(QuadratureSpec(), params, z) is None
         self._assert_same(QuadratureSpec(), params, z)
         plain = _plain_boundary(QuadratureSpec(), params)[1][3]
         bp, w = boundary_mesh(QuadratureSpec(), params, near=z)[1]
         assert np.array_equal(bp.t, plain[0].t)
         assert np.array_equal(w, plain[1])
-
-    def test_threshold_points_straddle_near_boundary(self):
-        # the half disc has room for both of test_matches_whole_arc_mesh's
-        # points at the 0.35 threshold
-        arc = arcs(HALF)["C1"]
-        d = [boundary_distance(HALF, inside(HALF, arc, 0.0,
-                                            _NEAR_BOUNDARY * (1 + s)))[0]
-             for s in (-1e-6, 1e-6)]
-        assert d[0] < _NEAR_BOUNDARY <= d[1]
 
     def test_far_point_gets_the_plain_mesh(self):
         spec = QuadratureSpec()

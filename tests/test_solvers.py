@@ -8,7 +8,8 @@ import pytest
 import lenspot.solvers
 from lenspot import (BoundaryData, LensParams, QuadratureSpec, SectorMap,
                      SolvabilityError, SourceTerm, arc_lengths, arcs,
-                     boundary_mesh, boundary_point, KernelField,
+                     boundary_distance, boundary_mesh, boundary_point,
+                     KernelField,
                      check_neumann_solvability,
                      classify_point, integrate_area, integrate_boundary,
                      load_problem, normal_coeffs,
@@ -170,6 +171,32 @@ class TestDirichlet:
         w = solve_dirichlet(params, SPEC, BoundaryData.from_expression("abs2"),
                             SourceTerm.constant(1.0), pts)
         assert np.abs(w - np.abs(pts) ** 2).max() < 1e-4
+
+    @pytest.mark.parametrize("params", [LensParams(0.9 * math.pi, 1),
+                                        LensParams(math.pi / 2, 1)],
+                             ids=["0.9pi-1", "pi/2-1"])
+    def test_disc_seam(self, params):
+        # the disc's arc ends t = -pi and pi meet at z = -1, so a point next
+        # to it is graded toward both sides of the seam
+        pts = np.array([-0.999, -0.99 + 0.01j, -0.99 - 0.01j])
+        w = solve_dirichlet(params, SPEC,
+                            BoundaryData.from_expression("re_zk", 3),
+                            SourceTerm.zero(), pts)
+        assert np.abs(w - np.real(pts ** 3)).max() < 1e-12
+
+    @pytest.mark.parametrize("params", [LensParams(0.9 * math.pi, 1),
+                                        LensParams(0.999 * math.pi, 2)],
+                             ids=["0.9pi-1", "0.999pi-2"])
+    def test_harmonic_cubic_away_from_the_boundary(self, params):
+        # 0.35 to 0.8 from the boundary the rule still splits the wider
+        # plain panels; without them the error is about 1e-11
+        pts = interior(params, 100, seed=6, margin=0.35)
+        pts = pts[[boundary_distance(params, z)[0] < 0.8 for z in pts]]
+        assert pts.size > 40
+        w = solve_dirichlet(params, SPEC,
+                            BoundaryData.from_expression("re_zk", 3),
+                            SourceTerm.zero(), pts)
+        assert np.abs(w - np.real(pts ** 3)).max() < 1e-13
 
     def test_complex_data(self):
         # real and imaginary parts solve independently
