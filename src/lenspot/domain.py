@@ -369,6 +369,9 @@ def sample_interior(params, rng, count, margin=1e-3):
 
 def boundary_samples(params, arc_id, count):
     """Evenly spread non-corner sample points along one arc."""
+    if not (_is_number(count, numbers.Integral) and count >= 1):
+        raise ValueError(f"sample count must be an integer >= 1, "
+                         f"got {count!r}")
     arc = arc_of(params, arc_id)
     spacing = 2.0 * arc.half_width / count
     ts = -arc.half_width + spacing * (np.arange(count) + 0.5)

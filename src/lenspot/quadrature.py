@@ -30,9 +30,13 @@ and kept read-only, the last 8 pairs of each.  A near point regrades only
 its nearest arc, and there only the span from the first plain panel the
 rule splits to the last (_patch): the panels before and after it keep
 their plain nodes, and every other arc keeps its plain batch.
-boundary_mesh splices the span's new panels into the plain rows; the
-solvers keep the two apart, evaluating the plain mesh once for all the
-points of a call and each point's span on its own.
+boundary_mesh splices the span's new panels into the plain rows.
+_integrate_kernel, the boundary evaluator of the solvers and the
+normalization probe, keeps the two apart: it evaluates a kernel on the
+plain mesh once for all the points of a call and on each point's span on
+its own, and sums each point's nodes exactly, so that every value is the
+one that point's spliced mesh gives.  Every boundary integral is rounded
+once, over all the nodes of all arcs.
 
 A singular point replaces only the plain area cells the rule would split
 toward w0: a square around w0 becomes a Duffy star of 8 triangles with
@@ -63,6 +67,7 @@ _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
 _SINGULAR_FLOOR = 1e-5      # reach of the Duffy star's innermost panel in w
 _STAR_RATIO = 0.225         # Duffy star half-width per unit distance to a singularity
 _NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
+_PAIR_BUDGET = 2 ** 14      # (point, node) pairs a boundary kernel takes at once
 
 
 @dataclass(frozen=True)
@@ -383,8 +388,9 @@ def boundary_mesh(spec, params, near=None):
     The plain mesh of (spec, params) is built once and kept read-only
     (_plain_boundary).  Every arc that is not graded returns it as it is,
     and on the graded arc only the span of panels the rule splits gets new
-    nodes (_patch), spliced between the plain rows before and after.  The
-    solvers take the plain mesh and the patches apart instead.
+    nodes (_patch), spliced between the plain rows before and after.
+    _integrate_kernel takes the plain mesh and the patches apart instead,
+    and this mesh is the reference it is tested against.
     """
     plain = _plain_boundary(spec, params)
     out = [mesh for *_, mesh in plain]
@@ -405,13 +411,111 @@ def integrate_boundary(spec, params, f, near=None):
     f maps a BoundaryPoint batch to values (scalars broadcast); corner
     singularities up to logarithmic strength are absorbed by the graded
     panels, and near names an evaluation point to grade toward (see
-    boundary_mesh).  Each arc's weighted sum is exact up to one final
-    rounding (_exact_sum), so it does not depend on the nodes' order.
+    boundary_mesh).  The weighted sum over the nodes of every arc is exact
+    up to one final rounding (_exact_sum), so it does not depend on the
+    nodes' order.
     """
-    total = 0.0
-    for bp, w in boundary_mesh(spec, params, near):
-        total = total + _exact_weighted_sum(w, f(bp))
-    return total
+    mesh = boundary_mesh(spec, params, near)
+    return _exact_weighted_sum(
+        np.concatenate([w for _, w in mesh]),
+        np.concatenate([np.broadcast_to(f(bp), w.shape) for bp, w in mesh]))
+
+
+def _plain_weights(spec, params, gamma):
+    """gamma times the weights on the plain boundary mesh of (spec, params),
+    all arcs in one array."""
+    return np.concatenate([w * gamma(bp)
+                           for *_, (bp, w) in _plain_boundary(spec, params)])
+
+
+@lru_cache(maxsize=8)
+def _plain_nodes(spec, params, nodes_of):
+    """A boundary kernel's node side on the plain boundary mesh of
+    (spec, params), all arcs in one batch, built once and read-only."""
+    zeta = np.concatenate([bp.point
+                           for *_, (bp, _) in _plain_boundary(spec, params)])
+    nodes = nodes_of(zeta)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _kernel_rows(kernel, points, nodes):
+    """(chunk, z sides, values) over chunks of points, values holding the
+    kernel of each point against the nodes' side, one row per point; no
+    chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
+    the chunk's one-point z sides stacked part by part, one row each."""
+    source, _, pair = kernel
+    rows = max(1, _PAIR_BUDGET // nodes[0].size)
+    for i in range(0, len(points), rows):
+        chunk = points[i:i + rows]
+        sides = tuple(np.array(part)[:, None]
+                      for part in zip(*map(source, chunk)))
+        yield chunk, sides, pair(sides, nodes)
+
+
+def _patched(spec, params, gamma, kernel, chunk, sides):
+    """Each point's patch of the plain boundary mesh (_patch) and the
+    gamma * weight * kernel values on its fresh nodes; the fresh nodes of
+    all points on one arc are built and evaluated together, each against
+    its own point's row of the z sides."""
+    patches = [_patch(spec, params, z) for z in chunk]
+    fresh = [None] * len(chunk)
+    _, nodes_of, pair = kernel
+    for index, (arc, *_) in enumerate(_plain_boundary(spec, params)):
+        mine = [k for k, patch in enumerate(patches)
+                if patch is not None and patch[0] == index]
+        if not mine:
+            continue
+        lo, hi = (np.concatenate([patches[k][j] for k in mine])
+                  for j in (3, 4))
+        t, point, arclen, w = (a.ravel() for a in _arc_nodes(
+            arc, lo, hi, spec.gauss_order))
+        weights = w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen))
+        counts = [patches[k][3].size * spec.gauss_order for k in mine]
+        sides_of = tuple(np.repeat(part[mine, 0], counts) for part in sides)
+        with np.errstate(invalid="ignore"):
+            values = pair(sides_of, nodes_of(point)) * weights
+        for k, part in zip(mine, np.split(values, np.cumsum(counts)[:-1])):
+            fresh[k] = part
+    return patches, fresh
+
+
+def _integrate_kernel(spec, params, gamma, kernel, points,
+                      plain_weights=None):
+    """The boundary integral of gamma * kernel(z, .) at each of the
+    interior points z, as a list: the correctly rounded sum of gamma *
+    weight * kernel over the nodes of z's own boundary_mesh(near=z).
+
+    gamma maps a BoundaryPoint batch to values, and kernel is a boundary
+    kernel of conformal.SectorMap in three steps (z side, node side,
+    pair).  The points share the plain boundary mesh: gamma * weights is
+    formed on it once (or passed in as plain_weights, _plain_weights'
+    array), and the kernel once for all points against all its nodes, in
+    chunks (_kernel_rows).  A point near the boundary then leaves out the
+    plain nodes its patch replaces and adds its fresh ones (_patched).
+    Each point's sum is exact, so its value does not depend on the other
+    points of the call."""
+    plain = _plain_boundary(spec, params)
+    if plain_weights is None:
+        plain_weights = _plain_weights(spec, params, gamma)
+    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain])
+    order = spec.gauss_order
+    out = []
+    for chunk, sides, values in _kernel_rows(
+            kernel, points, _plain_nodes(spec, params, kernel[1])):
+        with np.errstate(invalid="ignore"):
+            values = values * plain_weights
+        patches, fresh = _patched(spec, params, gamma, kernel, chunk, sides)
+        for row, patch, new in zip(values, patches, fresh):
+            if patch is not None:
+                index, first, end = patch[:3]
+                # the plain nodes the patch replaces are left out, not
+                # zeroed, so that gamma need not be finite there
+                row = np.concatenate([row[:starts[index] + first * order],
+                                      row[starts[index] + end * order:], new])
+            out.append(_exact_total(row))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -30,15 +30,12 @@ per node at any n: the Poisson kernel and N at the boundary nodes, G and N
 at the area nodes' strip coordinates.  KernelField's product form is the
 reference they are checked against.
 
-The points of one call are solved together.  Their boundary integrals
-share the plain boundary mesh of (spec, params): gamma is evaluated on it
-once per call, and the boundary kernel once as a (points x plain nodes)
-array, in chunks of at most _PAIR_BUDGET pairs.  A point near the boundary
-then leaves out the plain nodes its patch replaces (quadrature._patch) and
-adds its fresh nodes, which are built and evaluated for all the points of
-a chunk on one arc together.  Every sum is exact, so each answer is bit
-for bit the one a call with that point alone gives.  The area integrals
-of callable sources are taken point by point.
+The points of one call are solved together: their boundary integrals
+come from quadrature._integrate_kernel, which shares the plain boundary
+mesh among them and sums each point's own graded mesh exactly, so each
+answer is bit for bit the one a call with that point alone gives.
+probe_normalization_constant takes its integrals from the same evaluator.
+The area integrals of callable sources are taken point by point.
 """
 
 from __future__ import annotations
@@ -49,22 +46,18 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .conformal import sector_map
-from .domain import (BoundaryPoint, LensParams, _is_number, arcs,
-                     classify_point, normal_coeffs)
+from .domain import (LensParams, _is_number, arcs, classify_point,
+                     normal_coeffs)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, _arc_nodes, _exact_total,
-                         _exact_weighted_sum, _patch, _plain_boundary,
-                         area_mesh, integrate_area, integrate_boundary)
+from .quadrature import (QuadratureSpec, _exact_total, _exact_weighted_sum,
+                         _integrate_kernel, _plain_weights, area_mesh,
+                         integrate_area, integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
-# (point, node) pairs the boundary kernel takes at once: a call's points
-# are solved together in chunks of at most this many pairs
-_PAIR_BUDGET = 2 ** 14
 
 
 class SolvabilityError(ValueError):
@@ -364,65 +357,6 @@ def _area_term(params, spec, f, area_kernel, z):
     return _exact_weighted_sum(weights, values)
 
 
-@lru_cache(maxsize=8)
-def _plain_nodes(spec, params, nodes_of):
-    """A boundary kernel's node side on the plain boundary mesh of
-    (spec, params), all arcs in one batch, built once and read-only."""
-    zeta = np.concatenate([bp.point
-                           for *_, (bp, _) in _plain_boundary(spec, params)])
-    nodes = nodes_of(zeta)
-    for a in nodes:
-        a.setflags(write=False)
-    return nodes
-
-
-def _plain_weights(spec, params, gamma):
-    """gamma times the weights on each arc of the plain boundary mesh."""
-    return [w * gamma(bp) for *_, (bp, w) in _plain_boundary(spec, params)]
-
-
-def _kernel_rows(kernel, points, nodes):
-    """(chunk, z sides, values) over chunks of points, values holding the
-    kernel of each point against the nodes' side, one row per point; no
-    chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
-    the chunk's one-point z sides stacked part by part, one row each."""
-    source, _, pair = kernel
-    rows = max(1, _PAIR_BUDGET // nodes[0].size)
-    for i in range(0, len(points), rows):
-        chunk = points[i:i + rows]
-        sides = tuple(np.array(part)[:, None]
-                      for part in zip(*map(source, chunk)))
-        yield chunk, sides, pair(sides, nodes)
-
-
-def _patched(spec, params, gamma, kernel, chunk, sides):
-    """Each point's patch of the plain boundary mesh (quadrature._patch)
-    and the gamma * kernel * weight values on its fresh nodes; the fresh
-    nodes of all points on one arc are built and evaluated together, each
-    against its own point's row of the z sides."""
-    patches = [_patch(spec, params, z) for z in chunk]
-    fresh = [None] * len(chunk)
-    plain = _plain_boundary(spec, params)
-    _, nodes_of, pair = kernel
-    for index, (arc, *_) in enumerate(plain):
-        mine = [k for k, patch in enumerate(patches)
-                if patch is not None and patch[0] == index]
-        if not mine:
-            continue
-        lo, hi = (np.concatenate([patches[k][j] for k in mine])
-                  for j in (3, 4))
-        t, point, arclen, w = (a.ravel() for a in _arc_nodes(
-            arc, lo, hi, spec.gauss_order))
-        weights = w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen))
-        counts = [patches[k][3].size * spec.gauss_order for k in mine]
-        sides_of = tuple(np.repeat(part[mine, 0], counts) for part in sides)
-        with np.errstate(invalid="ignore"):
-            values = pair(sides_of, nodes_of(point)) * weights
-        for k, part in zip(mine, np.split(values, np.cumsum(counts)[:-1])):
-            fresh[k] = part
-    return patches, fresh
-
-
 def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
                plain_weights=None):
     """Representation formula at each point: the boundary integral of
@@ -430,37 +364,17 @@ def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
     of f * area_kernel(z, x, y), a kernel taken in the strip coordinate
     x + iy of zeta.
 
-    kernel is a boundary kernel of conformal.SectorMap in three steps
-    (z side, node side, pair).  The points of a call share the plain
-    boundary mesh: gamma * weights is formed on it once (or passed in as
-    plain_weights, one array per arc), and the kernel once for all points
-    against all its nodes, in chunks (_kernel_rows).  A point near the
-    boundary then drops the plain nodes its patch replaces and adds its
-    fresh ones (_patched).  Each point's values are summed exactly, so the
-    answer is the one its own spliced mesh (boundary_mesh) gives.  The
-    points are interior (_check_points)."""
-    if plain_weights is None:
-        plain_weights = _plain_weights(spec, params, gamma)
-    weights = np.concatenate(plain_weights)
-    starts = np.cumsum([0] + [w.size for w in plain_weights])
-    order = spec.gauss_order
+    kernel is a boundary kernel of conformal.SectorMap in three steps (z
+    side, node side, pair), and quadrature._integrate_kernel takes it for
+    all the points together, from plain_weights if given.  The points are
+    interior (_check_points)."""
     out = []
-    for chunk, sides, values in _kernel_rows(
-            kernel, points, _plain_nodes(spec, params, kernel[1])):
-        with np.errstate(invalid="ignore"):
-            values = values * weights
-        patches, fresh = _patched(spec, params, gamma, kernel, chunk, sides)
-        for z, row, patch, new in zip(chunk, values, patches, fresh):
-            if patch is not None:
-                index, first, end = patch[:3]
-                # the plain nodes the patch replaces are left out, not
-                # zeroed, so that gamma need not be finite there
-                row = np.concatenate([row[:starts[index] + first * order],
-                                      row[starts[index] + end * order:], new])
-            w = _exact_total(row) / scale
-            if not f.is_zero:
-                w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
-            out.append(complex(w))
+    for z, total in zip(points, _integrate_kernel(
+            spec, params, gamma, kernel, points, plain_weights)):
+        w = total / scale
+        if not f.is_zero:
+            w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
+        out.append(complex(w))
     return np.array(out, dtype=complex)
 
 
@@ -499,40 +413,32 @@ def _minus(gamma, other):
     return BoundaryData.from_callable(lambda bp: gamma(bp) - other(bp))
 
 
-def _verdict(lhs, rhs):
+def _compatibility(spec, params, gamma, f):
+    """The compatibility condition on the plain boundary mesh as (verdict,
+    gamma * weights, flux), both arrays as quadrature._plain_weights forms
+    them.  The left side is the exact sum of gamma * weights.  The right
+    side is 4 times the area integral of f, or for a catalog source the
+    exact sum of flux, dw_p/dnu times the weights, which equals it by the
+    divergence theorem; flux is None for other sources."""
+    weights = _plain_weights(spec, params, gamma)
+    if f._particular is None:
+        flux = None
+        rhs = 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
+    else:
+        c, _, dw_dz = f._particular
+        flux = c * _plain_weights(spec, params,
+                                  normal_derivative_data(params, dw_dz))
+        rhs = _exact_total(flux)
+    lhs = _exact_total(weights)
     defect = abs(lhs - rhs)
     satisfied = defect <= TOL_SOLVABILITY * (1.0 + abs(lhs) + abs(rhs))
-    return {"satisfied": satisfied, "lhs": lhs, "rhs": rhs, "defect": defect}
-
-
-def _arc_total(arc_values):
-    """The sum of values given one array per arc: each arc summed exactly
-    on its own, in arc order, as integrate_boundary sums them."""
-    total = 0.0
-    for values in arc_values:
-        total = total + _exact_total(values)
-    return total
-
-
-def _source_side(spec, params, f):
-    """The right side of the compatibility condition, 4 times the area
-    integral of f, and for a catalog source the flux dw_p/dnu times the
-    weights on each arc of the plain boundary mesh (else None).  A catalog
-    source's right side is the boundary integral of that flux, which
-    equals it by the divergence theorem."""
-    if f._particular is None:
-        area = 0.0 if f.is_zero else 4.0 * integrate_area(spec, params, f)
-        return area, None
-    c, _, dw_dz = f._particular
-    flux = [c * weights for weights in _plain_weights(
-        spec, params, normal_derivative_data(params, dw_dz))]
-    return _arc_total(flux), flux
+    return ({"satisfied": satisfied, "lhs": lhs, "rhs": rhs,
+             "defect": defect}, weights, flux)
 
 
 def check_neumann_solvability(params, spec, gamma, f):
     """Both sides of the compatibility condition and the verdict."""
-    return _verdict(integrate_boundary(spec, params, gamma),
-                    _source_side(spec, params, f)[0])
+    return _compatibility(spec, params, gamma, f)[0]
 
 
 def solve_neumann(params, spec, gamma, f, points):
@@ -540,9 +446,9 @@ def solve_neumann(params, spec, gamma, f, points):
 
     Raises SolvabilityError when the data violates the compatibility
     condition; add any constant (or use a pin) to select another solution.
-    The condition's boundary side is summed from the same gamma * weights
-    on the plain mesh as the solution, per arc in arc order, as
-    integrate_boundary sums it.
+    The condition's boundary side is the exact sum of the same
+    gamma * weights on the plain mesh as the solution takes, and its
+    verdict is check_neumann_solvability's (_compatibility).
 
     A catalog source is taken as w_p + (the harmonic solution with data
     gamma - dw_p/dnu) + c(w_p), w_p its particular solution (_closed_form)
@@ -551,9 +457,7 @@ def solve_neumann(params, spec, gamma, f, points):
     the plain mesh the data's weights are gamma's less the flux's of the
     compatibility condition.
     """
-    plain_weights = _plain_weights(spec, params, gamma)
-    rhs, flux = _source_side(spec, params, f)
-    verdict = _verdict(_arc_total(plain_weights), rhs)
+    verdict, plain_weights, flux = _compatibility(spec, params, gamma, f)
     if not verdict["satisfied"]:
         raise SolvabilityError(verdict["lhs"], verdict["rhs"])
     points = _check_points(params, points)
@@ -562,7 +466,7 @@ def solve_neumann(params, spec, gamma, f, points):
         c, w_p, dw_dz = particular
         normal = normal_derivative_data(params, dw_dz)
         gamma = _minus(gamma, lambda bp: c * normal(bp))
-        plain_weights = [a - b for a, b in zip(plain_weights, flux)]
+        plain_weights = plain_weights - flux
         f = SourceTerm.zero()
     smap = sector_map(params)
     w = _represent(params, spec, gamma, f, points, smap.neumann_steps(),
@@ -581,32 +485,16 @@ def probe_normalization_constant(params, spec, zetas):
 
     If the integral is independent of zeta, subtracting its (scaled) value
     would normalize the Neumann function; constancy is only conjectured,
-    so this reports {values, spread} and passes no judgement.  The density
-    is evaluated once on the plain boundary mesh and N for all zetas
-    against its nodes together; each arc is summed on its own, as
-    integrate_boundary sums it.
+    so this reports {values, spread} and passes no judgement.  The
+    integrals are the solvers' own (quadrature._integrate_kernel), each on
+    the boundary mesh graded toward its zeta.
     """
-    zetas = [complex(zeta) for zeta in zetas]
-    if np.any(classify_point(params, np.array(zetas, dtype=complex))
-              != "interior"):
-        raise ValueError("probe points must be interior")
-    fld = KernelField(params)
-    smap = sector_map(params)
-    kernel = smap.neumann_steps()
-    plain = _plain_boundary(spec, params)
-    density = np.concatenate([fld.normal_density(bp)
-                              for *_, (bp, _) in plain])
-    weights = np.concatenate([w for *_, (_, w) in plain])
-    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain])
-    values = []
-    for _, _, rows in _kernel_rows(kernel, zetas,
-                                   _plain_nodes(spec, params, kernel[1])):
-        for row in (density * rows) * weights:
-            val = 0.0
-            for a, b in zip(starts[:-1], starts[1:]):
-                val = val + _exact_total(row[a:b])
-            values.append(float(np.real(val)))
-    values = np.array(values)
+    zetas = _check_points(params, zetas)
+    if not zetas:
+        raise ValueError("the probe needs at least one point")
+    values = np.real(_integrate_kernel(
+        spec, params, KernelField(params).normal_density,
+        sector_map(params).neumann_steps(), zetas))
     return {"values": values, "spread": float(values.max() - values.min())}
 
 

@@ -248,6 +248,11 @@ class TestBoundaryParam:
         with pytest.raises(ValueError, match="has no arc"):
             call(params, arc_id)
 
+    @pytest.mark.parametrize("count", [0, -3, 2.5, 4.0, True, "4", None])
+    def test_bad_sample_count_rejected(self, count):
+        with pytest.raises(ValueError, match="sample count"):
+            boundary_samples(HALF, "C1", count)
+
     @pytest.mark.parametrize("params", [HALF, CURVED, LENS])
     def test_points_really_on_boundary(self, params):
         for arc_id in ("C0", "C1"):

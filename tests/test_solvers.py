@@ -16,8 +16,8 @@ from lenspot import (BoundaryData, LensParams, QuadratureSpec, SectorMap,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, sector_map, solution_rows,
                      solve_dirichlet, solve_neumann)
-from lenspot.quadrature import _exact_weighted_sum, _patch, _plain_boundary
-from lenspot.solvers import _PAIR_BUDGET
+from lenspot.quadrature import (_PAIR_BUDGET, _exact_weighted_sum, _patch,
+                                _plain_boundary)
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -515,6 +515,19 @@ UNIT_SOURCES = {"catalog": SourceTerm.constant(1.0),
                     lambda z: np.ones(np.shape(z)))}
 
 
+@pytest.mark.parametrize("params", TestBatchedPoints.SETS,
+                         ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+def test_integrate_boundary_rounds_once(params):
+    # one correctly rounded sum over every node of every arc of the
+    # graded mesh, not one per arc
+    gamma = BoundaryData.from_expression("re_zk", 3)
+    for z in interior(params, 40, seed=0, margin=1e-3):
+        mesh = boundary_mesh(SPEC, params, near=z)
+        products = np.concatenate([gamma(bp) * w for bp, w in mesh])
+        assert (integrate_boundary(SPEC, params, gamma, near=z)
+                == math.fsum(products.tolist()))
+
+
 class TestUnitSourceRoutes:
     """Batched calls and refinement with a unit source, on both routes,
     with data whose harmonic part the boundary kernel must solve."""
@@ -710,14 +723,16 @@ class TestParticularSolution:
         # the compatibility condition's flux is it times the weights
         f = SourceTerm.from_expression(*source)
         c, w, dw_dz = f._particular
-        _, flux = lenspot.solvers._source_side(SPEC, params, f)
+        _, _, flux = lenspot.solvers._compatibility(
+            SPEC, params, BoundaryData.constant(0.0), f)
         data = normal_derivative_data(params, dw_dz)
-        for (*_, (bp, weights)), arc_flux in zip(_plain_boundary(SPEC, params),
-                                                 flux):
+        plain = [mesh for *_, mesh in _plain_boundary(SPEC, params)]
+        for bp, _ in plain:
             q, _ = normal_coeffs(params, bp)
             along = _stencil(w, bp.point, q, _D1, 1)
             assert np.abs(data(bp) - along).max() < 1e-10
-            assert np.array_equal(arc_flux, c * (weights * data(bp)))
+        assert np.array_equal(flux, np.concatenate(
+            [c * (weights * data(bp)) for bp, weights in plain]))
 
     def test_zero_and_callable_sources_have_none(self):
         assert SourceTerm.zero()._particular is None
@@ -859,19 +874,52 @@ class TestProbe:
         b = probe_normalization_constant(HALF, SPEC, zetas[::-1])
         assert a["spread"] == pytest.approx(b["spread"], abs=1e-14)
 
+    @pytest.mark.parametrize("alpha", [0.9 * math.pi, math.pi / 2, 0.3])
+    def test_disc_closed_form_next_to_the_boundary(self, alpha):
+        # each zeta's own graded mesh resolves N's peak 1e-3 away
+        params = LensParams(alpha, 1)
+        zetas = interior(params, 8, seed=13, margin=1e-3)
+        values = probe_normalization_constant(params, SPEC, zetas)["values"]
+        expected = 16 * math.pi * math.log(math.sin(alpha))
+        assert np.abs(values - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("params", [HALF, CURVED,
+                                        LensParams(0.9 * math.pi, 1)],
+                             ids=["half", "curved", "disc"])
+    def test_converged_next_to_the_boundary(self, params):
+        zetas = interior(params, 8, seed=14, margin=1e-3)
+        probe = probe_normalization_constant(params, SPEC, zetas)
+        fine = probe_normalization_constant(params, SPEC.refined(4), zetas)
+        assert np.abs(probe["values"] - fine["values"]).max() < 1e-12
+        assert probe["spread"] < 1e-12
+
+    def test_point_off_the_domain_named(self):
+        with pytest.raises(ValueError, match=r"evaluation point 1 \(1\+0j\) "
+                                             r"is boundary_C1"):
+            probe_normalization_constant(HALF, SPEC, [0.5, 1.0, 0.3])
+
+    def test_no_points_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            probe_normalization_constant(HALF, SPEC, [])
+
     @pytest.mark.parametrize("params", [CURVED, LensParams(math.pi / 2, 8)],
                              ids=["curved", "n8"])
     def test_values_are_the_boundary_integrals(self, params):
         # bit for bit the integral of density * N taken one zeta at a
-        # time, each arc summed on its own; the 40 zetas take two chunks
+        # time on its own spliced boundary mesh, summed exactly; the 40
+        # zetas take two chunks
         fld = KernelField(params)
         smap = sector_map(params)
         zetas = interior(params, 40, seed=12, margin=1e-3)
         values = probe_normalization_constant(params, SPEC, zetas)["values"]
-        expected = [float(np.real(integrate_boundary(
-            SPEC, params, lambda bp: (fld.normal_density(bp)
-                                      * smap.strip_neumann_at(z, bp.point)))))
-            for z in zetas]
+        expected = []
+        for z in zetas:
+            mesh = boundary_mesh(SPEC, params, near=z)
+            weights = np.concatenate([w * fld.normal_density(bp)
+                                      for bp, w in mesh])
+            zeta = np.concatenate([bp.point for bp, _ in mesh])
+            expected.append(float(np.real(_exact_weighted_sum(
+                weights, smap.strip_neumann_at(z, zeta)))))
         assert values.tolist() == expected
 
 
