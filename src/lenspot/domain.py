@@ -29,6 +29,7 @@ from .circles import CircleMatrix, HomogeneousPoint
 
 EPS_CORNER = 1e-7
 _CHORD_TOL = 1e-12  # |alpha - theta| below this is treated as the chord case
+_DRAW_BLOCK = 64    # candidates sample_interior draws and classifies at once
 # classify_point's states, indexed by on C0 + 2 * on C1 + 4 * outside
 _STATES = np.array(["interior", "boundary_C0", "boundary_C1", "corner"]
                    + ["exterior"] * 4)
@@ -345,25 +346,40 @@ def _wrap(x):
 def sample_interior(params, rng, count, margin=1e-3):
     """Random interior points at least `margin` away from the boundary.
 
-    Fails before drawing anything when margin is at least half the lens
-    width on the real axis, which no interior point can clear."""
+    Candidates are drawn one after another, each as rng.uniform over the
+    bounding box's x range and then its y range, and kept in draw order.
+    They are drawn and classified in blocks; the generator is then wound
+    back to just after the last candidate looked at, so the points and the
+    generator's state are those of drawing one candidate at a time.  Fails
+    before drawing anything when margin is at least half the lens width on
+    the real axis, which no interior point can clear, and after 100000
+    draws per point asked for."""
     mid0, mid1 = _axis_crossings(params)
     if margin >= 0.5 * abs(mid1 - mid0):
         raise RuntimeError("interior sampling did not converge")
-    xs, ys = _bounding_box(params)
+    (x_lo, x_hi), (y_lo, y_hi) = _bounding_box(params)
+    low, high = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
     out = []
-    guard = 0
+    budget = 100000 * (count + 1)
     while len(out) < count:
-        guard += 1
-        if guard > 100000 * (count + 1):
+        if budget <= 0:
             raise RuntimeError("interior sampling did not converge")
-        z = complex(rng.uniform(*xs), rng.uniform(*ys))
-        if classify_point(params, z) != "interior":
-            continue
-        # the corners end the arcs, so this also keeps z clear of them
-        if boundary_distance(params, z)[0] < margin:
-            continue
-        out.append(z)
+        block = min(_DRAW_BLOCK, budget)
+        state = rng.bit_generator.state
+        z = rng.uniform(low, high, size=(block, 2)).view(complex)[:, 0]
+        used = block
+        for i in np.flatnonzero(classify_point(params, z) == "interior"):
+            # the corners end the arcs, so this also keeps z clear of them
+            if boundary_distance(params, z[i])[0] < margin:
+                continue
+            out.append(complex(z[i]))
+            if len(out) == count:
+                used = i + 1
+                break
+        budget -= used
+        if used < block:
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(used, 2))
     return np.array(out)
 
 

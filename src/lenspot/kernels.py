@@ -138,14 +138,6 @@ class KernelField:
         z, zeta = self._args(z, zeta, corners=True, pole=False)
         return self._out(2.0 * self._log_ratio(z, zeta, True), z, zeta)
 
-    def d_green_dzeta(self, z, zeta):
-        """Holomorphic zeta-derivative of the Green function."""
-        z, zeta = self._args(z, zeta, corners=True)
-        total = self._sum(lambda k: self._num_coeffs(k, z)[0]
-                          / self._num(k, z, zeta)
-                          - self._den_coeffs(k, z)[0] / self._den(k, z, zeta))
-        return self._out(total, z, zeta, scalar=complex)
-
     def poisson_kernel(self, z, bp: BoundaryPoint):
         """Poisson kernel against a non-corner boundary point batch."""
         z, zeta = self._args(z, bp.point, corners=True)
@@ -208,16 +200,6 @@ class KernelField:
         z, zeta = self._args(z, zeta)
         return self._out(1.0 - 2.0 * np.real(z / (z - zeta)), z, zeta)
 
-    def carrier_green(self, z, zeta):
-        """Green function of the region cut out by the C0 carrier circle."""
-        z, zeta = self._args(z, zeta)
-        alpha, theta = self.params.alpha, self.params.theta
-        num = (np.conj(z) * zeta * math.sin(alpha - theta)
-               + (np.conj(z) + zeta) * math.sin(theta) - math.sin(alpha + theta))
-        val = 2.0 * (np.log(np.abs(num)) - np.log(np.abs(z - zeta))
-                     - self._log_sin_alpha)
-        return self._out(val, z, zeta)
-
     def carrier_poisson(self, z, zeta):
         z, zeta = self._args(z, zeta)
         alpha, theta = self.params.alpha, self.params.theta
@@ -225,12 +207,6 @@ class KernelField:
                + 2.0 * np.real((z * math.sin(alpha - theta) + math.sin(theta))
                                / ((z - zeta) * math.sin(alpha))))
         return self._out(val, z, zeta)
-
-    def reference_kernels(self):
-        """The four comparison kernels keyed g0/p0 (carrier region) and
-        g1/p1 (unit disc), used by the boundary-limit tests."""
-        return {"g0": self.carrier_green, "p0": self.carrier_poisson,
-                "g1": self.disc_green, "p1": self.disc_poisson}
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -246,23 +222,31 @@ class KernelField:
     def blaschke_product(self, z, zeta):
         """prod_k (zeta - z_{2k+1})/(zeta - z_{2k}) over the orbit of z,
         evaluated projectively so orbit points at infinity are fine."""
-        zeta = complex(zeta)
+        return self.blaschke_products(z, [zeta])[0]
+
+    def blaschke_products(self, z, zetas):
+        """blaschke_product(z, zeta) for each of zetas, as a list; the orbit
+        of z is built once, and each zeta takes the same Python complex
+        arithmetic as a lone one."""
         orbit = reflection_orbit(self.params, complex(z))
-        num = complex(1.0)
-        den = complex(1.0)
-        for k in range(self.params.n):
-            even = orbit.homogeneous[2 * k]
-            odd = orbit.homogeneous[2 * k + 1]
-            hit_odd = zeta * odd.w - odd.z
-            hit_even = zeta * even.w - even.z
-            if abs(hit_odd) == 0.0 or abs(hit_even) == 0.0:
-                raise ValueError("zeta coincides with a reflection orbit point")
-            # orbit points at infinity (w == 0) contribute a clean 0 or pole
-            num *= hit_odd * even.w
-            den *= hit_even * odd.w
-        if den == 0.0:
-            return complex(math.inf, 0.0)
-        return num / den
+        pairs = [(orbit.homogeneous[2 * k], orbit.homogeneous[2 * k + 1])
+                 for k in range(self.params.n)]
+        out = []
+        for zeta in map(complex, zetas):
+            num = complex(1.0)
+            den = complex(1.0)
+            for even, odd in pairs:
+                hit_odd = zeta * odd.w - odd.z
+                hit_even = zeta * even.w - even.z
+                if abs(hit_odd) == 0.0 or abs(hit_even) == 0.0:
+                    raise ValueError("zeta coincides with a reflection orbit "
+                                     "point")
+                # orbit points at infinity (w == 0) contribute a clean 0 or
+                # pole
+                num *= hit_odd * even.w
+                den *= hit_even * odd.w
+            out.append(complex(math.inf, 0.0) if den == 0.0 else num / den)
+        return out
 
 
 def evaluate_on_grid(field, kind, zeta, nx, ny):

@@ -358,6 +358,9 @@ def _patch(spec, params, near):
     least = max(floor, 2.0 * tol)
     lo, hi = edges[:-1], edges[1:]
     width = hi - lo
+    if width.max() <= least:
+        # the allowance is never below least, so no panel can be marked
+        return None
     targets = [near_t]
     gap = np.maximum(lo - near_t, near_t - hi)
     if params.n == 1:

@@ -8,6 +8,13 @@ collects the table for one parameter choice.  `lenspot validate` renders
 it and sets the exit code, and the acceptance test asserts the full tier
 at six parameter sets.  The quick tier draws fewer samples against the
 same tolerances.  All randomness is seeded, so runs are byte-identical.
+
+Each line evaluates its samples in batched calls, per arc or per node
+rather than per (z, zeta) pair, and every batched helper returns exactly
+the values of the per-sample loop it replaced (tests/test_validation.py).
+Where a batched form would round differently and move a printed value,
+the scalar evaluation is kept: the orbit product and G on the
+orbit-product line, and the product-form G of the singular area integral.
 """
 
 from __future__ import annotations
@@ -78,8 +85,11 @@ def _err_check(name, value, tol):
 
 
 def _worst(values):
-    """Largest of the values; NaN if any is NaN, so the check fails."""
-    return np.max([0.0] + list(values))
+    """Largest of the values, 0.0 if there are none; NaN if any is NaN, so
+    the check fails."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.max(values, initial=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -109,23 +119,28 @@ def _on_boundary(params, count, f):
     return _worst(np.abs(f(b)).max() for b in _batches(params, count))
 
 
-def _normal_fd_gap(params, nodes, sources, f, target, scale=1.0, h=1e-5):
-    """Largest |target(s, bp) - scale * d/dnu f(s, .)| over sources s and
-    boundary nodes bp, by central differences along the outward normal.
-    Pairs closer than 0.05 are skipped: there the step's truncation error,
+def _normal_fd_gaps(params, count, sources, f, target, scale=1.0, h=1e-5):
+    """|target(s, bp) - scale * d/dnu f(s, .)| for each of the count
+    boundary nodes bp per arc (_nodes) and each source s, by central
+    differences along the outward normal, node by node in one array.  f and
+    target take an arc's (source, node) pairs as two arrays.  Pairs closer
+    than 0.05 are skipped: there the step's truncation error,
     ~(h/distance)^2 relative, reaches the tolerances."""
+    sources = np.asarray(sources)
     gaps = []
-    for bp in nodes:
-        q, _ = normal_coeffs(params, bp)
-        for s in sources:
-            if abs(s - bp.point) < 0.05:
-                continue
-            fd = (f(s, bp.point + h * q) - f(s, bp.point - h * q)) / (2 * h)
-            gaps.append(abs(target(s, bp) - scale * fd))
-    return _worst(gaps)
+    for b in _batches(params, count):
+        node, source = np.nonzero(np.abs(sources - b.point[:, None]) >= 0.05)
+        bp = BoundaryPoint(b.arc_id, b.t[node], b.point[node], b.arclen[node])
+        step = h * normal_coeffs(params, bp)[0]
+        s = sources[source]
+        fd = (f(s, bp.point + step) - f(s, bp.point - step)) / (2 * h)
+        gaps.append(np.abs(target(s, bp) - scale * fd))
+    return np.concatenate(gaps)
 
 
 def _fd_laplacian(f, z, h):
+    """Five-point Laplacian of f at the points z, each f call on all of
+    them at once."""
     return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h ** 2
 
 
@@ -257,24 +272,21 @@ def _kernel_checks(params, spec, rng, tier):
     h = 1e-4
     zeta0 = ws[0]
     near = zs[:max(4, tier.pairs // 4)]
-    out.append(_err_check("green harmonic away from the pole", _worst(
-        abs(_fd_laplacian(lambda v: fld.green(v, zeta0), z, h))
-        for z in near if abs(z - zeta0) > 0.1), 1e-3))
-    out.append(_err_check("regularized neumann harmonic", _worst(
-        abs(_fd_laplacian(lambda v: fld.neumann_regular(v, zeta0), z, h))
-        for z in near), 1e-3))
+    far = near[np.abs(near - zeta0) > 0.1]
+    out.append(_err_check("green harmonic away from the pole", _worst(np.abs(
+        _fd_laplacian(lambda v: fld.green(v, zeta0), far, h))), 1e-3))
+    out.append(_err_check("regularized neumann harmonic", _worst(np.abs(
+        _fd_laplacian(lambda v: fld.neumann_regular(v, zeta0), near, h))),
+        1e-3))
 
     out.append(_err_check("orbit product = kernel product * prefactor", _worst(
-        abs(abs(fld.blaschke_product(z, bp.point))
-            - fld.prefactor_abs(z) * math.exp(0.5 * fld.green(z, bp.point)))
-        for bp in _nodes(params, 5) for z in zs[:3]
-        if abs(z - bp.point) >= 1e-3), 1e-9))
+        _orbit_product_gaps(fld, zs[:3], _nodes(params, 5))), 1e-9))
 
-    fd_nodes = _nodes(params, tier.fd_nodes)
     out.append(_err_check(
         "poisson kernel = -1/2 normal derivative",
-        _normal_fd_gap(params, fd_nodes, zs[:tier.fd_points], fld.green,
-                       fld.poisson_kernel, scale=-0.5), 1e-6))
+        _worst(_normal_fd_gaps(params, tier.fd_nodes, zs[:tier.fd_points],
+                               fld.green, fld.poisson_kernel, scale=-0.5)),
+        1e-6))
 
     # grading the panels toward z, as the solvers do, resolves the
     # kernel's peak for mass points close to the boundary
@@ -293,9 +305,10 @@ def _kernel_checks(params, spec, rng, tier):
 
     out.append(_err_check(
         "neumann density matches normal derivative",
-        _normal_fd_gap(params, fd_nodes, ws[:tier.fd_points],
-                       lambda zeta, v: fld.neumann(v, zeta),
-                       lambda zeta, bp: fld.normal_density(bp)), 1e-5))
+        _worst(_normal_fd_gaps(params, tier.fd_nodes, ws[:tier.fd_points],
+                               lambda zeta, v: fld.neumann(v, zeta),
+                               lambda zeta, bp: fld.normal_density(bp))),
+        1e-5))
 
     mass = -integrate_boundary(spec, params,
                                lambda bp: fld.normal_density(bp)) / (4 * math.pi)
@@ -309,6 +322,21 @@ def _kernel_checks(params, spec, rng, tier):
                               np.abs(g_zw - fld.disc_green(zs, ws)).max(),
                               1e-12))
     return out
+
+
+def _orbit_product_gaps(fld, zs, nodes):
+    """||B(z, zeta)| - |prefactor(z)| e^(G(z, zeta)/2)| for each point z
+    and node zeta at least 1e-3 from z, as a list, B being the orbit
+    product (Blaschke product) of z.  The orbit and the prefactor are built
+    once per z; B and G stay scalar per zeta, because their batched forms
+    round differently."""
+    gaps = []
+    for z in zs:
+        zetas = [bp.point for bp in nodes if abs(z - bp.point) >= 1e-3]
+        prefactor = fld.prefactor_abs(z)
+        gaps += [abs(abs(b) - prefactor * math.exp(0.5 * fld.green(z, zeta)))
+                 for zeta, b in zip(zetas, fld.blaschke_products(z, zetas))]
+    return gaps
 
 
 def _limit_checks(params, fld):
@@ -345,22 +373,36 @@ def _limit_checks(params, fld):
             for d, label, tol in ((1e-4, "1e-4", 1e-2), (1e-6, "1e-6", 1e-4))]
 
 
-def _strip_boundary_gap(params, spec, zs):
-    """Largest gap between the strip-form boundary kernels of the solvers
-    and the product kernels, p and N at the boundary_mesh(near=z) nodes of
-    every arc, relative to max(1, |value|)."""
+def _strip_boundary_gaps(params, spec, zs):
+    """The gaps between the strip-form boundary kernels of the solvers and
+    the product kernels, p and N at the boundary_mesh(near=z) nodes of
+    every arc, relative to max(1, |value|), in one array.
+
+    Each arc's nodes of all the points go into one call per kernel, with
+    each point repeated once per node of its own.  The strip forms take the
+    z sides of single points stacked (poisson_steps), as the solvers do, so
+    every value equals a one-point call's."""
     fld = KernelField(params)
     smap = sector_map(params)
+    zs = [complex(z) for z in zs]
+    meshes = [boundary_mesh(spec, params, near=z) for z in zs]
     gaps = []
-    for z in map(complex, zs):
-        for bp, _ in boundary_mesh(spec, params, near=z):
-            for strip, product in (
-                    (smap.strip_poisson(z, bp.point), fld.poisson_kernel(z, bp)),
-                    (smap.strip_neumann_at(z, bp.point),
-                     fld.neumann(bp.point, z))):
-                gaps.append((np.abs(strip - product)
-                             / np.maximum(1.0, np.abs(product))).max())
-    return _worst(gaps)
+    for arc_meshes in zip(*meshes):
+        batches = [bp for bp, _ in arc_meshes]
+        counts = [bp.point.size for bp in batches]
+        bp = BoundaryPoint(batches[0].arc_id,
+                           *(np.concatenate([getattr(b, part) for b in batches])
+                             for part in ("t", "point", "arclen")))
+        z = np.repeat(zs, counts)
+        for (source, nodes_of, pair), product in (
+                (smap.poisson_steps(), fld.poisson_kernel(z, bp)),
+                (smap.neumann_steps(), fld.neumann(bp.point, z))):
+            sides = tuple(np.repeat(part, counts)
+                          for part in zip(*map(source, zs)))
+            strip = pair(sides, nodes_of(bp.point))
+            gaps.append(np.abs(strip - product)
+                        / np.maximum(1.0, np.abs(product)))
+    return np.concatenate(gaps)
 
 
 def _conformal_checks(params, spec, rng, tier):
@@ -386,8 +428,9 @@ def _conformal_checks(params, spec, rng, tier):
         _err_check("strip form agrees with product kernel", strip_gap, 1e-12),
         # p and N as the solvers' boundary integrals use them
         _err_check("strip boundary kernels agree with product kernels",
-                   _strip_boundary_gap(params, spec,
-                                       zs[:max(4, tier.pairs // 4)]), 1e-11),
+                   _worst(_strip_boundary_gaps(params, spec,
+                                               zs[:max(4, tier.pairs // 4)])),
+                   1e-11),
         _err_check("oracle symmetric",
                    np.abs(oracle - smap.green(ws, zs)).max(), 1e-12),
         _err_check("oracle vanishes on the boundary",
@@ -483,15 +526,7 @@ def _solver_checks(params, spec, rng, tier):
     out.append(_err_check("dirichlet stable under refinement",
                           np.abs(coarse - fine).max(), 1e-6))
 
-    worst = {1e-2: 0.0, 1e-3: 0.0}
-    for arc_id, arc in arcs(params).items():
-        bp = boundary_point(params, arc_id, 0.35 * arc.half_width)
-        q, _ = normal_coeffs(params, bp)
-        for d in (1e-2, 1e-3):
-            z = bp.point - d * q
-            w = solve_dirichlet(params, spec, BoundaryData.from_expression("re"),
-                                SourceTerm.zero(), [z])[0]
-            worst[d] = max(worst[d], abs(w - bp.point.real))
+    worst = _attainment_errors(params, spec)
     decreasing = worst[1e-3] < worst[1e-2]
     out.append(CheckResult("dirichlet boundary attainment (final error)",
                            worst[1e-3], 5e-3,
@@ -574,6 +609,23 @@ def _area_route_checks(params, spec, pts):
     out.append(_err_check("neumann area route agrees with closed-form source "
                           "(up to a constant)", diff.max() - diff.min(), 1e-8))
     return out
+
+
+def _attainment_errors(params, spec):
+    """{d: largest |w - Re zeta|} for the Dirichlet solution w of Re z at
+    the points z = zeta - d nu, d = 1e-2 and 1e-3 inside one node zeta of
+    each arc; all of them in one solve."""
+    near = []
+    for arc_id, arc in arcs(params).items():
+        bp = boundary_point(params, arc_id, 0.35 * arc.half_width)
+        q, _ = normal_coeffs(params, bp)
+        near += [(d, bp.point, bp.point - d * q) for d in (1e-2, 1e-3)]
+    w = solve_dirichlet(params, spec, BoundaryData.from_expression("re"),
+                        SourceTerm.zero(), [z for *_, z in near])
+    worst = {1e-2: 0.0, 1e-3: 0.0}
+    for (d, zeta, _), value in zip(near, w):
+        worst[d] = max(worst[d], abs(value - zeta.real))
+    return worst
 
 
 def run_checks(params, spec=None, quick=False):

@@ -9,6 +9,7 @@ from lenspot import (BoundaryPoint, HomogeneousPoint, KernelField, LensParams,
                      boundary_point, boundary_samples, classify_point,
                      equivalent, normal_coeffs, reflect_point,
                      reflection_orbit, sample_interior, unit_circle)
+from lenspot.domain import _axis_crossings, _bounding_box
 
 HALF = LensParams(math.pi / 2, 2)           # alpha = theta: chord case
 CURVED = LensParams(2 * math.pi / 3, 2)     # alpha > theta: concave second arc
@@ -339,6 +340,40 @@ class TestHelpers:
         for z in sample_interior(CURVED, rng, 30, margin=0.05):
             assert classify_point(CURVED, z) == "interior"
             assert boundary_distance(CURVED, z)[0] >= 0.05
+
+    @pytest.mark.parametrize("params",
+                             [CURVED, DISC, LensParams(math.pi / 2, 8)])
+    @pytest.mark.parametrize("count, margin",
+                             [(1, 1e-3), (30, 1e-3), (7, 0.08)])
+    def test_sample_interior_draws_one_candidate_at_a_time(self, params,
+                                                           count, margin):
+        # the definition: draw x, then y, keep the point if it clears the
+        # margin; the blocks must give the same points and leave the
+        # generator where this loop does
+        rng = np.random.default_rng(count)
+        (x_lo, x_hi), (y_lo, y_hi) = _bounding_box(params)
+        expected = []
+        while len(expected) < count:
+            z = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
+            if (classify_point(params, z) == "interior"
+                    and boundary_distance(params, z)[0] >= margin):
+                expected.append(z)
+        after = rng.bit_generator.state
+        rng = np.random.default_rng(count)
+        assert sample_interior(params, rng, count, margin).tolist() == expected
+        assert rng.bit_generator.state == after
+
+    def test_sample_interior_gives_up_after_its_draw_budget(self):
+        # one point needs 200000 draws to fail; margin 0.49998 of the lens
+        # width on the axis leaves no room at this set
+        params = LensParams(0.6 * math.pi, 64)
+        mid0, mid1 = _axis_crossings(params)
+        rng = np.random.default_rng(5)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sample_interior(params, rng, 1, margin=0.49998 * abs(mid1 - mid0))
+        reference = np.random.default_rng(5)
+        reference.random(2 * 200000)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_sample_interior_fails_fast(self):
         # margin 0.05 is more than half the width of this thin lens

@@ -80,16 +80,6 @@ class TestGreen:
                    - 4 * fld.green(z, zeta)) / h ** 2
             assert abs(lap) < 1e-3
 
-    def test_derivative_matches_finite_difference(self):
-        fld = KernelField(CURVED)
-        z, zeta = 0.35 + 0.2j, 0.1 - 0.3j
-        h = 1e-6
-        # dG/dzeta = (d/dx - i d/dy)/2 of G in the zeta slot
-        dx = (fld.green(z, zeta + h) - fld.green(z, zeta - h)) / (2 * h)
-        dy = (fld.green(z, zeta + 1j * h) - fld.green(z, zeta - 1j * h)) / (2 * h)
-        assert fld.d_green_dzeta(z, zeta) == pytest.approx((dx - 1j * dy) / 2,
-                                                           abs=1e-7)
-
 
 class TestPoisson:
     @pytest.mark.parametrize("params", CASES)
@@ -125,22 +115,6 @@ class TestPoisson:
         assert fld.disc_poisson(0.0, zeta) == pytest.approx(1.0)
         assert fld.disc_green(0.0, zeta) == pytest.approx(-math.log(abs(zeta) ** 2),
                                                           abs=1e-12)
-
-    def test_reference_kernel_bundle(self):
-        fld = KernelField(CURVED)
-        bundle = fld.reference_kernels()
-        assert set(bundle) == {"g0", "p0", "g1", "p1"}
-        assert bundle["g1"](0.2, 0.5) == fld.disc_green(0.2, 0.5)
-        assert bundle["p0"](0.2, 0.5) == fld.carrier_poisson(0.2, 0.5)
-
-    @pytest.mark.parametrize("params", [CURVED, LENS])
-    def test_carrier_green_vanishes_on_carrier(self, params):
-        fld = KernelField(params)
-        arc = arcs(params)["C0"]
-        z = complex(sample_interior(params, np.random.default_rng(4), 1)[0])
-        phis = np.linspace(0, 2 * math.pi, 7)[:-1]
-        carrier_points = arc.center + arc.radius * np.exp(1j * phis)
-        assert np.abs(fld.carrier_green(carrier_points, z)).max() < 1e-9
 
 
 class TestNeumann:
