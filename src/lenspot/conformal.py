@@ -26,11 +26,12 @@ where L(w) = log|s - 1|^2 with s = e^w/rotation, so that
 |zeta - c-| = |c+ - c-|/|s - 1|.  The constant makes N equal the paper's
 product form, not just up to a constant, so the two forms are
 interchangeable in every integral of a Neumann solve.  The solvers' area
-integrals use strip_green and strip_neumann on the nodes
-quadrature.area_mesh lays out in w; their boundary integrals use
-strip_poisson and strip_neumann_at on the boundary nodes, N being
-symmetric.  On the boundary F1 = F2, so the Poisson kernel -1/2 dG/dnu
-takes one gap and two sines (see strip_poisson).
+integrals use strip_green and strip_neumann, in three steps
+(strip_green_steps, strip_neumann_steps), on the nodes the area mesh
+lays out in w; their boundary integrals use strip_poisson and
+strip_neumann_at on the boundary nodes, N being symmetric.  On the
+boundary F1 = F2, so the Poisson kernel -1/2 dG/dnu takes one gap and two
+sines (see strip_poisson).
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def _image_gaps(n, x, y, x0, y0s):
     pays one multiply-add per node and image."""
     a, b = _image_terms(n, x, x0)
     return [a + b * np.sin(0.5 * n * (y - y0)) ** 2 for y0 in y0s]
+
+
+def _strip_nodes(x, y):
+    """The node side of strip_green: the strip coordinates themselves."""
+    return x, y
 
 
 class SectorMap:
@@ -107,9 +113,18 @@ class SectorMap:
         ex = np.exp(x)
         s = ex * (np.exp(1j * np.asarray(y)) / self.rotation)
         d = s - 1.0
-        d2 = d.real * d.real + d.imag * d.imag
+        d2 = d.real * d.real
+        d2 += d.imag * d.imag
+        # z = (c- s - c+) / d formed in place, each array let go once used:
+        # the area patches pull back many nodes at once
+        z = self.cm * s
+        del s
+        z -= self.cp
+        z /= d
+        del d
+        d2 *= d2
         scale = 2.0 * math.sin(self.params.alpha)
-        return (self.cm * s - self.cp) / d, (scale * ex) ** 2 / (d2 * d2)
+        return z, (scale * ex) ** 2 / d2
 
     def _log_gap(self, x, y):
         """L(w) = log|e^w/rotation - 1|^2 at w = x + iy, the Jacobian pole
@@ -142,12 +157,7 @@ class SectorMap:
         """Green function G(z, zeta) at zeta with strip coordinate x + iy;
         equals KernelField.green.  ValueError at the corners, which have no
         image, and where the value is not finite (zeta at z)."""
-        to_plus, to_minus, _ = self._gaps(z)
-        w0 = self._image(to_plus, to_minus)
-        x0, y0 = w0.real, w0.imag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f1, f2 = _image_gaps(self.params.n, x, y, x0, (y0, -y0))
-            return self._finite(np.log(f2 / f1))
+        return self._green_pair(self._green_source(z), _strip_nodes(x, y))
 
     def strip_neumann(self, z, x, y):
         """Neumann function N(z, zeta) at zeta with strip coordinate x + iy;
@@ -185,6 +195,16 @@ class SectorMap:
         return self._poisson_pair(self._poisson_source(z),
                                   self._poisson_nodes(zeta))
 
+    def strip_green_steps(self):
+        """strip_green in three steps, as poisson_steps, the node side
+        taking strip coordinates x and y: strip_green(z, x, y) ==
+        pair(source(z), nodes(x, y))."""
+        return self._green_source, _strip_nodes, self._green_pair
+
+    def strip_neumann_steps(self):
+        """strip_neumann in three steps, as strip_green_steps."""
+        return self._neumann_source, self._neumann_nodes, self._neumann_pair
+
     def poisson_steps(self):
         """strip_poisson in three steps, for many points against one set
         of nodes: (source, nodes, pair), with strip_poisson(z, zeta) ==
@@ -204,6 +224,20 @@ class SectorMap:
         """strip_neumann_at in three steps, as poisson_steps."""
         return (self._neumann_source, self._neumann_nodes_at,
                 self._neumann_pair)
+
+    def _green_source(self, z):
+        """x0 and y0, w0 = x0 + i y0 being the image of z."""
+        to_plus, to_minus, _ = self._gaps(z)
+        w0 = self._image(to_plus, to_minus)
+        return w0.real, w0.imag
+
+    def _green_pair(self, source, nodes):
+        x0, y0 = source
+        x, y = nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f1, f2 = _image_gaps(self.params.n, x, y, x0, (y0, -y0))
+            f2 /= f1
+            return self._finite(np.log(f2))
 
     def _poisson_source(self, z):
         """z, z - c+, z - c- and y0 = Im w0."""

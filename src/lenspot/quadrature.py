@@ -40,12 +40,19 @@ once, over all the nodes of all arcs.
 
 A singular point replaces only the plain area cells the rule would split
 toward w0: a square around w0 becomes a Duffy star of 8 triangles with
-apex w0, whose radial panels are graded geometrically (_star), and the
-rest of those cells is split toward w0 with no floor.  The singular
-point's reflection images are the mirror images of w0 in the strip's
-edges; they bound the star's size, which stays below half of w0's
-distance to an edge, and the rule's cells are never closer to them than
-to w0.
+apex w0, whose radial panels are graded geometrically (_reference_star),
+and the rest of those cells is split toward w0 with no floor.  The
+singular point's reflection images are the mirror images of w0 in the
+strip's edges; they bound the star's size, which stays below half of
+w0's distance to an edge, and the rule's cells are never closer to them
+than to w0.  _singular_patches builds these patches for many points at
+once, and area_mesh(singular_at=z) is its patch for z alone spliced
+into the plain mesh.  _integrate_area, the solvers' area evaluator,
+keeps the two apart as _integrate_kernel does on the boundary: it forms
+f and the kernel on the plain mesh once for all the points of a call,
+leaves out each point's replaced cells, adds its patch, and sums each
+point's nodes exactly, so that every value is the one that point's own
+area_mesh gives.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -68,6 +75,7 @@ _SINGULAR_FLOOR = 1e-5      # reach of the Duffy star's innermost panel in w
 _STAR_RATIO = 0.225         # Duffy star half-width per unit distance to a singularity
 _NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
 _PAIR_BUDGET = 2 ** 14      # (point, node) pairs a boundary kernel takes at once
+_AREA_BUDGET = 2 ** 15      # (point, node) pairs an area kernel takes at once
 
 
 @dataclass(frozen=True)
@@ -128,26 +136,35 @@ def _insert_edges(edges, positions):
 
 
 def _split(lo, hi, attractors):
-    """Bisect boxes toward attractors; returns the leaves as (lo, hi).
+    """Bisect boxes toward attractors; returns the leaves as (lo, hi, box),
+    box holding the index of the box each leaf came from.
 
     lo and hi hold the boxes' corners, one row per axis, in any dimension;
-    each attractor is a (point, floor) pair of per-axis sequences.  Every
-    leaf is at most min over attractors of max(floor, _ATTRACT_RATIO * d)
-    wide along each axis, d being its Euclidean distance to the attractor's
-    point.  Each level halves every box still too wide across the axis that
-    overshoots its allowance most (the first on a tie), for the whole batch
-    at once.  The area mesh's cells go through here; _graded_edges gives
-    the same leaves for panel edges.
+    each attractor is a (point, floor) pair of per-axis arrays, one value
+    per axis or one column per box (each box then has its own point or
+    floor).  Every leaf is at most min over attractors of
+    max(floor, _ATTRACT_RATIO * d) wide along each axis, d being its
+    Euclidean distance to the attractor's point.  Each level halves every
+    box still too wide across the axis that overshoots its allowance most
+    (the first on a tie), for the whole batch at once.  The area mesh's
+    cells go through here; _graded_edges gives the same leaves for panel
+    edges.
     """
-    dim = len(lo)
-    attractors = [(np.array(p, dtype=float)[:, None],
-                   np.array(f, dtype=float)[:, None]) for p, f in attractors]
-    boxes = np.concatenate([lo, hi])   # rows: lo by axis, then hi by axis
+    dim, count = lo.shape
+    # rows: lo by axis, hi by axis, each attractor's point and floor by
+    # axis, and the box index, so that a half carries all of its box's rows
+    rows = [lo, hi]
+    for pair in attractors:
+        rows += [np.broadcast_to(np.asarray(a, dtype=float).reshape(dim, -1),
+                                 (dim, count)) for a in pair]
+    boxes = np.concatenate(rows + [np.arange(count, dtype=float)[None]])
     leaves = []
-    while boxes.shape[1]:
-        lo, hi = boxes[:dim], boxes[dim:]
+    while True:
+        lo, hi = boxes[:dim], boxes[dim:2 * dim]
         allowances = []
-        for point, floor in attractors:
+        for k in range(2, 2 + 2 * len(attractors), 2):
+            point, floor = boxes[k * dim:(k + 1) * dim], boxes[(k + 1) * dim:
+                                                             (k + 2) * dim]
             gap = np.maximum(np.maximum(lo - point, point - hi), 0.0)
             allowances.append(np.maximum(floor,
                                          _ATTRACT_RATIO * reduce(np.hypot, gap)))
@@ -164,8 +181,10 @@ def _split(lo, hi, attractors):
             first[dim + k] = second[k] = 0.5 * (first[k] + first[dim + k])
             halves += [first, second]
         boxes = np.concatenate(halves, axis=1)
+        if not boxes.shape[1]:
+            break
     leaves = np.concatenate(leaves, axis=1)
-    return leaves[:dim], leaves[dim:]
+    return leaves[:dim], leaves[dim:2 * dim], leaves[-1].astype(int)
 
 
 def _graded_edges(edges, attractors, min_width):
@@ -443,16 +462,18 @@ def _plain_nodes(spec, params, nodes_of):
     return nodes
 
 
-def _kernel_rows(kernel, points, nodes):
+def _kernel_rows(kernel, points, nodes, budget=_PAIR_BUDGET):
     """(chunk, z sides, values) over chunks of points, values holding the
     kernel of each point against the nodes' side, one row per point; no
-    chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
-    the chunk's one-point z sides stacked part by part, one row each."""
+    chunk has more than budget (point, node) pairs.  The z sides are the
+    chunk's one-point z sides stacked part by part, one row each, with one
+    more axis for each axis of the nodes' arrays."""
     source, _, pair = kernel
-    rows = max(1, _PAIR_BUDGET // nodes[0].size)
+    shape = np.broadcast(*nodes).shape
+    rows = max(1, budget // math.prod(shape))
     for i in range(0, len(points), rows):
         chunk = points[i:i + rows]
-        sides = tuple(np.array(part)[:, None]
+        sides = tuple(np.array(part).reshape((-1,) + (1,) * len(shape))
                       for part in zip(*map(source, chunk)))
         yield chunk, sides, pair(sides, nodes)
 
@@ -567,8 +588,10 @@ def _plain_area(spec, params):
 
 
 def _carve(lo, hi, center, half):
-    """The boxes [lo, hi] cut along the edge lines of the square of
-    half-width half around center, the pieces inside the square left out."""
+    """The boxes [lo, hi] cut along the edge lines of squares, box i's
+    square having half-width half[i] around center[:, i], the pieces inside
+    the squares left out.  Returns the pieces as (lo, hi, box), box holding
+    the index of the box each piece came from."""
     # per axis: the parts below, across and above the square's span
     cuts = [np.clip(center[k] + s * half, lo[k], hi[k]) for k in range(2)
             for s in (-1.0, 1.0)]
@@ -579,38 +602,118 @@ def _carve(lo, hi, center, half):
               for j, (c, d) in enumerate(spans[1]) if (i, j) != (1, 1)]
     lo = np.concatenate([p for p, _ in pieces], axis=1)
     hi = np.concatenate([q for _, q in pieces], axis=1)
+    box = np.tile(np.arange(center.shape[1]), len(pieces))
     keep = np.all(hi > lo, axis=0)
-    return lo[:, keep], hi[:, keep]
+    return lo[:, keep], hi[:, keep], box[keep]
 
 
-def _star(smap, w0, half, floor, order):
-    """Nodes of the Duffy star: the square of half-width half around w0 as
-    8 right triangles with apex w0, each the image of the unit square under
+@lru_cache(maxsize=64)
+def _reference_star(levels, order):
+    """The Duffy star around 0 with half-width 1 and levels graded radial
+    panels, read-only: (legs, s^2, weights), each star node being
+    w0 + half * leg * s^2 with weight half^2 * weight times the Jacobian
+    (_stars).
+
+    The square of half-width half around w0 is cut into 8 right triangles
+    with apex w0, each the image of the unit square under
     w = w0 + u * half * e * (1 + i t v), e running over the four axis
     directions and t over +-1, with Jacobian u * half^2 (Duffy, SIAM J.
     Numer. Anal. 19, 1982).  The log pole log|w - w0| = log u + log half +
     log|1 + i v| then splits off the smooth part.
 
     Gauss-Legendre is not full order for u log u (8 nodes on [0, 1] are off
-    by 4.9e-5), so u = s^2 and the panels in s halve toward 0 until the
-    innermost reaches at most floor from w0; in s the integrand is
-    s^3 log s, which 8 nodes on [0, 1] integrate to 3.6e-8.  v takes two
-    more nodes than s: log(1 + v^2) has poles at v = +-i, and 8 nodes leave
-    3.9e-12 of its integral where 10 leave 5.5e-15.  Returns (points,
-    weights, x, y) as flat arrays."""
-    levels = max(0, math.ceil(0.5 * math.log2(half / floor)))
+    by 4.9e-5), so u = s^2 and the panels in s halve toward 0 levels times;
+    in s the integrand is s^3 log s, which 8 nodes on [0, 1] integrate to
+    3.6e-8.  v takes two more nodes than s: log(1 + v^2) has poles at
+    v = +-i, and 8 nodes leave 3.9e-12 of its integral where 10 leave
+    5.5e-15."""
     edges = 0.5 ** np.arange(levels, -1, -1.0)
     s, ws = (g.ravel() for g in _gauss_nodes(np.append(0.0, edges[:-1]),
                                                edges, order))
     v, wv = (g[0] for g in _gauss_nodes(np.zeros(1), np.ones(1), order + 2))
     legs = np.array([e * (1.0 + 1j * t * v) for t in (1.0, -1.0)
                      for e in (1.0, 1j, -1.0, -1j)])[:, :, None]
-    w = w0 + half * legs * (s * s)
-    x, y = w.real.ravel(), w.imag.ravel()
-    points, jacobian = smap.pullback(x, y)
     # u du = 2 s^3 ds
-    weights = np.broadcast_to(wv[:, None] * (2.0 * s ** 3 * ws), w.shape)
-    return points, weights.ravel() * (half * half) * jacobian, x, y
+    weights = np.broadcast_to(wv[:, None] * (2.0 * s ** 3 * ws),
+                              (8, order + 2, s.size)).ravel()
+    star = (legs, s * s, weights)
+    for a in star:
+        a.setflags(write=False)
+    return star
+
+
+def _stars(smap, w0, half, levels, order):
+    """Nodes of the Duffy stars of half-width half[k] around w0[k] with
+    levels[k] graded radial panels, point by point (_reference_star):
+    (points, weights, x, y) as flat arrays."""
+    x, y, weights = ([None] * len(levels) for _ in range(3))
+    for level in set(levels):
+        mine = [k for k, n in enumerate(levels) if n == level]
+        legs, s2, unit = _reference_star(level, order)
+        h = half[mine]
+        w = (w0[mine, None, None, None] + h[:, None, None, None] * legs * s2
+             ).reshape(len(mine), -1)
+        rows = zip(w.real, w.imag, unit * (h * h)[:, None])
+        for k, (xk, yk, wk) in zip(mine, rows):
+            x[k], y[k], weights[k] = xk, yk, wk
+    x, y, weights = (np.concatenate(a) if a else np.zeros(0)
+                     for a in (x, y, weights))
+    points, jacobian = smap.pullback(x, y)
+    return points, weights * jacobian, x, y
+
+
+def _singular_patches(spec, params, points):
+    """The patches that area_mesh(singular_at=z) lays over the plain area
+    mesh, for all the interior points z together: (zones, blocks).
+
+    zones holds one row per point, marking the plain cells its patch
+    replaces.  blocks holds two (build, counts) pairs, build() giving a
+    block of nodes (points, weights, x, y), the points' nodes one after the
+    other along the last axis, and counts their number per point: first
+    the rest of the marked cells after splitting toward w0 (_cell_nodes),
+    then the Duffy stars (_stars).  The blocks are built on demand, so a
+    caller can take one at a time.  A point whose star vanishes (w0 beyond
+    the strip's cut) has no patch.  The marking, carving and splitting run
+    over all the points' cells at once; each point's cells come out as a
+    call with that point alone gives them."""
+    smap, X, lo, hi = _plain_area(spec, params)[:4]
+    order = spec.gauss_order
+    w0 = np.array([complex(smap.to_w(z)) for z in points])
+    top, bottom = -w0.imag, w0.imag + params.theta
+    shrink = min(_shrink(spec, "area_radial"), _shrink(spec, "area_angular"))
+    half = _STAR_RATIO * shrink * np.minimum.reduce(
+        [2.0 * top, 2.0 * bottom, top + smap.gap_top, bottom + smap.gap_bottom,
+         2.0 * (X - np.abs(w0.real))])
+    live = np.flatnonzero(half > 0.0)
+    w0, half = w0[live], half[live]
+
+    center = np.stack([w0.real, w0.imag])
+    box_center, box_half = center.T[:, :, None], half[:, None, None]
+    gap = np.maximum(np.maximum(lo - box_center, box_center - hi), 0.0)
+    gap = np.hypot(gap[:, 0], gap[:, 1])
+    zone = (np.any(hi - lo > _ATTRACT_RATIO * gap[:, None], axis=1)
+            | np.all((lo < box_center + box_half)
+                     & (hi > box_center - box_half), axis=1))
+    zones = np.zeros((len(points), lo.shape[1]), dtype=bool)
+    zones[live] = zone
+    owner, cell = np.nonzero(zone)
+    piece_lo, piece_hi, box = _carve(lo[:, cell], hi[:, cell],
+                                     center[:, owner], half[owner])
+    leaf_lo, leaf_hi, piece = _split(piece_lo, piece_hi,
+                                     [(center[:, owner[box]], np.zeros(2))])
+    leaf_owner = live[owner[box[piece]]]
+    by_owner = np.argsort(leaf_owner, kind="stable")
+    cells = (partial(_cell_nodes, smap, leaf_lo[:, by_owner],
+                     leaf_hi[:, by_owner], order),
+             np.bincount(leaf_owner, minlength=len(points)))
+
+    # the innermost radial panel reaches at most this far from w0
+    floor = _SINGULAR_FLOOR * shrink
+    levels = [max(0, math.ceil(0.5 * math.log2(h / floor))) for h in half]
+    counts = np.zeros(len(points), dtype=int)
+    counts[live] = [8 * (order + 2) * (level + 1) * order for level in levels]
+    stars = partial(_stars, smap, w0, half, levels, order), counts
+    return zones, (cells, stars)
 
 
 def area_mesh(spec, params, singular_at=None):
@@ -628,49 +731,118 @@ def area_mesh(spec, params, singular_at=None):
     once and kept read-only.  With singular_at set (a strictly interior
     point), only the plain cells that _split would split toward its image
     w0 are replaced: the square of half-width R around w0 becomes the Duffy
-    star (_star), and the rest of those cells is split toward w0 by the same
-    rule with no floor, which leaves the cells bordering the square at most
-    0.7 R wide.  R is
-    _STAR_RATIO times the distance from w0 to the nearest singularity of the
-    integrand's smooth part (the mirror images of w0 in the strip's edges
-    and the Jacobian's poles beyond them) or to the mirror of the strip's
-    cut, so the star stays inside the strip.  The strip is truncated where
-    nodes would enter the corner exclusion zone; the Jacobian is ~1e-14
-    there, so nothing of the integral is lost.
+    star (_reference_star), and the rest of those cells is split toward w0
+    by the same rule with no floor, which leaves the cells bordering the
+    square at most 0.7 R wide.  R is _STAR_RATIO times the distance from w0
+    to the nearest singularity of the integrand's smooth part (the mirror
+    images of w0 in the strip's edges and the Jacobian's poles beyond them)
+    or to the mirror of the strip's cut, so the star stays inside the
+    strip.  The strip is truncated where nodes would enter the corner
+    exclusion zone; the Jacobian is ~1e-14 there, so nothing of the
+    integral is lost.
+
+    The patch is _singular_patches' for this point alone, the code that
+    builds the patches of _integrate_area, the solvers' area evaluator;
+    this mesh is the reference it is tested against.
     """
-    smap, X, lo, hi, points, weights, x, y = _plain_area(spec, params)
+    _, _, _, _, points, weights, x, y = _plain_area(spec, params)
     plain = (points.ravel(), weights.ravel(), ((x, y),))
     if singular_at is None:
         return plain
     z0 = complex(singular_at)
     if classify_point(params, z0) != "interior":
         raise ValueError("singular point must lie strictly inside the domain")
-    w0 = complex(smap.to_w(z0))
-    top, bottom = -w0.imag, w0.imag + params.theta
-    shrink = min(_shrink(spec, "area_radial"), _shrink(spec, "area_angular"))
-    half = _STAR_RATIO * shrink * min(2.0 * top, 2.0 * bottom,
-                                      top + smap.gap_top,
-                                      bottom + smap.gap_bottom,
-                                      2.0 * (X - abs(w0.real)))
-    if not half > 0.0:
+    zones, patches = _singular_patches(spec, params, [z0])
+    _, star_nodes = patches[1]
+    if not star_nodes[0]:
         # w0 lies beyond the strip's cut, where nothing is meshed
         return plain
-
-    center = np.array([[w0.real], [w0.imag]])
-    gap = reduce(np.hypot, np.maximum(np.maximum(lo - center, center - hi),
-                                      0.0))
-    zone = (np.any(hi - lo > _ATTRACT_RATIO * gap, axis=0)
-            | np.all((lo < center + half) & (hi > center - half), axis=0))
-    zone_lo, zone_hi = _split(*_carve(lo[:, zone], hi[:, zone], center[:, 0],
-                                      half),
-                              [((w0.real, w0.imag), (0.0, 0.0))])
-    blocks = [tuple(a[..., ~zone] for a in (points, weights, x, y)),
-              _cell_nodes(smap, zone_lo, zone_hi, spec.gauss_order),
-              _star(smap, w0, half, _SINGULAR_FLOOR * shrink,
-                    spec.gauss_order)]
+    blocks = ([tuple(a[..., ~zones[0]] for a in (points, weights, x, y))]
+              + [build() for build, _ in patches])
     return (np.concatenate([b[0].ravel() for b in blocks]),
             np.concatenate([b[1].ravel() for b in blocks]),
             tuple(b[2:] for b in blocks))
+
+
+@lru_cache(maxsize=8)
+def _plain_area_nodes(spec, params, nodes_of):
+    """An area kernel's node side on the plain area mesh of (spec, params),
+    built once and read-only."""
+    x, y = _plain_area(spec, params)[6:]
+    nodes = nodes_of(x, y)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _f_on(f, points):
+    """f at the points, an array of their shape (f's values broadcast)."""
+    return np.broadcast_to(np.asarray(f(points.ravel())),
+                           points.size).reshape(points.shape)
+
+
+def _area_values(f, kernel, sides, build, counts):
+    """f * weight * kernel on a block of patch nodes, build() giving them as
+    (points, weights, x, y), the points' nodes one after the other along
+    the last axis, counts per point; each node is taken against its own
+    point's row of the z sides.  Returns the values of each point, as a
+    list."""
+    _, nodes_of, pair = kernel
+    points, weights, x, y = build()
+    mine = np.repeat(np.arange(len(counts)), counts)
+    sides_of = tuple(part.reshape(-1)[mine] for part in sides)
+    values = _f_on(f, points)
+    # the nodes' points are let go before the kernel's temporaries are made
+    del points
+    with np.errstate(invalid="ignore"):
+        values = pair(sides_of, nodes_of(x, y)) * values
+        values *= weights
+    return np.split(values, np.cumsum(counts)[:-1], axis=-1)
+
+
+def _patched_sums(spec, params, f, kernel, chunk, sides, rows):
+    """The exact sum of each point of the chunk: its row of f * weight *
+    kernel on the plain area mesh, less the plain cells its patch replaces,
+    plus the patch's cells and Duffy star (_singular_patches).  A function
+    of its own, so that a chunk's patch nodes are let go before the next
+    chunk's rows are made."""
+    zones, patches = _singular_patches(spec, params, chunk)
+    # one block at a time, each built only when its values are taken
+    fresh = [_area_values(f, kernel, sides, build, counts)
+             for build, counts in patches]
+    # the plain cells a patch replaces are left out, not zeroed, so that f
+    # need not be finite there
+    return [_exact_total(np.concatenate([row[..., ~zone].ravel()]
+                                        + [a.ravel() for a in new]))
+            for row, zone, *new in zip(rows, zones, *fresh)]
+
+
+def _integrate_area(spec, params, f, kernel, points):
+    """The area integral of f * kernel(z, .) at each of the interior points
+    z, as a list: the correctly rounded sum of f * weight * kernel over the
+    nodes of z's own area_mesh(singular_at=z).
+
+    f maps complex points to values, and kernel is an area kernel of
+    conformal.SectorMap in three steps (z side, node side taking strip
+    coordinates x and y, pair).  The points share the plain area mesh: f
+    is formed on it once, the kernel's node side is kept with it
+    (_plain_area_nodes), and the kernel is taken for all points against
+    all its nodes, in chunks of at most _AREA_BUDGET (point, node) pairs
+    (_kernel_rows).  Each point then leaves out the plain cells its patch
+    replaces and adds its patch's cells and Duffy star, built for the whole
+    chunk at once (_patched_sums).  Each point's sum is exact, so its value
+    does not depend on the other points of the call."""
+    plain = _plain_area(spec, params)
+    f_plain = _f_on(f, plain[4])
+    out = []
+    for chunk, sides, values in _kernel_rows(
+            kernel, points, _plain_area_nodes(spec, params, kernel[1]),
+            _AREA_BUDGET):
+        with np.errstate(invalid="ignore"):
+            values = values * f_plain
+            values *= plain[5]
+        out += _patched_sums(spec, params, f, kernel, chunk, sides, values)
+    return out
 
 
 def integrate_area(spec, params, f, singular_at=None):

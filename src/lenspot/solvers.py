@@ -32,10 +32,12 @@ reference they are checked against.
 
 The points of one call are solved together: their boundary integrals
 come from quadrature._integrate_kernel, which shares the plain boundary
-mesh among them and sums each point's own graded mesh exactly, so each
-answer is bit for bit the one a call with that point alone gives.
-probe_normalization_constant takes its integrals from the same evaluator.
-The area integrals of callable sources are taken point by point.
+mesh among them and sums each point's own graded mesh exactly, and the
+area integrals of a callable source from quadrature._integrate_area,
+which does the same on the plain area mesh and each point's singular
+patch.  So each answer is bit for bit the one a call with that point
+alone gives.  probe_normalization_constant takes its integrals from the
+boundary evaluator.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ from .conformal import sector_map
 from .domain import (LensParams, _is_number, arcs, classify_point,
                      normal_coeffs)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, _exact_total, _exact_weighted_sum,
-                         _integrate_kernel, _plain_weights, area_mesh,
-                         integrate_area, integrate_boundary)
+from .quadrature import (QuadratureSpec, _exact_total, _integrate_area,
+                         _integrate_kernel, _plain_weights, integrate_area,
+                         integrate_boundary)
 
 TOL_SOLVABILITY = 1e-8
 
@@ -344,38 +346,24 @@ def _check_points(params, points):
     return points
 
 
-def _area_term(params, spec, f, area_kernel, z):
-    """Area integral of f * area_kernel(z, .) on the mesh graded toward z,
-    the kernel evaluated at the strip coordinates (x, y) of each block of
-    nodes."""
-    nodes, weights, blocks = area_mesh(spec, params, singular_at=z)
-    kernel = np.concatenate([area_kernel(z, x, y).ravel() for x, y in blocks])
-    with np.errstate(invalid="ignore"):
-        # the kernel is 0 far from z, so an infinite f makes a nan there,
-        # which the sum reports as not finite
-        values = kernel * np.asarray(f(nodes))
-    return _exact_weighted_sum(weights, values)
-
-
 def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
                plain_weights=None):
     """Representation formula at each point: the boundary integral of
     gamma * boundary kernel over scale, minus 1/pi times the area integral
-    of f * area_kernel(z, x, y), a kernel taken in the strip coordinate
-    x + iy of zeta.
+    of f * area kernel.
 
-    kernel is a boundary kernel of conformal.SectorMap in three steps (z
-    side, node side, pair), and quadrature._integrate_kernel takes it for
-    all the points together, from plain_weights if given.  The points are
-    interior (_check_points)."""
-    out = []
-    for z, total in zip(points, _integrate_kernel(
-            spec, params, gamma, kernel, points, plain_weights)):
-        w = total / scale
-        if not f.is_zero:
-            w = w - _area_term(params, spec, f, area_kernel, z) / math.pi
-        out.append(complex(w))
-    return np.array(out, dtype=complex)
+    kernel and area_kernel are kernels of conformal.SectorMap in three
+    steps (z side, node side, pair), the area kernel's node side taking
+    strip coordinates.  quadrature._integrate_kernel takes the boundary
+    integrals for all the points together, from plain_weights if given, and
+    quadrature._integrate_area the area integrals.  The points are interior
+    (_check_points)."""
+    w = [total / scale for total in _integrate_kernel(
+        spec, params, gamma, kernel, points, plain_weights)]
+    if not f.is_zero:
+        w = [v - area / math.pi for v, area in zip(
+            w, _integrate_area(spec, params, f, area_kernel, points))]
+    return np.array([complex(v) for v in w], dtype=complex)
 
 
 def solve_dirichlet(params, spec, gamma, f, points):
@@ -401,7 +389,7 @@ def solve_dirichlet(params, spec, gamma, f, points):
         gamma = _minus(gamma, lambda bp: c * w_p(bp.point))
         f = SourceTerm.zero()
     w = _represent(params, spec, gamma, f, points, smap.poisson_steps(),
-                   2.0 * math.pi, smap.strip_green)
+                   2.0 * math.pi, smap.strip_green_steps())
     if particular is not None:
         w = w + c * w_p(np.array(points, dtype=complex))
     return w
@@ -470,7 +458,8 @@ def solve_neumann(params, spec, gamma, f, points):
         f = SourceTerm.zero()
     smap = sector_map(params)
     w = _represent(params, spec, gamma, f, points, smap.neumann_steps(),
-                   4.0 * math.pi, smap.strip_neumann, plain_weights)
+                   4.0 * math.pi, smap.strip_neumann_steps(),
+                   plain_weights)
     if particular is not None:
         density = KernelField(params).normal_density
         shift = integrate_boundary(

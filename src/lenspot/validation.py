@@ -14,7 +14,8 @@ rather than per (z, zeta) pair, and every batched helper returns exactly
 the values of the per-sample loop it replaced (tests/test_validation.py).
 Where a batched form would round differently and move a printed value,
 the scalar evaluation is kept: the orbit product and G on the
-orbit-product line, and the product-form G of the singular area integral.
+orbit-product line.  The singular area integral takes the strip form of
+G through the solvers' own area evaluator (quadrature._integrate_area).
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
                      boundary_point, boundary_samples, normal_coeffs,
                      reflection_orbit, sample_interior)
 from .kernels import KernelField
-from .quadrature import (QuadratureSpec, boundary_mesh, convergence_report,
-                         integrate_area, integrate_boundary)
+from .quadrature import (QuadratureSpec, _integrate_area, boundary_mesh,
+                         convergence_report, integrate_area,
+                         integrate_boundary)
 from .solvers import (BoundaryData, SourceTerm, check_neumann_solvability,
                       normal_derivative_data, probe_normalization_constant,
                       solve_dirichlet, solve_neumann)
@@ -481,9 +483,9 @@ def _quadrature_checks(params, spec, rng):
                            float(ratio), 1e4, ok=ratio >= 1e4, fmt="{:.3e}"))
 
     z0 = complex(sample_interior(params, rng, 1, margin=0.05)[0])
-    fld = KernelField(params)
-    v1, v2 = (integrate_area(s, params, lambda w: fld.green(z0, w),
-                             singular_at=z0) for s in (spec, spec.refined()))
+    green = sector_map(params).strip_green_steps()
+    v1, v2 = (_integrate_area(s, params, lambda w: 1.0, green, [z0])[0]
+              for s in (spec, spec.refined()))
     out.append(_err_check("singular area integral self-converges",
                           abs(v1 - v2), 1e-6))
 

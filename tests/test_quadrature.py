@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lenspot.quadrature
 from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      arc_lengths, area_mesh, arcs, boundary_distance,
                      boundary_mesh, boundary_point, classify_point,
                      convergence_report, integrate_area, integrate_boundary,
                      load_problem, normal_coeffs, sample_interior,
-                     solve_dirichlet, solve_neumann)
-from lenspot.domain import EPS_CORNER, corner_distance
-from lenspot.quadrature import (_exact_sum, _gauss, _gauss_nodes,
-                                _graded_base_edges, _graded_edges,
-                                _insert_edges, _patch, _plain_area,
-                                _plain_boundary, _shrink, _split)
+                     sector_map, solve_dirichlet, solve_neumann)
+from lenspot.domain import EPS_CORNER, _axis_crossings, corner_distance
+from lenspot.quadrature import (_exact_sum, _exact_weighted_sum, _gauss,
+                                _gauss_nodes, _graded_base_edges,
+                                _graded_edges, _insert_edges, _integrate_area,
+                                _patch, _plain_area, _plain_boundary, _shrink,
+                                _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
@@ -389,7 +391,7 @@ class TestSplit:
     @pytest.mark.parametrize("seed", range(6))
     def test_leaves_tile_boxes_within_allowance(self, dim, seed):
         lo, hi, attractors = self._boxes(seed, dim)
-        leaf_lo, leaf_hi = _split(lo, hi, attractors)
+        leaf_lo, leaf_hi, box = _split(lo, hi, attractors)
         width = leaf_hi - leaf_lo
         assert np.all(width > 0)
 
@@ -418,10 +420,11 @@ class TestSplit:
                 assert np.array_equal(overlap, np.eye(a.shape[1], dtype=bool))
                 assert np.prod(b - a, axis=0).sum() == pytest.approx(
                     np.prod(box_hi - box_lo), rel=1e-12)
-        # every leaf lies in some box
+        # every leaf lies in some box, the one it names
         assert sum(np.sum(np.all(leaf_lo >= bl[:, None], axis=0)
                           & np.all(leaf_hi <= bh[:, None], axis=0))
                    for bl, bh in zip(lo.T, hi.T)) == leaf_lo.shape[1]
+        assert np.all(leaf_lo >= lo[:, box]) and np.all(leaf_hi <= hi[:, box])
 
     # floors scaled by 1e-4 grade deep, where most leaves sit next to the
     # rule's threshold
@@ -432,7 +435,7 @@ class TestSplit:
         lo, hi, attractors = self._boxes(seed, 1)
         attractors = [(p, f * scale) for p, f in attractors]
         edges = np.append(lo[0], hi[0, -1])
-        leaf_lo, _ = _split(lo, hi, attractors)
+        leaf_lo, *_ = _split(lo, hi, attractors)
         graded = _graded_edges(edges, [(p[0], f[0]) for p, f in attractors],
                                min_width=0.0)
         assert np.array_equal(graded, np.append(np.sort(leaf_lo[0]), edges[-1]))
@@ -492,6 +495,112 @@ class TestLocalMesh:
             v2 = integrate_area(spec.refined(), params,
                                 lambda w: fld.green(z0, w), singular_at=z0)
             assert abs(v1 - v2) < 1e-6
+
+
+def singular_sum(spec, params, f, strip, z):
+    """The area integral of f * strip(z, .) as one exact sum over z's own
+    area_mesh(singular_at=z), the strip kernel of one point taken block by
+    block: the reference of the solvers' area evaluator."""
+    nodes, weights, blocks = area_mesh(spec, params, singular_at=z)
+    kernel = np.concatenate([strip(z, x, y).ravel() for x, y in blocks])
+    with np.errstate(invalid="ignore"):
+        values = kernel * np.asarray(f(nodes))
+    return _exact_weighted_sum(weights, values)
+
+
+def area_kernels(params):
+    """(strip kernel, its three steps, source) for G and for N, one real and
+    one complex source."""
+    smap = sector_map(params)
+    return [(smap.strip_green, smap.strip_green_steps(),
+             lambda z: np.real(z ** 2)),
+            (smap.strip_neumann, smap.strip_neumann_steps(), np.exp)]
+
+
+class TestAreaEvaluator:
+    """_integrate_area, the solvers' area evaluator, gives each point the
+    exact sum over the nodes of its own area_mesh(singular_at=z), bit for
+    bit, however the points of a call are chunked."""
+
+    # the six acceptance sets and the thinnest benchmark set
+    SETS = [HALF, CURVED, LENS, LensParams(math.pi / 3, 3), DISC,
+            LensParams(math.pi / 2, 1), LensParams(math.pi / 2 + 0.01, 64)]
+    SPECS = [QuadratureSpec(), QuadratureSpec().refined(),
+             QuadratureSpec(gauss_order=5)]
+
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=["default", "refined", "order5"])
+    @pytest.mark.parametrize("params", SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_equals_singular_mesh(self, params, spec):
+        rng = np.random.default_rng(51)
+        # each margin at most a quarter of the lens's width on the real
+        # axis, 0.048 at n = 64
+        width = abs(np.subtract(*_axis_crossings(params)))
+        points = [complex(z) for margin in (1e-3, 1e-2, 0.05)
+                  for z in sample_interior(params, rng, 2,
+                                           margin=min(margin, 0.25 * width))]
+        for strip, steps, f in area_kernels(params):
+            assert _integrate_area(spec, params, f, steps, points) == [
+                singular_sum(spec, params, f, strip, z) for z in points]
+
+    @pytest.mark.parametrize("params", [HALF, DISC],
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_chunks_equal_one_point_calls(self, params, monkeypatch):
+        spec = QuadratureSpec()
+        points = [complex(z) for z in sample_interior(
+            params, np.random.default_rng(52), 7, margin=1e-3)]
+        sizes = []
+
+        def recording(spec, params, f, kernel, chunk, *rest):
+            sizes.append(len(chunk))
+            return patched_sums(spec, params, f, kernel, chunk, *rest)
+
+        patched_sums = lenspot.quadrature._patched_sums
+        monkeypatch.setattr(lenspot.quadrature, "_patched_sums", recording)
+        # three points' plain rows per chunk
+        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET",
+                            3 * area_mesh(spec, params)[0].size)
+        for _, steps, f in area_kernels(params):
+            sizes.clear()
+            got = _integrate_area(spec, params, f, steps, points)
+            assert sizes == [3, 3, 1]
+            assert got == [_integrate_area(spec, params, f, steps, [z])[0]
+                           for z in points]
+
+    def test_point_beyond_the_cut_takes_the_plain_mesh(self):
+        # its star vanishes, and the others of the call keep theirs
+        spec = QuadratureSpec()
+        smap = sector_map(HALF)
+        X = -math.log(1.5 * EPS_CORNER / (2.0 * math.sin(HALF.alpha)))
+        z0 = complex(smap.pullback(X + 0.1, -HALF.theta / 2)[0])
+        points = [0.5 + 0.2j, z0, 0.3 + 0.6j]
+        nodes, weights, ((x, y),) = area_mesh(spec, HALF)
+        for strip, steps, f in area_kernels(HALF):
+            got = _integrate_area(spec, HALF, f, steps, points)
+            assert got[1] == _exact_weighted_sum(
+                weights, strip(z0, x, y).ravel() * f(nodes))
+            assert got == [singular_sum(spec, HALF, f, strip, z)
+                           for z in points]
+
+    def test_infinite_source_value(self):
+        # a value the point's own mesh sums is reported as not finite; one
+        # at a plain node its patch replaces is left out, as that mesh has
+        # no such node
+        spec = QuadratureSpec()
+        z = 0.4 + 0.3j
+        plain = area_mesh(spec, HALF)[0]
+        kept = np.isin(plain, area_mesh(spec, HALF, singular_at=z)[0])
+        strip, steps, _ = area_kernels(HALF)[0]
+        for node in (plain[kept][0], plain[kept][-1]):
+            with pytest.raises(ValueError, match="not finite"):
+                _integrate_area(spec, HALF,
+                                lambda w: np.where(w == node, np.inf, 1.0),
+                                steps, [z])
+        for node in (plain[~kept][0], plain[~kept][-1]):
+            f = lambda w: np.where(w == node, np.inf, 1.0)  # noqa: E731
+            assert _integrate_area(spec, HALF, f, steps, [z]) == [
+                singular_sum(spec, HALF, f, strip, z)]
 
 
 # the lens sets and specs the boundary patch is checked on

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,6 +597,25 @@ class TestAreaTerm:
                                   singular_at=z)
             assert abs(w - (boundary / (4.0 * math.pi) - area / math.pi)) < 1e-13
 
+    def test_large_call_memory_is_bounded(self):
+        # the points of a call share the plain area mesh in chunks of
+        # bounded size: a 256-point call at n = 64, the set with the largest
+        # patches, peaks below twice the 2.44 MB that taking each point's
+        # own area mesh in turn peaked at (tracemalloc, numpy 2.4)
+        params = LensParams(math.pi / 2 + 0.01, 64)
+        points = interior(params, 256, seed=41, margin=1e-3)
+        f = SourceTerm.from_callable(lambda z: np.real(z ** 2))
+        gamma = BoundaryData.constant(0.0)
+        # the plain meshes are built and cached before the measurement
+        solve_dirichlet(params, SPEC, gamma, f, points[:1])
+        tracemalloc.start()
+        try:
+            solve_dirichlet(params, SPEC, gamma, f, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2.443e6
+
 
 class TestBoundaryTerm:
     """The solvers take the boundary kernels in the strip form; a harmonic
@@ -801,11 +821,12 @@ class TestParticularSolution:
         terms = []
 
         def recording(*args):
-            terms.append(area_term(*args))
-            return terms[-1]
+            values = integrate(*args)
+            terms.extend(values)
+            return values
 
-        area_term = lenspot.solvers._area_term
-        monkeypatch.setattr(lenspot.solvers, "_area_term", recording)
+        integrate = lenspot.solvers._integrate_area
+        monkeypatch.setattr(lenspot.solvers, "_integrate_area", recording)
         points = interior(HALF, 3, seed=32)
         # Re z^2 integrates to 0 over the half disc, so this Neumann data
         # is compatible with both f = 0 and f = Re z^2
