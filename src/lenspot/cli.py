@@ -174,6 +174,9 @@ def _cmd_poisson(args):
 def _cmd_solve(args, solve):
     problem = load_problem(args.problem)
     pin = getattr(args, "pin", None)
+    if pin is not None:
+        if classify_point(problem.params, pin[0]) != "interior":
+            raise CommandLineError("--pin must name an interior point")
     # the pin point joins the same call, so the compatibility check runs once
     points = problem.points + ((pin[0],) if pin is not None else ())
     values = solve(problem.params, problem.spec, problem.gamma,

@@ -26,33 +26,32 @@ counts grow, so refined specs refine the mesh everywhere, next to the
 poles too.
 
 Both plain meshes, boundary and area, are built once per (spec, params)
-and kept read-only, the last 8 pairs of each.  A near point regrades only
-its nearest arc, and there only the span from the first plain panel the
-rule splits to the last (_patch): the panels before and after it keep
-their plain nodes, and every other arc keeps its plain batch.
-boundary_mesh splices the span's new panels into the plain rows.
-_integrate_kernel, the boundary evaluator of the solvers and the
-normalization probe, keeps the two apart: it evaluates a kernel on the
-plain mesh once for all the points of a call and on each point's span on
-its own, and sums each point's nodes exactly, so that every value is the
-one that point's spliced mesh gives.  Every boundary integral is rounded
-once, over all the nodes of all arcs.
+and kept read-only, the last 8 pairs of each.  A point lays a patch over
+a plain mesh.  On the boundary a near point regrades only its nearest
+arc, and there only the span from the first plain panel the rule splits
+to the last (_patch): the panels before and after it keep their plain
+nodes, and every other arc keeps its plain batch.  In the area a singular
+point replaces only the plain cells the rule would split toward w0: a
+square around w0 becomes a Duffy star of 8 triangles with apex w0, whose
+radial panels are graded geometrically (_reference_star), and the rest of
+those cells is split toward w0 with no floor.  The singular point's
+reflection images are the mirror images of w0 in the strip's edges; they
+bound the star's size, which stays below half of w0's distance to an
+edge, and the rule's cells are never closer to them than to w0.
+boundary_mesh(near=z) and area_mesh(singular_at=z) splice z's patch into
+the plain mesh.
 
-A singular point replaces only the plain area cells the rule would split
-toward w0: a square around w0 becomes a Duffy star of 8 triangles with
-apex w0, whose radial panels are graded geometrically (_reference_star),
-and the rest of those cells is split toward w0 with no floor.  The
-singular point's reflection images are the mirror images of w0 in the
-strip's edges; they bound the star's size, which stays below half of
-w0's distance to an edge, and the rule's cells are never closer to them
-than to w0.  _singular_patches builds these patches for many points at
-once, and area_mesh(singular_at=z) is its patch for z alone spliced
-into the plain mesh.  _integrate_area, the solvers' area evaluator,
-keeps the two apart as _integrate_kernel does on the boundary: it forms
-f and the kernel on the plain mesh once for all the points of a call,
-leaves out each point's replaced cells, adds its patch, and sums each
-point's nodes exactly, so that every value is the one that point's own
-area_mesh gives.
+_integrate, the one evaluator of the boundary and area integrals of the
+solvers and the normalization probe, keeps the two apart.  It takes a
+kernel on the plain mesh once for all the points of a call, in chunks of
+at most a budget of (point, node) pairs, and multiplies it by the plain
+mesh's data times weights.  Each point then leaves out the plain nodes
+its patch replaces, adds the values on its patch's nodes, and sums its
+nodes exactly, so that every value is the one that point's own mesh
+gives, rounded once.  What differs per mesh is only the budget and the
+patches' producer: _boundary_patches gives one block of fresh panels per
+graded arc (_PAIR_BUDGET), _singular_patches two blocks, the split cells
+and the Duffy stars (_AREA_BUDGET).
 """
 
 from __future__ import annotations
@@ -314,6 +313,79 @@ def _exact_total(x):
 
 
 # ----------------------------------------------------------------------
+# the evaluator of both meshes
+
+@lru_cache(maxsize=16)
+def _plain_nodes(spec, params, nodes_of, area):
+    """A kernel's node side on a plain mesh of (spec, params), built once
+    and read-only: on the area mesh's strip coordinates if area, else on
+    the boundary mesh's points, all arcs in one batch."""
+    if area:
+        args = _plain_area(spec, params)[6:]
+    else:
+        args = (np.concatenate([bp.point for *_, (bp, _)
+                                in _plain_boundary(spec, params)]),)
+    nodes = nodes_of(*args)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
+def _kernel_rows(kernel, points, nodes, budget):
+    """(chunk, z sides, values) over chunks of points, values holding the
+    kernel of each point against the nodes' side, one row per point; no
+    chunk has more than budget (point, node) pairs.  The z sides are the
+    chunk's one-point z sides stacked part by part, one row each, with one
+    more axis for each axis of the nodes' arrays."""
+    source, _, pair = kernel
+    shape = np.broadcast(*nodes).shape
+    rows = max(1, budget // math.prod(shape))
+    for i in range(0, len(points), rows):
+        chunk = points[i:i + rows]
+        sides = tuple(np.array(part).reshape((-1,) + (1,) * len(shape))
+                      for part in zip(*map(source, chunk)))
+        yield chunk, sides, pair(sides, nodes)
+
+
+def _integrate(kernel, points, nodes, weights, patches, budget):
+    """The integral of weight * kernel(z, .) at each of the points z, as a
+    list: the correctly rounded sum over the nodes of z's own mesh, the
+    plain mesh with z's patch laid over it.
+
+    kernel is a kernel of conformal.SectorMap in three steps (z side, node
+    side, pair), nodes its node side on the plain mesh and weights the
+    plain mesh's data times quadrature weight, flat.  patches(chunk) gives
+    (keep, blocks): keep, shaped as the kernel's values, marks the plain
+    nodes each point keeps, and blocks holds (build, counts) pairs, build()
+    giving fresh nodes as (weights, node side's arguments), the points'
+    nodes one after the other along the last axis, counts per point."""
+    _, nodes_of, pair = kernel
+    out = []
+    for chunk, sides, values in _kernel_rows(kernel, points, nodes, budget):
+        keep, blocks = patches(chunk)
+        keep = keep.reshape(len(chunk), -1)
+        with np.errstate(invalid="ignore"):
+            values = values.reshape(len(chunk), -1) * weights
+        fresh = []
+        for build, counts in blocks:
+            block_weights, args = build()
+            mine = tuple(np.repeat(part.reshape(-1), counts) for part in sides)
+            with np.errstate(invalid="ignore"):
+                block = pair(mine, nodes_of(*args)) * block_weights
+            # this block's nodes are let go before the next one is built
+            del block_weights, args, mine
+            ends = np.cumsum(counts).tolist()
+            fresh.append([block[..., start:end] for start, end
+                          in zip([0] + ends[:-1], ends)])
+        # the plain nodes a patch replaces are left out, not zeroed, so that
+        # the data need not be finite there
+        out += [_exact_total(np.concatenate(
+                    [row[mask]] + [a.ravel() for a in new if a.size]))
+                for row, mask, *new in zip(values, keep, *fresh)]
+    return out
+
+
+# ----------------------------------------------------------------------
 # boundary
 
 def _arc_nodes(arc, lo, hi, order):
@@ -411,8 +483,9 @@ def boundary_mesh(spec, params, near=None):
     (_plain_boundary).  Every arc that is not graded returns it as it is,
     and on the graded arc only the span of panels the rule splits gets new
     nodes (_patch), spliced between the plain rows before and after.
-    _integrate_kernel takes the plain mesh and the patches apart instead,
-    and this mesh is the reference it is tested against.
+    _integrate, the solvers' evaluator, takes the plain mesh and the
+    patches apart instead (_boundary_patches), and this mesh is the
+    reference it is tested against.
     """
     plain = _plain_boundary(spec, params)
     out = [mesh for *_, mesh in plain]
@@ -450,96 +523,57 @@ def _plain_weights(spec, params, gamma):
                            for *_, (bp, w) in _plain_boundary(spec, params)])
 
 
-@lru_cache(maxsize=8)
-def _plain_nodes(spec, params, nodes_of):
-    """A boundary kernel's node side on the plain boundary mesh of
-    (spec, params), all arcs in one batch, built once and read-only."""
-    zeta = np.concatenate([bp.point
-                           for *_, (bp, _) in _plain_boundary(spec, params)])
-    nodes = nodes_of(zeta)
-    for a in nodes:
-        a.setflags(write=False)
-    return nodes
+def _arc_block(spec, arc, gamma, lo, hi):
+    """The fresh nodes on the arc's panels [lo, hi] as a block of
+    _integrate: (gamma * weights, (points,))."""
+    t, point, arclen, w = (a.ravel() for a in _arc_nodes(
+        arc, lo, hi, spec.gauss_order))
+    return w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen)), (point,)
 
 
-def _kernel_rows(kernel, points, nodes, budget=_PAIR_BUDGET):
-    """(chunk, z sides, values) over chunks of points, values holding the
-    kernel of each point against the nodes' side, one row per point; no
-    chunk has more than budget (point, node) pairs.  The z sides are the
-    chunk's one-point z sides stacked part by part, one row each, with one
-    more axis for each axis of the nodes' arrays."""
-    source, _, pair = kernel
-    shape = np.broadcast(*nodes).shape
-    rows = max(1, budget // math.prod(shape))
-    for i in range(0, len(points), rows):
-        chunk = points[i:i + rows]
-        sides = tuple(np.array(part).reshape((-1,) + (1,) * len(shape))
-                      for part in zip(*map(source, chunk)))
-        yield chunk, sides, pair(sides, nodes)
-
-
-def _patched(spec, params, gamma, kernel, chunk, sides):
-    """Each point's patch of the plain boundary mesh (_patch) and the
-    gamma * weight * kernel values on its fresh nodes; the fresh nodes of
-    all points on one arc are built and evaluated together, each against
-    its own point's row of the z sides."""
-    patches = [_patch(spec, params, z) for z in chunk]
-    fresh = [None] * len(chunk)
-    _, nodes_of, pair = kernel
-    for index, (arc, *_) in enumerate(_plain_boundary(spec, params)):
+def _boundary_patches(spec, params, gamma, points):
+    """The patches that boundary_mesh(near=z) lays over the plain boundary
+    mesh, for all the points z together, as _integrate takes them: (keep,
+    blocks).  keep marks the plain nodes each point keeps, all but the span
+    its patch replaces (_patch).  blocks holds one block per arc some point
+    regrades, the fresh panels of all its points built together."""
+    plain = _plain_boundary(spec, params)
+    order = spec.gauss_order
+    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain]).tolist()
+    patches = [_patch(spec, params, z) for z in points]
+    keep = np.ones((len(points), starts[-1]), dtype=bool)
+    blocks = []
+    for index, (arc, *_) in enumerate(plain):
         mine = [k for k, patch in enumerate(patches)
                 if patch is not None and patch[0] == index]
         if not mine:
             continue
+        counts = np.zeros(len(points), dtype=int)
+        for k in mine:
+            _, first, end, lo, _ = patches[k]
+            keep[k, starts[index] + first * order:
+                 starts[index] + end * order] = False
+            counts[k] = lo.size * order
         lo, hi = (np.concatenate([patches[k][j] for k in mine])
                   for j in (3, 4))
-        t, point, arclen, w = (a.ravel() for a in _arc_nodes(
-            arc, lo, hi, spec.gauss_order))
-        weights = w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen))
-        counts = [patches[k][3].size * spec.gauss_order for k in mine]
-        sides_of = tuple(np.repeat(part[mine, 0], counts) for part in sides)
-        with np.errstate(invalid="ignore"):
-            values = pair(sides_of, nodes_of(point)) * weights
-        for k, part in zip(mine, np.split(values, np.cumsum(counts)[:-1])):
-            fresh[k] = part
-    return patches, fresh
+        blocks.append((partial(_arc_block, spec, arc, gamma, lo, hi), counts))
+    return keep, blocks
 
 
 def _integrate_kernel(spec, params, gamma, kernel, points,
                       plain_weights=None):
     """The boundary integral of gamma * kernel(z, .) at each of the
-    interior points z, as a list: the correctly rounded sum of gamma *
-    weight * kernel over the nodes of z's own boundary_mesh(near=z).
-
-    gamma maps a BoundaryPoint batch to values, and kernel is a boundary
-    kernel of conformal.SectorMap in three steps (z side, node side,
-    pair).  The points share the plain boundary mesh: gamma * weights is
-    formed on it once (or passed in as plain_weights, _plain_weights'
-    array), and the kernel once for all points against all its nodes, in
-    chunks (_kernel_rows).  A point near the boundary then leaves out the
-    plain nodes its patch replaces and adds its fresh ones (_patched).
-    Each point's sum is exact, so its value does not depend on the other
-    points of the call."""
-    plain = _plain_boundary(spec, params)
+    interior points z (_integrate), over the nodes of z's own
+    boundary_mesh(near=z).  gamma maps a BoundaryPoint batch to values;
+    gamma * weights on the plain mesh may be passed in as plain_weights
+    (_plain_weights' array)."""
     if plain_weights is None:
         plain_weights = _plain_weights(spec, params, gamma)
-    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain])
-    order = spec.gauss_order
-    out = []
-    for chunk, sides, values in _kernel_rows(
-            kernel, points, _plain_nodes(spec, params, kernel[1])):
-        with np.errstate(invalid="ignore"):
-            values = values * plain_weights
-        patches, fresh = _patched(spec, params, gamma, kernel, chunk, sides)
-        for row, patch, new in zip(values, patches, fresh):
-            if patch is not None:
-                index, first, end = patch[:3]
-                # the plain nodes the patch replaces are left out, not
-                # zeroed, so that gamma need not be finite there
-                row = np.concatenate([row[:starts[index] + first * order],
-                                      row[starts[index] + end * order:], new])
-            out.append(_exact_total(row))
-    return out
+    return _integrate(kernel, points,
+                      _plain_nodes(spec, params, kernel[1], False),
+                      plain_weights,
+                      partial(_boundary_patches, spec, params, gamma),
+                      _PAIR_BUDGET)
 
 
 # ----------------------------------------------------------------------
@@ -662,20 +696,37 @@ def _stars(smap, w0, half, levels, order):
     return points, weights * jacobian, x, y
 
 
-def _singular_patches(spec, params, points):
-    """The patches that area_mesh(singular_at=z) lays over the plain area
-    mesh, for all the interior points z together: (zones, blocks).
+def _f_on(f, points):
+    """f at the points, an array of their shape (f's values broadcast)."""
+    return np.broadcast_to(np.asarray(f(points.ravel())),
+                           points.size).reshape(points.shape)
 
-    zones holds one row per point, marking the plain cells its patch
+
+def _area_block(f, build):
+    """A block of area nodes, build() giving (points, weights, x, y), as
+    _integrate takes it: (f * weights, (x, y)).  The points are let go
+    before a kernel is taken on the block."""
+    points, weights, x, y = build()
+    with np.errstate(invalid="ignore"):
+        return _f_on(f, points) * weights, (x, y)
+
+
+def _singular_patches(spec, params, f, points):
+    """The patches that area_mesh(singular_at=z) lays over the plain area
+    mesh, for all the interior points z together, as _integrate takes them
+    with the data f: (keep, blocks).
+
+    keep holds one row per point, shaped as the plain nodes (order, order,
+    cells), marking the plain cells it keeps: all but those its patch
     replaces.  blocks holds two (build, counts) pairs, build() giving a
-    block of nodes (points, weights, x, y), the points' nodes one after the
-    other along the last axis, and counts their number per point: first
-    the rest of the marked cells after splitting toward w0 (_cell_nodes),
-    then the Duffy stars (_stars).  The blocks are built on demand, so a
-    caller can take one at a time.  A point whose star vanishes (w0 beyond
-    the strip's cut) has no patch.  The marking, carving and splitting run
-    over all the points' cells at once; each point's cells come out as a
-    call with that point alone gives them."""
+    block of nodes as (f * weights, (x, y)), the points' nodes one after
+    the other along the last axis, and counts their number per point along
+    it: first the rest of the replaced cells after splitting toward w0
+    (_cell_nodes), then the Duffy stars (_stars).  The blocks are built on
+    demand, so a caller can take one at a time.  A point whose star
+    vanishes (w0 beyond the strip's cut) has no patch.  The marking,
+    carving and splitting run over all the points' cells at once; each
+    point's cells come out as a call with that point alone gives them."""
     smap, X, lo, hi = _plain_area(spec, params)[:4]
     order = spec.gauss_order
     w0 = np.array([complex(smap.to_w(z)) for z in points])
@@ -696,6 +747,8 @@ def _singular_patches(spec, params, points):
                      & (hi > box_center - box_half), axis=1))
     zones = np.zeros((len(points), lo.shape[1]), dtype=bool)
     zones[live] = zone
+    keep = np.broadcast_to(~zones[:, None, None, :],
+                           (len(points), order, order, lo.shape[1]))
     owner, cell = np.nonzero(zone)
     piece_lo, piece_hi, box = _carve(lo[:, cell], hi[:, cell],
                                      center[:, owner], half[owner])
@@ -703,8 +756,9 @@ def _singular_patches(spec, params, points):
                                      [(center[:, owner[box]], np.zeros(2))])
     leaf_owner = live[owner[box[piece]]]
     by_owner = np.argsort(leaf_owner, kind="stable")
-    cells = (partial(_cell_nodes, smap, leaf_lo[:, by_owner],
-                     leaf_hi[:, by_owner], order),
+    cells = (partial(_area_block, f, partial(
+                 _cell_nodes, smap, leaf_lo[:, by_owner],
+                 leaf_hi[:, by_owner], order)),
              np.bincount(leaf_owner, minlength=len(points)))
 
     # the innermost radial panel reaches at most this far from w0
@@ -712,8 +766,9 @@ def _singular_patches(spec, params, points):
     levels = [max(0, math.ceil(0.5 * math.log2(h / floor))) for h in half]
     counts = np.zeros(len(points), dtype=int)
     counts[live] = [8 * (order + 2) * (level + 1) * order for level in levels]
-    stars = partial(_stars, smap, w0, half, levels, order), counts
-    return zones, (cells, stars)
+    stars = (partial(_area_block, f,
+                     partial(_stars, smap, w0, half, levels, order)), counts)
+    return keep, (cells, stars)
 
 
 def area_mesh(spec, params, singular_at=None):
@@ -742,107 +797,44 @@ def area_mesh(spec, params, singular_at=None):
     integral is lost.
 
     The patch is _singular_patches' for this point alone, the code that
-    builds the patches of _integrate_area, the solvers' area evaluator;
-    this mesh is the reference it is tested against.
+    builds the area patches of _integrate, the solvers' evaluator; this
+    mesh is the reference it is tested against.
     """
-    _, _, _, _, points, weights, x, y = _plain_area(spec, params)
+    smap, _, _, _, points, weights, x, y = _plain_area(spec, params)
     plain = (points.ravel(), weights.ravel(), ((x, y),))
     if singular_at is None:
         return plain
     z0 = complex(singular_at)
     if classify_point(params, z0) != "interior":
         raise ValueError("singular point must lie strictly inside the domain")
-    zones, patches = _singular_patches(spec, params, [z0])
+    # f = 1 leaves each block's weights as they are; a block's points are
+    # the pullback of its strip coordinates, as the block forms them
+    keep, patches = _singular_patches(spec, params, lambda w: 1.0, [z0])
     _, star_nodes = patches[1]
     if not star_nodes[0]:
         # w0 lies beyond the strip's cut, where nothing is meshed
         return plain
-    blocks = ([tuple(a[..., ~zones[0]] for a in (points, weights, x, y))]
-              + [build() for build, _ in patches])
+    cells = keep[0, 0, 0]
+    blocks = ([tuple(a[..., cells] for a in (points, weights, x, y))]
+              + [(smap.pullback(*args)[0], w, *args)
+                 for w, args in (build() for build, _ in patches)])
     return (np.concatenate([b[0].ravel() for b in blocks]),
             np.concatenate([b[1].ravel() for b in blocks]),
             tuple(b[2:] for b in blocks))
 
 
-@lru_cache(maxsize=8)
-def _plain_area_nodes(spec, params, nodes_of):
-    """An area kernel's node side on the plain area mesh of (spec, params),
-    built once and read-only."""
-    x, y = _plain_area(spec, params)[6:]
-    nodes = nodes_of(x, y)
-    for a in nodes:
-        a.setflags(write=False)
-    return nodes
-
-
-def _f_on(f, points):
-    """f at the points, an array of their shape (f's values broadcast)."""
-    return np.broadcast_to(np.asarray(f(points.ravel())),
-                           points.size).reshape(points.shape)
-
-
-def _area_values(f, kernel, sides, build, counts):
-    """f * weight * kernel on a block of patch nodes, build() giving them as
-    (points, weights, x, y), the points' nodes one after the other along
-    the last axis, counts per point; each node is taken against its own
-    point's row of the z sides.  Returns the values of each point, as a
-    list."""
-    _, nodes_of, pair = kernel
-    points, weights, x, y = build()
-    mine = np.repeat(np.arange(len(counts)), counts)
-    sides_of = tuple(part.reshape(-1)[mine] for part in sides)
-    values = _f_on(f, points)
-    # the nodes' points are let go before the kernel's temporaries are made
-    del points
-    with np.errstate(invalid="ignore"):
-        values = pair(sides_of, nodes_of(x, y)) * values
-        values *= weights
-    return np.split(values, np.cumsum(counts)[:-1], axis=-1)
-
-
-def _patched_sums(spec, params, f, kernel, chunk, sides, rows):
-    """The exact sum of each point of the chunk: its row of f * weight *
-    kernel on the plain area mesh, less the plain cells its patch replaces,
-    plus the patch's cells and Duffy star (_singular_patches).  A function
-    of its own, so that a chunk's patch nodes are let go before the next
-    chunk's rows are made."""
-    zones, patches = _singular_patches(spec, params, chunk)
-    # one block at a time, each built only when its values are taken
-    fresh = [_area_values(f, kernel, sides, build, counts)
-             for build, counts in patches]
-    # the plain cells a patch replaces are left out, not zeroed, so that f
-    # need not be finite there
-    return [_exact_total(np.concatenate([row[..., ~zone].ravel()]
-                                        + [a.ravel() for a in new]))
-            for row, zone, *new in zip(rows, zones, *fresh)]
-
-
 def _integrate_area(spec, params, f, kernel, points):
     """The area integral of f * kernel(z, .) at each of the interior points
-    z, as a list: the correctly rounded sum of f * weight * kernel over the
-    nodes of z's own area_mesh(singular_at=z).
-
-    f maps complex points to values, and kernel is an area kernel of
-    conformal.SectorMap in three steps (z side, node side taking strip
-    coordinates x and y, pair).  The points share the plain area mesh: f
-    is formed on it once, the kernel's node side is kept with it
-    (_plain_area_nodes), and the kernel is taken for all points against
-    all its nodes, in chunks of at most _AREA_BUDGET (point, node) pairs
-    (_kernel_rows).  Each point then leaves out the plain cells its patch
-    replaces and adds its patch's cells and Duffy star, built for the whole
-    chunk at once (_patched_sums).  Each point's sum is exact, so its value
-    does not depend on the other points of the call."""
+    z (_integrate), over the nodes of z's own area_mesh(singular_at=z).  f
+    maps complex points to values, and the kernel's node side takes strip
+    coordinates x and y."""
     plain = _plain_area(spec, params)
-    f_plain = _f_on(f, plain[4])
-    out = []
-    for chunk, sides, values in _kernel_rows(
-            kernel, points, _plain_area_nodes(spec, params, kernel[1]),
-            _AREA_BUDGET):
-        with np.errstate(invalid="ignore"):
-            values = values * f_plain
-            values *= plain[5]
-        out += _patched_sums(spec, params, f, kernel, chunk, sides, values)
-    return out
+    with np.errstate(invalid="ignore"):
+        weights = (_f_on(f, plain[4]) * plain[5]).reshape(-1)
+    return _integrate(kernel, points,
+                      _plain_nodes(spec, params, kernel[1], True),
+                      weights, partial(_singular_patches, spec, params, f),
+                      _AREA_BUDGET)
 
 
 def integrate_area(spec, params, f, singular_at=None):

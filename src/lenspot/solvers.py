@@ -30,14 +30,13 @@ per node at any n: the Poisson kernel and N at the boundary nodes, G and N
 at the area nodes' strip coordinates.  KernelField's product form is the
 reference they are checked against.
 
-The points of one call are solved together: their boundary integrals
-come from quadrature._integrate_kernel, which shares the plain boundary
-mesh among them and sums each point's own graded mesh exactly, and the
-area integrals of a callable source from quadrature._integrate_area,
-which does the same on the plain area mesh and each point's singular
-patch.  So each answer is bit for bit the one a call with that point
-alone gives.  probe_normalization_constant takes its integrals from the
-boundary evaluator.
+The points of one call are solved together: their boundary integrals,
+and the area integrals of a callable source, come from one evaluator,
+quadrature._integrate.  It shares the plain boundary or area mesh among
+the points and sums each point's own mesh, the plain one with the
+point's patch laid over it, exactly.  So each answer is bit for bit the
+one a call with that point alone gives.  probe_normalization_constant
+takes its integrals from the same evaluator.
 """
 
 from __future__ import annotations
@@ -148,6 +147,9 @@ class BoundaryData:
     funcs: dict
 
     def __call__(self, bp):
+        if bp.arc_id not in self.funcs:
+            raise ValueError(f"boundary data has no values for arc "
+                             f"{bp.arc_id}")
         return self.funcs[bp.arc_id](bp)
 
     @classmethod
@@ -354,10 +356,10 @@ def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
 
     kernel and area_kernel are kernels of conformal.SectorMap in three
     steps (z side, node side, pair), the area kernel's node side taking
-    strip coordinates.  quadrature._integrate_kernel takes the boundary
-    integrals for all the points together, from plain_weights if given, and
-    quadrature._integrate_area the area integrals.  The points are interior
-    (_check_points)."""
+    strip coordinates.  quadrature._integrate takes both integrals for all
+    the points together, the boundary one through _integrate_kernel, from
+    plain_weights if given, and the area one through _integrate_area.  The
+    points are interior (_check_points)."""
     w = [total / scale for total in _integrate_kernel(
         spec, params, gamma, kernel, points, plain_weights)]
     if not f.is_zero:

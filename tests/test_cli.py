@@ -183,6 +183,16 @@ class TestSolveCommands:
         assert captured.out == ""
         assert "--pin" in captured.err
 
+    def test_exterior_pin_exits_two(self, capsys, neumann_problem):
+        # the pin point is named as --pin, not as an evaluation point the
+        # problem file does not hold
+        code, out, err = run(capsys, "solve-neumann", "--problem",
+                             neumann_problem, "--pin", "2,0=1")
+        assert code == 2
+        assert out == ""
+        assert "--pin must name an interior point" in err
+        assert "evaluation point" not in err
+
     def test_violating_neumann_exits_one(self, capsys, tmp_path):
         payload = {"alpha": math.pi / 2, "n": 2,
                    "gamma": {"kind": "const", "payload": 1.0},

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from lenspot.domain import EPS_CORNER, _axis_crossings, corner_distance
 from lenspot.quadrature import (_exact_sum, _exact_weighted_sum, _gauss,
                                 _gauss_nodes, _graded_base_edges,
                                 _graded_edges, _insert_edges, _integrate_area,
-                                _patch, _plain_area, _plain_boundary, _shrink,
-                                _split)
+                                _integrate_kernel, _patch, _plain_area,
+                                _plain_boundary, _shrink, _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
@@ -500,12 +501,13 @@ class TestLocalMesh:
 def singular_sum(spec, params, f, strip, z):
     """The area integral of f * strip(z, .) as one exact sum over z's own
     area_mesh(singular_at=z), the strip kernel of one point taken block by
-    block: the reference of the solvers' area evaluator."""
+    block: the reference of the solvers' area evaluator, which multiplies
+    the kernel by f * weight."""
     nodes, weights, blocks = area_mesh(spec, params, singular_at=z)
     kernel = np.concatenate([strip(z, x, y).ravel() for x, y in blocks])
     with np.errstate(invalid="ignore"):
-        values = kernel * np.asarray(f(nodes))
-    return _exact_weighted_sum(weights, values)
+        data = np.asarray(f(nodes)) * weights
+    return _exact_weighted_sum(data, kernel)
 
 
 def area_kernels(params):
@@ -544,30 +546,6 @@ class TestAreaEvaluator:
             assert _integrate_area(spec, params, f, steps, points) == [
                 singular_sum(spec, params, f, strip, z) for z in points]
 
-    @pytest.mark.parametrize("params", [HALF, DISC],
-                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
-    def test_chunks_equal_one_point_calls(self, params, monkeypatch):
-        spec = QuadratureSpec()
-        points = [complex(z) for z in sample_interior(
-            params, np.random.default_rng(52), 7, margin=1e-3)]
-        sizes = []
-
-        def recording(spec, params, f, kernel, chunk, *rest):
-            sizes.append(len(chunk))
-            return patched_sums(spec, params, f, kernel, chunk, *rest)
-
-        patched_sums = lenspot.quadrature._patched_sums
-        monkeypatch.setattr(lenspot.quadrature, "_patched_sums", recording)
-        # three points' plain rows per chunk
-        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET",
-                            3 * area_mesh(spec, params)[0].size)
-        for _, steps, f in area_kernels(params):
-            sizes.clear()
-            got = _integrate_area(spec, params, f, steps, points)
-            assert sizes == [3, 3, 1]
-            assert got == [_integrate_area(spec, params, f, steps, [z])[0]
-                           for z in points]
-
     def test_point_beyond_the_cut_takes_the_plain_mesh(self):
         # its star vanishes, and the others of the call keep theirs
         spec = QuadratureSpec()
@@ -579,7 +557,7 @@ class TestAreaEvaluator:
         for strip, steps, f in area_kernels(HALF):
             got = _integrate_area(spec, HALF, f, steps, points)
             assert got[1] == _exact_weighted_sum(
-                weights, strip(z0, x, y).ravel() * f(nodes))
+                f(nodes) * weights, strip(z0, x, y).ravel())
             assert got == [singular_sum(spec, HALF, f, strip, z)
                            for z in points]
 
@@ -601,6 +579,57 @@ class TestAreaEvaluator:
             f = lambda w: np.where(w == node, np.inf, 1.0)  # noqa: E731
             assert _integrate_area(spec, HALF, f, steps, [z]) == [
                 singular_sum(spec, HALF, f, strip, z)]
+
+
+class TestChunks:
+    """_integrate, the evaluator of both meshes, takes a call's points in
+    chunks of at most a budget of (point, node) pairs, and each point's
+    value is the one a call with that point alone gives."""
+
+    @pytest.mark.parametrize("params", [HALF, DISC],
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_chunks_equal_one_point_calls(self, params, monkeypatch):
+        spec = QuadratureSpec()
+        near = near_boundary_points(params)
+        points = near + [complex(z) for z in sample_interior(
+            params, np.random.default_rng(52), 7 - len(near), margin=1e-3)]
+        assert any(_patch(spec, params, z) is not None for z in points)
+        # three points' plain rows per chunk on either mesh
+        boundary_nodes = sum(w.size for *_, (_, w)
+                             in _plain_boundary(spec, params))
+        area_nodes = area_mesh(spec, params)[0].size
+        monkeypatch.setattr(lenspot.quadrature, "_PAIR_BUDGET",
+                            3 * boundary_nodes)
+        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET",
+                            3 * area_nodes)
+        chunks = []
+
+        def recording(kernel, points, nodes, budget):
+            for chunk, sides, values in kernel_rows(kernel, points, nodes,
+                                                    budget):
+                chunks.append((list(chunk), values.size, budget))
+                yield chunk, sides, values
+
+        kernel_rows = lenspot.quadrature._kernel_rows
+        monkeypatch.setattr(lenspot.quadrature, "_kernel_rows", recording)
+        smap = sector_map(params)
+        gamma = BoundaryData.from_expression("re_zk", 3)
+        density = KernelField(params).normal_density
+        calls = [partial(_integrate_kernel, spec, params, gamma,
+                         smap.poisson_steps()),
+                 partial(_integrate_kernel, spec, params, density,
+                         smap.neumann_steps())]
+        calls += [partial(_integrate_area, spec, params, f, steps)
+                  for _, steps, f in area_kernels(params)]
+        for call, nodes in zip(calls, 2 * [boundary_nodes] + 2 * [area_nodes]):
+            chunks.clear()
+            got = call(points)
+            assert [len(chunk) for chunk, _, _ in chunks] == [3, 3, 1]
+            # at most a budget of pairs per chunk, every point once
+            assert all(pairs == len(chunk) * nodes and pairs <= budget
+                       for chunk, pairs, budget in chunks)
+            assert sum((chunk for chunk, _, _ in chunks), []) == points
+            assert got == [call([z])[0] for z in points]
 
 
 # the lens sets and specs the boundary patch is checked on

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lenspot.solvers
-from lenspot import (BoundaryData, LensParams, QuadratureSpec, SectorMap,
+from lenspot import (BoundaryData, LensParams, QuadratureSpec,
                      SolvabilityError, SourceTerm, arc_lengths, arcs,
                      boundary_distance, boundary_mesh, boundary_point,
                      KernelField,
@@ -17,8 +17,7 @@ from lenspot import (BoundaryData, LensParams, QuadratureSpec, SectorMap,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, sector_map, solution_rows,
                      solve_dirichlet, solve_neumann)
-from lenspot.quadrature import (_PAIR_BUDGET, _exact_weighted_sum, _patch,
-                                _plain_boundary)
+from lenspot.quadrature import _exact_weighted_sum, _patch, _plain_boundary
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -93,6 +92,15 @@ class TestBoundaryData:
         data = BoundaryData.from_json({"kind": "re_zk", "payload": 3})
         bp = boundary_point(HALF, "C1", 0.1)
         assert data(bp) == pytest.approx((bp.point ** 3).real)
+
+    def test_missing_arc_is_named(self):
+        # samples for C1 alone, where the half disc also has the chord C0
+        s = np.linspace(0.0, arc_lengths(HALF)[1], 5)
+        data = BoundaryData.from_samples({"C1": (s, s + 0j)})
+        with pytest.raises(ValueError, match="no values for arc C0"):
+            solve_dirichlet(HALF, SPEC, data, SourceTerm.zero(), [0.5])
+        with pytest.raises(ValueError, match="no values for arc C0"):
+            check_neumann_solvability(HALF, SPEC, data, SourceTerm.zero())
 
     def test_samples_json(self):
         payload = {"C1": {"arclen": [0.0, 4.0], "values": [[1.0, 0.0], [1.0, 0.0]]},
@@ -420,35 +428,6 @@ class TestBatchedPoints:
             if not source:
                 assert [spliced(solve, params, SPEC, gamma, z)
                         for z in points] == w.tolist()
-
-    def test_call_larger_than_a_chunk(self, monkeypatch):
-        passes = []
-
-        def recording(step):
-            def pair(smap, sides, nodes):
-                values = step(smap, sides, nodes)
-                if values.ndim == 2:
-                    passes.append(values.shape)
-                return values
-            return pair
-
-        for name in ("_poisson_pair", "_neumann_pair"):
-            monkeypatch.setattr(SectorMap, name,
-                                recording(getattr(SectorMap, name)))
-        spec = SPEC.refined()
-        nodes = sum(w.size for *_, (_, w) in _plain_boundary(spec, CURVED))
-        points = interior(CURVED, 200, seed=22, margin=1e-3)
-        assert len(points) * nodes > 3 * _PAIR_BUDGET
-        for solve, gamma, f in harmonic_problems(CURVED, False):
-            passes.clear()
-            w = solve(CURVED, spec, gamma, f, points)
-            # whole chunks of at most _PAIR_BUDGET pairs, every point once
-            assert len(passes) > 3
-            assert all(rows * cols <= _PAIR_BUDGET and cols == nodes
-                       for rows, cols in passes)
-            assert sum(rows for rows, _ in passes) == len(points)
-            assert np.array_equal(
-                w, one_by_one(solve, CURVED, spec, gamma, f, points))
 
     def test_patches_on_both_arcs_and_far_points(self):
         # the half disc: C0 is the chord x = 0, and (0.5, 0) is 0.5 from
