@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ from lenspot.domain import EPS_CORNER, _axis_crossings, corner_distance
 from lenspot.quadrature import (_exact_sum, _exact_weighted_sum, _gauss,
                                 _gauss_nodes, _graded_base_edges,
                                 _graded_edges, _insert_edges, _integrate_area,
-                                _integrate_kernel, _patch, _plain_area,
-                                _plain_boundary, _shrink, _split)
+                                _patch, _plain_area, _plain_boundary, _shrink,
+                                _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
@@ -519,6 +518,22 @@ def area_kernels(params):
             (smap.strip_neumann, smap.strip_neumann_steps(), np.exp)]
 
 
+def record_chunks(monkeypatch):
+    """A list that _kernel_rows, the chunk loop of quadrature._integrate,
+    appends (chunk points, kernel values' size, budget) to per chunk."""
+    chunks = []
+    kernel_rows = lenspot.quadrature._kernel_rows
+
+    def recording(kernel, points, nodes, budget):
+        for chunk, sides, values in kernel_rows(kernel, points, nodes,
+                                                budget):
+            chunks.append((list(chunk), values.size, budget))
+            yield chunk, sides, values
+
+    monkeypatch.setattr(lenspot.quadrature, "_kernel_rows", recording)
+    return chunks
+
+
 class TestAreaEvaluator:
     """_integrate_area, the solvers' area evaluator, gives each point the
     exact sum over the nodes of its own area_mesh(singular_at=z), bit for
@@ -545,6 +560,29 @@ class TestAreaEvaluator:
         for strip, steps, f in area_kernels(params):
             assert _integrate_area(spec, params, f, steps, points) == [
                 singular_sum(spec, params, f, strip, z) for z in points]
+
+    @pytest.mark.parametrize("params", [HALF, DISC],
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_chunks_equal_one_point_calls(self, params, monkeypatch):
+        # the points of a call go to _integrate in chunks of at most
+        # _AREA_BUDGET (point, node) pairs, here three points' plain rows
+        spec = QuadratureSpec()
+        near = near_boundary_points(params)
+        points = near + [complex(z) for z in sample_interior(
+            params, np.random.default_rng(52), 7 - len(near), margin=1e-3)]
+        nodes = area_mesh(spec, params)[0].size
+        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET", 3 * nodes)
+        chunks = record_chunks(monkeypatch)
+        for _, steps, f in area_kernels(params):
+            chunks.clear()
+            got = _integrate_area(spec, params, f, steps, points)
+            assert [len(chunk) for chunk, _, _ in chunks] == [3, 3, 1]
+            # at most a budget of pairs per chunk, every point once
+            assert all(pairs == len(chunk) * nodes and pairs <= budget
+                       for chunk, pairs, budget in chunks)
+            assert sum((chunk for chunk, _, _ in chunks), []) == points
+            assert got == [_integrate_area(spec, params, f, steps, [z])[0]
+                           for z in points]
 
     def test_point_beyond_the_cut_takes_the_plain_mesh(self):
         # its star vanishes, and the others of the call keep theirs
@@ -579,57 +617,6 @@ class TestAreaEvaluator:
             f = lambda w: np.where(w == node, np.inf, 1.0)  # noqa: E731
             assert _integrate_area(spec, HALF, f, steps, [z]) == [
                 singular_sum(spec, HALF, f, strip, z)]
-
-
-class TestChunks:
-    """_integrate, the evaluator of both meshes, takes a call's points in
-    chunks of at most a budget of (point, node) pairs, and each point's
-    value is the one a call with that point alone gives."""
-
-    @pytest.mark.parametrize("params", [HALF, DISC],
-                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
-    def test_chunks_equal_one_point_calls(self, params, monkeypatch):
-        spec = QuadratureSpec()
-        near = near_boundary_points(params)
-        points = near + [complex(z) for z in sample_interior(
-            params, np.random.default_rng(52), 7 - len(near), margin=1e-3)]
-        assert any(_patch(spec, params, z) is not None for z in points)
-        # three points' plain rows per chunk on either mesh
-        boundary_nodes = sum(w.size for *_, (_, w)
-                             in _plain_boundary(spec, params))
-        area_nodes = area_mesh(spec, params)[0].size
-        monkeypatch.setattr(lenspot.quadrature, "_PAIR_BUDGET",
-                            3 * boundary_nodes)
-        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET",
-                            3 * area_nodes)
-        chunks = []
-
-        def recording(kernel, points, nodes, budget):
-            for chunk, sides, values in kernel_rows(kernel, points, nodes,
-                                                    budget):
-                chunks.append((list(chunk), values.size, budget))
-                yield chunk, sides, values
-
-        kernel_rows = lenspot.quadrature._kernel_rows
-        monkeypatch.setattr(lenspot.quadrature, "_kernel_rows", recording)
-        smap = sector_map(params)
-        gamma = BoundaryData.from_expression("re_zk", 3)
-        density = KernelField(params).normal_density
-        calls = [partial(_integrate_kernel, spec, params, gamma,
-                         smap.poisson_steps()),
-                 partial(_integrate_kernel, spec, params, density,
-                         smap.neumann_steps())]
-        calls += [partial(_integrate_area, spec, params, f, steps)
-                  for _, steps, f in area_kernels(params)]
-        for call, nodes in zip(calls, 2 * [boundary_nodes] + 2 * [area_nodes]):
-            chunks.clear()
-            got = call(points)
-            assert [len(chunk) for chunk, _, _ in chunks] == [3, 3, 1]
-            # at most a budget of pairs per chunk, every point once
-            assert all(pairs == len(chunk) * nodes and pairs <= budget
-                       for chunk, pairs, budget in chunks)
-            assert sum((chunk for chunk, _, _ in chunks), []) == points
-            assert got == [call([z])[0] for z in points]
 
 
 # the lens sets and specs the boundary patch is checked on

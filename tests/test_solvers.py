@@ -17,7 +17,8 @@ from lenspot import (BoundaryData, LensParams, QuadratureSpec,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, sector_map, solution_rows,
                      solve_dirichlet, solve_neumann)
-from lenspot.quadrature import _exact_weighted_sum, _patch, _plain_boundary
+from lenspot.quadrature import (_PAIR_BUDGET, _exact_weighted_sum, _patch,
+                                _plain_boundary)
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -428,6 +429,36 @@ class TestBatchedPoints:
             if not source:
                 assert [spliced(solve, params, SPEC, gamma, z)
                         for z in points] == w.tolist()
+
+    def test_call_larger_than_a_chunk(self, monkeypatch):
+        # the boundary integral of a call goes to quadrature._integrate in
+        # chunks of at most _PAIR_BUDGET (point, node) pairs; with f = 0 it
+        # is the only integral a solve takes
+        chunks = []
+        kernel_rows = lenspot.quadrature._kernel_rows
+
+        def recording(kernel, points, nodes, budget):
+            for chunk, sides, values in kernel_rows(kernel, points, nodes,
+                                                    budget):
+                chunks.append((len(chunk), values.size))
+                yield chunk, sides, values
+
+        monkeypatch.setattr(lenspot.quadrature, "_kernel_rows", recording)
+        spec = SPEC.refined()
+        nodes = sum(w.size for *_, (_, w) in _plain_boundary(spec, CURVED))
+        points = interior(CURVED, 200, seed=22, margin=1e-3)
+        assert len(points) * nodes > 3 * _PAIR_BUDGET
+        assert any(_patch(spec, CURVED, z) is not None for z in points)
+        for solve, gamma, f in harmonic_problems(CURVED, False):
+            chunks.clear()
+            w = solve(CURVED, spec, gamma, f, points)
+            # whole chunks of at most _PAIR_BUDGET pairs, every point once
+            assert len(chunks) > 3
+            assert all(pairs == rows * nodes and pairs <= _PAIR_BUDGET
+                       for rows, pairs in chunks)
+            assert sum(rows for rows, _ in chunks) == len(points)
+            assert np.array_equal(
+                w, one_by_one(solve, CURVED, spec, gamma, f, points))
 
     def test_patches_on_both_arcs_and_far_points(self):
         # the half disc: C0 is the chord x = 0, and (0.5, 0) is 0.5 from
