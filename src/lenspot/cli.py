@@ -20,7 +20,7 @@ from .conformal import sector_map
 from .domain import (LensParams, arc_matrix, arcs, boundary_samples,
                      classify_point, reflection_orbit)
 from .kernels import KernelField, evaluate_on_grid
-from .quadrature import QuadratureSpec
+from .quadrature import _NODE_BUDGET, QuadratureSpec
 from .solvers import load_problem, solution_rows, solve_dirichlet, solve_neumann
 from .validation import run_checks
 
@@ -44,6 +44,9 @@ def _parse_grid(text):
         raise argparse.ArgumentTypeError(f"expected NX,NY pair, got {text!r}")
     if nx < 1 or ny < 1:
         raise argparse.ArgumentTypeError("grid dimensions must be positive")
+    if nx * ny > _NODE_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"grid has {nx * ny} cells, more than {_NODE_BUDGET}")
     return nx, ny
 
 
@@ -52,8 +55,9 @@ def _parse_samples(text):
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError("sample count must be at least 1")
+    if not 1 <= count <= _NODE_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"sample count must be at least 1 and at most {_NODE_BUDGET}")
     return count
 
 

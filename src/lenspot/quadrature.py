@@ -44,14 +44,13 @@ the plain mesh.
 _integrate, the one evaluator of the boundary and area integrals of the
 solvers and the normalization probe, keeps the two apart.  It takes a
 kernel on the plain mesh once for all the points of a call, in chunks of
-at most a budget of (point, node) pairs, and multiplies it by the plain
+at most _PAIR_BUDGET (point, node) pairs, and multiplies it by the plain
 mesh's data times weights.  Each point then leaves out the plain nodes
 its patch replaces, adds the values on its patch's nodes, and sums its
 nodes exactly, so that every value is the one that point's own mesh
-gives, rounded once.  What differs per mesh is only the budget and the
-patches' producer: _boundary_patches gives one block of fresh panels per
-graded arc (_PAIR_BUDGET), _singular_patches two blocks, the split cells
-and the Duffy stars (_AREA_BUDGET).
+gives, rounded once.  What differs per mesh is only the patches'
+producer: _boundary_patches gives one block of fresh panels per graded
+arc, _singular_patches two blocks, the split cells and the Duffy stars.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ _ATTRACT_RATIO = 0.7        # panel width allowed per unit distance to attractor
 _SINGULAR_FLOOR = 1e-5      # reach of the Duffy star's innermost panel in w
 _STAR_RATIO = 0.225         # Duffy star half-width per unit distance to a singularity
 _NODE_BUDGET = 10 ** 7      # largest plain boundary or area mesh a spec may ask for
-_PAIR_BUDGET = 2 ** 14      # (point, node) pairs a boundary kernel takes at once
-_AREA_BUDGET = 2 ** 15      # (point, node) pairs an area kernel takes at once
+_PAIR_BUDGET = 2 ** 15      # (point, node) pairs a kernel takes at once
 
 
 @dataclass(frozen=True)
@@ -331,15 +329,15 @@ def _plain_nodes(spec, params, nodes_of, area):
     return nodes
 
 
-def _kernel_rows(kernel, points, nodes, budget):
+def _kernel_rows(kernel, points, nodes):
     """(chunk, z sides, values) over chunks of points, values holding the
     kernel of each point against the nodes' side, one row per point; no
-    chunk has more than budget (point, node) pairs.  The z sides are the
-    chunk's one-point z sides stacked part by part, one row each, with one
-    more axis for each axis of the nodes' arrays."""
+    chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
+    the chunk's one-point z sides stacked part by part, one row each, with
+    one more axis for each axis of the nodes' arrays."""
     source, _, pair = kernel
     shape = np.broadcast(*nodes).shape
-    rows = max(1, budget // math.prod(shape))
+    rows = max(1, _PAIR_BUDGET // math.prod(shape))
     for i in range(0, len(points), rows):
         chunk = points[i:i + rows]
         sides = tuple(np.array(part).reshape((-1,) + (1,) * len(shape))
@@ -347,7 +345,7 @@ def _kernel_rows(kernel, points, nodes, budget):
         yield chunk, sides, pair(sides, nodes)
 
 
-def _integrate(kernel, points, nodes, weights, patches, budget):
+def _integrate(kernel, points, nodes, weights, patches):
     """The integral of weight * kernel(z, .) at each of the points z, as a
     list: the correctly rounded sum over the nodes of z's own mesh, the
     plain mesh with z's patch laid over it.
@@ -361,7 +359,7 @@ def _integrate(kernel, points, nodes, weights, patches, budget):
     nodes one after the other along the last axis, counts per point."""
     _, nodes_of, pair = kernel
     out = []
-    for chunk, sides, values in _kernel_rows(kernel, points, nodes, budget):
+    for chunk, sides, values in _kernel_rows(kernel, points, nodes):
         keep, blocks = patches(chunk)
         keep = keep.reshape(len(chunk), -1)
         with np.errstate(invalid="ignore"):
@@ -443,8 +441,7 @@ def _patch(spec, params, near):
     index = next(i for i, (arc, *_) in enumerate(plain)
                  if arc.arc_id == arc_id)
     arc, edges = plain[index][:2]
-    floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
-                1e-10) / arc.speed
+    floor = 0.5 * d * _shrink(spec, "boundary_panels") / arc.speed
     tol = 1e-13 * (edges[-1] - edges[0])
     least = max(floor, 2.0 * tol)
     lo, hi = edges[:-1], edges[1:]
@@ -572,8 +569,7 @@ def _integrate_kernel(spec, params, gamma, kernel, points,
     return _integrate(kernel, points,
                       _plain_nodes(spec, params, kernel[1], False),
                       plain_weights,
-                      partial(_boundary_patches, spec, params, gamma),
-                      _PAIR_BUDGET)
+                      partial(_boundary_patches, spec, params, gamma))
 
 
 # ----------------------------------------------------------------------
@@ -833,8 +829,7 @@ def _integrate_area(spec, params, f, kernel, points):
         weights = (_f_on(f, plain[4]) * plain[5]).reshape(-1)
     return _integrate(kernel, points,
                       _plain_nodes(spec, params, kernel[1], True),
-                      weights, partial(_singular_patches, spec, params, f),
-                      _AREA_BUDGET)
+                      weights, partial(_singular_patches, spec, params, f))
 
 
 def integrate_area(spec, params, f, singular_at=None):

@@ -76,9 +76,11 @@ class SolvabilityError(ValueError):
 # ----------------------------------------------------------------------
 # data descriptions
 
-_CATALOG = ("const", "re", "im", "re_z2", "im_z2", "abs2", "re_zk", "im_zk")
-# the kinds that need a payload, and what it is; the others take none
-_PAYLOADS = {"const": "the value", "re_zk": "the power", "im_zk": "the power"}
+# the catalog's kinds, each with what its payload is; None for the kinds
+# that take none
+_CATALOG = {"const": "the value", "re": None, "im": None, "re_z2": None,
+            "im_z2": None, "abs2": None, "re_zk": "the power",
+            "im_zk": "the power"}
 
 
 def _constant(payload):
@@ -110,29 +112,55 @@ def _power(kind, payload):
     return k
 
 
-def _expression(kind, payload):
-    """The function of z that kind names; None for SourceTerm's zero."""
-    if payload is None and kind in _PAYLOADS:
-        raise ValueError(f"kind {kind!r} needs a payload: {_PAYLOADS[kind]}")
-    if payload is not None and kind not in _PAYLOADS:
+def _catalog(kind, payload):
+    """(f, particular) for kind, one of _CATALOG or zero, with its payload:
+    the function f of z that kind names and f's particular solution
+    (c, w, dw_dz), or (None, None) for SourceTerm's zero.
+
+    c * w(z) solves w_{z conj(z)} = f, w being real with the holomorphic
+    derivative dw_dz, so that its outward normal derivative is
+    c * normal_derivative_data(params, dw_dz).  const c gives c|z|^2, Re
+    z^k and Im z^k give Re and Im of z^(k+1) conj(z)/(k + 1), and |z|^2
+    gives |z|^4/4; c is 1 but for const."""
+    rule = _CATALOG.get(kind)
+    if payload is None and rule:
+        raise ValueError(f"kind {kind!r} needs a payload: {rule}")
+    if payload is not None and not rule:
         raise ValueError(f"kind {kind!r} takes no payload, got {payload!r}")
     if kind == "zero":
-        return None
+        return None, None
     if kind == "const":
         c = _constant(payload)
-        return lambda z: np.broadcast_to(c, np.shape(z)).copy() if np.ndim(z) else c
-    if kind == "re":
-        return lambda z: np.asarray(z, complex).real
-    if kind == "im":
-        return lambda z: np.asarray(z, complex).imag
+        return ((lambda z: np.broadcast_to(c, np.shape(z)).copy()
+                 if np.ndim(z) else c),
+                (c, lambda z: np.abs(z) ** 2, np.conj))
     if kind == "abs2":
-        return lambda z: np.abs(np.asarray(z, complex)) ** 2
-    if kind not in ("re_z2", "im_z2", "re_zk", "im_zk"):
-        raise ValueError(f"unknown expression kind {kind!r}")
+        return (lambda z: np.abs(np.asarray(z, complex)) ** 2,
+                (1.0, lambda z: 0.25 * np.abs(z) ** 4,
+                 lambda z: 0.5 * np.abs(z) ** 2 * np.conj(z)))
     k = _power(kind, payload)
-    if kind.startswith("re"):
-        return lambda z: (np.asarray(z, complex) ** k).real
-    return lambda z: (np.asarray(z, complex) ** k).imag
+    part = np.real if kind.startswith("re") else np.imag
+
+    def f(z):
+        # re and im take z itself: z ** 1 turns a 0-d array into a scalar
+        z = np.asarray(z, complex)
+        return part(z if kind in ("re", "im") else z ** k)
+
+    def w(z):
+        # part(g), g = z^(k+1) conj(z)/(k+1)
+        z = np.asarray(z, complex)
+        return part(z ** (k + 1) * np.conj(z)) / (k + 1)
+
+    def dw_dz(z):
+        # d/dz of (g + conj(g))/2 or (g - conj(g))/2i, w = part(g)
+        z = np.asarray(z, complex)
+        zc = np.conj(z)
+        g_z, conj_g_z = z ** k * zc, zc ** (k + 1) / (k + 1)
+        if part is np.real:
+            return 0.5 * (g_z + conj_g_z)
+        return -0.5j * (g_z - conj_g_z)
+
+    return f, (1.0, w, dw_dz)
 
 
 @dataclass(frozen=True)
@@ -160,8 +188,9 @@ class BoundaryData:
     def from_expression(cls, kind, payload=None):
         if kind not in _CATALOG:
             raise ValueError(f"unknown boundary data kind {kind!r}; "
-                             f"expected one of {_CATALOG} or 'samples'")
-        fn = _expression(kind, payload)
+                             f"expected one of {tuple(_CATALOG)} or "
+                             f"'samples'")
+        fn = _catalog(kind, payload)[0]
         point_fn = lambda bp: fn(bp.point)
         return cls(funcs={"C0": point_fn, "C1": point_fn})
 
@@ -232,55 +261,20 @@ def _interp(s, vals):
     return fn
 
 
-def _closed_form(kind, payload):
-    """The particular solution of w_{z conj(z)} = f for the catalog source
-    kind names, as (c, w, dw_dz): c * w(z) solves it, w being real with the
-    holomorphic derivative dw_dz, so that its outward normal derivative is
-    c * normal_derivative_data(params, dw_dz).
-
-    const c gives c|z|^2, Re z^k and Im z^k give Re and Im of
-    z^(k+1) conj(z)/(k + 1), and |z|^2 gives |z|^4/4; c is 1 but for
-    const."""
-    if kind == "const":
-        return _constant(payload), lambda z: np.abs(z) ** 2, np.conj
-    if kind == "abs2":
-        return (1.0, lambda z: 0.25 * np.abs(z) ** 4,
-                lambda z: 0.5 * np.abs(z) ** 2 * np.conj(z))
-    k = _power(kind, payload)
-    part = np.real if kind.startswith("re") else np.imag
-
-    def w(z):
-        # part(g), g = z^(k+1) conj(z)/(k+1)
-        z = np.asarray(z, complex)
-        return part(z ** (k + 1) * np.conj(z)) / (k + 1)
-
-    def dw_dz(z):
-        # d/dz of (g + conj(g))/2 or (g - conj(g))/2i, w = part(g)
-        z = np.asarray(z, complex)
-        zc = np.conj(z)
-        g_z, conj_g_z = z ** k * zc, zc ** (k + 1) / (k + 1)
-        if part is np.real:
-            return 0.5 * (g_z + conj_g_z)
-        return -0.5j * (g_z - conj_g_z)
-
-    return 1.0, w, dw_dz
-
-
 @dataclass(frozen=True)
 class SourceTerm:
     """Right-hand side of the Poisson equation, bounded on the closure.
 
     A source from the expression catalog carries its particular solution
-    in closed form (_closed_form), and the solvers take it on the boundary
+    in closed form (_catalog), and the solvers take it on the boundary
     alone.  A callable source has none, and the solvers integrate it over
     the area.
     """
 
     func: object = None  # None means identically zero
-    # (c, w, dw_dz) of _closed_form, set by from_expression; None for a
-    # zero or callable source
-    _particular: object = field(default=None, init=False, compare=False,
-                                repr=False)
+    # (c, w, dw_dz) of _catalog for a catalog source; None for a zero or
+    # callable source
+    _particular: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_zero(self):
@@ -305,11 +299,7 @@ class SourceTerm:
     def from_expression(cls, kind, payload=None):
         if kind not in (*_CATALOG, "zero"):
             raise ValueError(f"unknown source kind {kind!r}")
-        term = cls(_expression(kind, payload))
-        if not term.is_zero:
-            object.__setattr__(term, "_particular",
-                               _closed_form(kind, payload))
-        return term
+        return cls(*_catalog(kind, payload))
 
     @classmethod
     def from_callable(cls, fn):
@@ -381,7 +371,7 @@ def solve_dirichlet(params, spec, gamma, f, points):
 
     Returns a complex array, one value per point.  A catalog source is
     taken as w_p + (the harmonic solution with data gamma - w_p), w_p its
-    particular solution (_closed_form).
+    particular solution (_catalog).
     """
     points = _check_points(params, points)
     smap = sector_map(params)
@@ -441,7 +431,7 @@ def solve_neumann(params, spec, gamma, f, points):
     verdict is check_neumann_solvability's (_compatibility).
 
     A catalog source is taken as w_p + (the harmonic solution with data
-    gamma - dw_p/dnu) + c(w_p), w_p its particular solution (_closed_form)
+    gamma - dw_p/dnu) + c(w_p), w_p its particular solution (_catalog)
     and c(w_p) = 1/(4 pi) int_boundary w_p * dN/dnu, the constant that
     keeps the representation formula's zero-constant representative.  On
     the plain mesh the data's weights are gamma's less the flux's of the

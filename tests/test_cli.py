@@ -87,6 +87,15 @@ class TestGrids:
         assert out == ""
         assert "interior" in err
 
+    @pytest.mark.parametrize("grid", ["30000,30000", "10000001,1"])
+    def test_oversized_grid_exits_two(self, capsys, grid):
+        # more cells than the node budget exits before any array is built
+        with pytest.raises(SystemExit) as err:
+            main(["green", "--alpha-pi", "1/2", "--n", "2",
+                  "--zeta", "0.4,0.1", "--grid", grid])
+        assert err.value.code == 2
+        assert "more than 10000000" in capsys.readouterr().err
+
 
 class TestPoissonTab:
     def test_rows(self, capsys):
@@ -121,7 +130,8 @@ class TestPoissonTab:
         assert code == 2
         assert "interior" in err
 
-    @pytest.mark.parametrize("samples", ["0", "-3"])
+    # 900000000 is past the node budget; it exits before any array is built
+    @pytest.mark.parametrize("samples", ["0", "-3", "900000000"])
     def test_samples_below_one_exit_two(self, capsys, samples):
         with pytest.raises(SystemExit) as err:
             main(["poisson", "--alpha-pi", "1/2", "--n", "2", "--z", "0.4,0.1",

@@ -524,10 +524,10 @@ def record_chunks(monkeypatch):
     chunks = []
     kernel_rows = lenspot.quadrature._kernel_rows
 
-    def recording(kernel, points, nodes, budget):
-        for chunk, sides, values in kernel_rows(kernel, points, nodes,
-                                                budget):
-            chunks.append((list(chunk), values.size, budget))
+    def recording(kernel, points, nodes):
+        for chunk, sides, values in kernel_rows(kernel, points, nodes):
+            chunks.append((list(chunk), values.size,
+                           lenspot.quadrature._PAIR_BUDGET))
             yield chunk, sides, values
 
     monkeypatch.setattr(lenspot.quadrature, "_kernel_rows", recording)
@@ -565,13 +565,13 @@ class TestAreaEvaluator:
                              ids=lambda p: f"{p.alpha:.4g}-{p.n}")
     def test_chunks_equal_one_point_calls(self, params, monkeypatch):
         # the points of a call go to _integrate in chunks of at most
-        # _AREA_BUDGET (point, node) pairs, here three points' plain rows
+        # _PAIR_BUDGET (point, node) pairs, here three points' plain rows
         spec = QuadratureSpec()
         near = near_boundary_points(params)
         points = near + [complex(z) for z in sample_interior(
             params, np.random.default_rng(52), 7 - len(near), margin=1e-3)]
         nodes = area_mesh(spec, params)[0].size
-        monkeypatch.setattr(lenspot.quadrature, "_AREA_BUDGET", 3 * nodes)
+        monkeypatch.setattr(lenspot.quadrature, "_PAIR_BUDGET", 3 * nodes)
         chunks = record_chunks(monkeypatch)
         for _, steps, f in area_kernels(params):
             chunks.clear()
@@ -635,8 +635,7 @@ def whole_arc_mesh(spec, params, near):
     near_arc = None
     if near is not None:
         d, near_arc, near_t = boundary_distance(params, near)
-        floor = max(max(0.5 * d, 1e-8) * _shrink(spec, "boundary_panels"),
-                    1e-10)
+        floor = 0.5 * d * _shrink(spec, "boundary_panels")
         targets = [near_t]
         if params.n == 1:
             targets.append(near_t - math.copysign(2 * math.pi, near_t))

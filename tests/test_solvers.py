@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import pathlib
@@ -354,6 +355,41 @@ class TestNeumann:
         assert diff.max() - diff.min() < 1e-5
 
 
+class TestDeepPoints:
+    """A point d inside the boundary is graded down to half its distance,
+    so the kernel's peak next to it is resolved at any d, not only down to
+    a fixed floor."""
+
+    SETS = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
+            LensParams(0.9 * math.pi, 1), LensParams(math.pi / 2, 8),
+            LensParams(2 * math.pi / 3, 2), LensParams(0.999 * math.pi, 2)]
+
+    @staticmethod
+    def deep(params, d):
+        """The point d inside the unit arc at angle 0.3 alpha."""
+        return (1.0 - d) * cmath.exp(0.3j * params.alpha)
+
+    @pytest.mark.parametrize("d, tol", [(1e-9, 1e-8), (1e-10, 1e-6)])
+    @pytest.mark.parametrize("params", SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_dirichlet(self, params, d, tol):
+        z = self.deep(params, d)
+        w = solve_dirichlet(params, SPEC,
+                            BoundaryData.from_expression("re_zk", 3),
+                            SourceTerm.zero(), [z])
+        assert abs(w[0] - (z ** 3).real) <= tol
+
+    @pytest.mark.parametrize("params", SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_neumann_spread(self, params):
+        # w - Re z^3 is one constant at the deep point and one well inside
+        points = [self.deep(params, 1e-10), interior(params, 1, margin=1e-2)[0]]
+        gamma = normal_derivative_data(params, lambda z: 1.5 * z ** 2)
+        w = solve_neumann(params, SPEC, gamma, SourceTerm.zero(), points)
+        diff = np.real(w) - np.real(np.array(points) ** 3)
+        assert abs(diff[0] - diff[1]) <= 1e-11
+
+
 class TestNonFiniteData:
     """Data that is not finite on part of the domain raises instead of
     coming back as a nan or an infinite answer."""
@@ -437,9 +473,8 @@ class TestBatchedPoints:
         chunks = []
         kernel_rows = lenspot.quadrature._kernel_rows
 
-        def recording(kernel, points, nodes, budget):
-            for chunk, sides, values in kernel_rows(kernel, points, nodes,
-                                                    budget):
+        def recording(kernel, points, nodes):
+            for chunk, sides, values in kernel_rows(kernel, points, nodes):
                 chunks.append((len(chunk), values.size))
                 yield chunk, sides, values
 
