@@ -26,22 +26,23 @@ where L(w) = log|s - 1|^2 with s = e^w/rotation, so that
 |zeta - c-| = |c+ - c-|/|s - 1|.  The constant makes N equal the paper's
 product form, not just up to a constant, so the two forms are
 interchangeable in every integral of a Neumann solve.  The solvers' area
-integrals use strip_green and strip_neumann, in three steps
-(strip_green_steps, strip_neumann_steps), on the nodes the area mesh
+integrals use strip_green and strip_neumann on the nodes the area mesh
 lays out in w; their boundary integrals use strip_poisson and
-strip_neumann_at on the boundary nodes, N being symmetric.  On the
-boundary F1 = F2, so the Poisson kernel -1/2 dG/dnu takes one gap and two
-sines (see strip_poisson).
+strip_neumann_at on the boundary nodes, N being symmetric.  Each is a
+Kernel, a z side, a node side and their pair, so that many points share
+one node side.  On the boundary F1 = F2, so the Poisson kernel
+-1/2 dG/dnu takes one gap and two sines (see SectorMap._poisson_pair).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import EPS_CORNER, _axis_crossings, corner_distance
+from .domain import EPS_CORNER, _axis_crossings, arcs, corner_distance
 
 
 def _image_terms(n, x, x0):
@@ -62,9 +63,28 @@ def _image_gaps(n, x, y, x0, y0s):
     return [a + b * np.sin(0.5 * n * (y - y0)) ** 2 for y0 in y0s]
 
 
-def _strip_nodes(x, y):
-    """The node side of strip_green: the strip coordinates themselves."""
-    return x, y
+class Kernel(NamedTuple):
+    """A strip kernel in three steps, for many points against one set of
+    nodes: kernel(z, *args) == pair(source(z), nodes(*args)).  source(z)
+    is the z side of one point, nodes(*args) the part that does not depend
+    on z, and pair takes the z sides of many points stacked part by part
+    (sides), shaped to broadcast against the nodes' arrays.  The node-side
+    and pair ufuncs give the same values at any array length."""
+
+    source: Callable
+    nodes: Callable
+    pair: Callable
+
+    def __call__(self, z, *args):
+        return self.pair(self.source(z), self.nodes(*args))
+
+    def sides(self, points):
+        """The z sides of the points stacked part by part, one flat array
+        per part.  Single points' z sides are stacked rather than the z side
+        of an array taken: they come from numpy scalar arithmetic, whose
+        complex multiply can round differently from the array loop's, and
+        stacked they keep every answer equal to a one-point call's."""
+        return tuple(map(np.array, zip(*map(self.source, points))))
 
 
 class SectorMap:
@@ -74,6 +94,18 @@ class SectorMap:
     arc maps onto the positive real ray and the lens onto the sector of
     opening pi/n just below it.  Checked at build time: an interior point
     maps into the strip and back.
+
+    The strip kernels are Kernel attributes.  strip_green(z, x, y) and
+    strip_neumann(z, x, y) are G and N at the zeta whose strip coordinate
+    is x + iy, equal to KernelField.green and neumann, N's additive
+    constant included.  strip_neumann_at(z, zeta) is N at the points zeta
+    rather than their strip coordinates; N is symmetric, so this is
+    N(zeta, z) too.  strip_poisson(z, zeta) is the Poisson kernel
+    p(z, zeta) = -1/2 dG/dnu at non-corner boundary points zeta, equal to
+    KernelField.poisson_kernel.  Each raises ValueError at the corners,
+    which have no image, and where its value is not finite (zeta at z).
+    normal_density maps each arc id to dN/dnu there, a constant equal to
+    KernelField.normal_density's.
     """
 
     def __init__(self, params):
@@ -86,9 +118,23 @@ class SectorMap:
         self.gap_bottom = math.pi + params.alpha - params.theta
         # Im w of the Jacobian pole just above the strip
         self._pole = math.pi - params.alpha
-        n = params.n
+        alpha, theta, n = params.alpha, params.theta, params.n
         self._neumann_const = (-8.0 * n * math.log(abs(self.cp - self.cm))
                                + 4.0 * n * math.log(2.0))
+        # by KernelField.normal_density's operations, so the two are equal
+        c0 = 2.0 * n * math.sin(alpha - theta) / math.sin(alpha)
+        self.normal_density = {arc_id: -2.0 * n if arc.kind == "unit" else c0
+                               for arc_id, arc in arcs(params).items()}
+        # strip_green's node side is the strip coordinates themselves
+        self.strip_green = Kernel(self._green_source, lambda x, y: (x, y),
+                                  self._green_pair)
+        self.strip_neumann = Kernel(self._neumann_source, self._neumann_nodes,
+                                    self._neumann_pair)
+        self.strip_neumann_at = Kernel(self._neumann_source,
+                                       self._neumann_nodes_at,
+                                       self._neumann_pair)
+        self.strip_poisson = Kernel(self._poisson_source, self._poisson_nodes,
+                                    self._poisson_pair)
         # the boundary crosses the real axis only at these two points, so
         # the point halfway between them is interior
         mid0, mid1 = _axis_crossings(params)
@@ -153,78 +199,6 @@ class SectorMap:
             raise ValueError("kernel has a singularity at zeta == z")
         return value
 
-    def strip_green(self, z, x, y):
-        """Green function G(z, zeta) at zeta with strip coordinate x + iy;
-        equals KernelField.green.  ValueError at the corners, which have no
-        image, and where the value is not finite (zeta at z)."""
-        return self._green_pair(self._green_source(z), _strip_nodes(x, y))
-
-    def strip_neumann(self, z, x, y):
-        """Neumann function N(z, zeta) at zeta with strip coordinate x + iy;
-        equals KernelField.neumann, its additive constant included."""
-        return self._neumann_pair(self._neumann_source(z),
-                                  self._neumann_nodes(x, y))
-
-    def strip_neumann_at(self, z, zeta):
-        """strip_neumann at the points zeta rather than their strip
-        coordinates; N is symmetric, so this is N(zeta, z) too."""
-        return self._neumann_pair(self._neumann_source(z),
-                                  self._neumann_nodes_at(zeta))
-
-    def strip_poisson(self, z, zeta):
-        """Poisson kernel p(z, zeta) = -1/2 dG/dnu at non-corner boundary
-        points zeta; equals KernelField.poisson_kernel.
-
-        With w = x + iy the image of zeta, dG/dnu = sigma dG/dy |w'(zeta)|,
-        the outward normal being +y on the edge Im w = 0 (sigma = +1) and -y
-        on Im w = -theta (sigma = -1), and |w'(zeta)| = |c+ - c-| /
-        (|zeta - c+| |zeta - c-|).  On either edge F1 = F2 = F =
-        A + B sin^2(n v/2) with u + iv = w - w0, and dG/dy = -n B sin(n v)/F,
-        so p = sigma n B sin(n v) |w'(zeta)| / (2F).
-
-        u and v are not taken from w and w0, each rounded on its own: next
-        to the boundary v is small, and p would lose a factor 1/|w'| at its
-        peak.  Instead w - w0 = log(r), r = s(zeta)/s(z) = 1 + q with
-        q = (zeta - z)(c+ - c-) / ((zeta - c-)(z - c+)).  Where |q| < 1/2,
-        u and v come from q, which keeps its relative accuracy as zeta nears
-        z.  Elsewhere u = log|r| and v = Im w - y0 with Im w set to its edge
-        value, so a node rounded off the boundary does not move v.  The edge
-        is the one Im w = arg(r) + y0 lies nearer; unlike Im to_w(zeta) this
-        does not wrap to +pi at n = 1.
-        """
-        return self._poisson_pair(self._poisson_source(z),
-                                  self._poisson_nodes(zeta))
-
-    def strip_green_steps(self):
-        """strip_green in three steps, as poisson_steps, the node side
-        taking strip coordinates x and y: strip_green(z, x, y) ==
-        pair(source(z), nodes(x, y))."""
-        return self._green_source, _strip_nodes, self._green_pair
-
-    def strip_neumann_steps(self):
-        """strip_neumann in three steps, as strip_green_steps."""
-        return self._neumann_source, self._neumann_nodes, self._neumann_pair
-
-    def poisson_steps(self):
-        """strip_poisson in three steps, for many points against one set
-        of nodes: (source, nodes, pair), with strip_poisson(z, zeta) ==
-        pair(source(z), nodes(zeta)).  source(z) is the z side of one
-        point, nodes(zeta) the part that does not depend on z, and pair
-        takes the z sides of many points stacked part by part (one row
-        each, or one value per node), broadcast against the nodes' arrays.
-
-        Stack the z sides of single points rather than take the z side of
-        an array: they come from numpy scalar arithmetic, whose complex
-        multiply can round differently from the array loop's, and stacked
-        they keep every answer equal to a one-point call's.  The node-side
-        and pair ufuncs give the same values at any array length."""
-        return self._poisson_source, self._poisson_nodes, self._poisson_pair
-
-    def neumann_steps(self):
-        """strip_neumann_at in three steps, as poisson_steps."""
-        return (self._neumann_source, self._neumann_nodes_at,
-                self._neumann_pair)
-
     def _green_source(self, z):
         """x0 and y0, w0 = x0 + i y0 being the image of z."""
         to_plus, to_minus, _ = self._gaps(z)
@@ -253,6 +227,25 @@ class SectorMap:
                 abs(self.cp - self.cm) / corner_product)
 
     def _poisson_pair(self, source, nodes):
+        """The Poisson kernel from the z sides and node sides.
+
+        With w = x + iy the image of zeta, dG/dnu = sigma dG/dy |w'(zeta)|,
+        the outward normal being +y on the edge Im w = 0 (sigma = +1) and -y
+        on Im w = -theta (sigma = -1), and |w'(zeta)| = |c+ - c-| /
+        (|zeta - c+| |zeta - c-|).  On either edge F1 = F2 = F =
+        A + B sin^2(n v/2) with u + iv = w - w0, and dG/dy = -n B sin(n v)/F,
+        so p = sigma n B sin(n v) |w'(zeta)| / (2F).
+
+        u and v are not taken from w and w0, each rounded on its own: next
+        to the boundary v is small, and p would lose a factor 1/|w'| at its
+        peak.  Instead w - w0 = log(r), r = s(zeta)/s(z) = 1 + q with
+        q = (zeta - z)(c+ - c-) / ((zeta - c-)(z - c+)).  Where |q| < 1/2,
+        u and v come from q, which keeps its relative accuracy as zeta nears
+        z.  Elsewhere u = log|r| and v = Im w - y0 with Im w set to its edge
+        value, so a node rounded off the boundary does not move v.  The edge
+        is the one Im w = arg(r) + y0 lies nearer; unlike Im to_w(zeta) this
+        does not wrap to +pi at n = 1.
+        """
         z, z_plus, z_minus, y0 = source
         zeta, to_plus, to_minus, speed = nodes
         den = to_minus * z_plus

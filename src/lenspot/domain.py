@@ -391,9 +391,14 @@ def boundary_samples(params, arc_id, count):
     arc = arc_of(params, arc_id)
     spacing = 2.0 * arc.half_width / count
     ts = -arc.half_width + spacing * (np.arange(count) + 0.5)
-    # the n = 1 circle passes through the marked corners mid-range
+    # the n = 1 circle passes through the marked corners mid-range, and
+    # many samples put the first and last next to the arc's ends: a sample
+    # that close moves a quarter spacing forward, or back where forward is
+    # within EPS_CORNER of a corner (the last sample, next to the far end)
     bad = corner_distance(params, arc.point(ts)) <= 1.5 * EPS_CORNER
     ts[bad] += 0.25 * spacing
+    back = bad & (corner_distance(params, arc.point(ts)) <= EPS_CORNER)
+    ts[back] -= 0.5 * spacing
     if np.any(corner_distance(params, arc.point(ts)) <= EPS_CORNER):
         raise RuntimeError("could not place samples clear of the corners")
     return boundary_point(params, arc_id, ts)

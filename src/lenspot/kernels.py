@@ -25,8 +25,10 @@ reference for every other evaluation.  The loop over k costs O(n) per
 node, so the solvers take their kernels instead in the strip coordinate of
 the corner-pinning map, where the products collapse to O(1) work per node:
 G and N on the area mesh, p and N on the boundary nodes
-(conformal.SectorMap.strip_green, strip_neumann and strip_poisson, which
-equal these kernels, the Neumann constant included).
+(conformal.SectorMap.strip_green, strip_neumann, strip_poisson and
+strip_neumann_at, which equal these kernels, the Neumann constant
+included).  They take dN/dnu's constant on each arc from the map as well
+(SectorMap.normal_density); normal_density here is its reference.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ class KernelField:
 
     def normal_density(self, bp: BoundaryPoint):
         """Outward normal derivative of the Neumann function on the
-        boundary: a piecewise constant (-2n on the unit-circle arc)."""
+        boundary: a piecewise constant (-2n on the unit-circle arc), the
+        paper's formula and the reference of SectorMap.normal_density."""
         pt, = self._args(bp.point, corners=True, pole=False)
         if arc_of(self.params, bp.arc_id).kind == "unit":
             value = -2.0 * self.params.n

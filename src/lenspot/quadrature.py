@@ -333,16 +333,15 @@ def _kernel_rows(kernel, points, nodes):
     """(chunk, z sides, values) over chunks of points, values holding the
     kernel of each point against the nodes' side, one row per point; no
     chunk has more than _PAIR_BUDGET (point, node) pairs.  The z sides are
-    the chunk's one-point z sides stacked part by part, one row each, with
-    one more axis for each axis of the nodes' arrays."""
-    source, _, pair = kernel
+    the chunk's kernel.sides, one row each, with one more axis for each
+    axis of the nodes' arrays."""
     shape = np.broadcast(*nodes).shape
     rows = max(1, _PAIR_BUDGET // math.prod(shape))
     for i in range(0, len(points), rows):
         chunk = points[i:i + rows]
-        sides = tuple(np.array(part).reshape((-1,) + (1,) * len(shape))
-                      for part in zip(*map(source, chunk)))
-        yield chunk, sides, pair(sides, nodes)
+        sides = tuple(part.reshape((-1,) + (1,) * len(shape))
+                      for part in kernel.sides(chunk))
+        yield chunk, sides, kernel.pair(sides, nodes)
 
 
 def _integrate(kernel, points, nodes, weights, patches):
@@ -350,14 +349,13 @@ def _integrate(kernel, points, nodes, weights, patches):
     list: the correctly rounded sum over the nodes of z's own mesh, the
     plain mesh with z's patch laid over it.
 
-    kernel is a kernel of conformal.SectorMap in three steps (z side, node
-    side, pair), nodes its node side on the plain mesh and weights the
-    plain mesh's data times quadrature weight, flat.  patches(chunk) gives
-    (keep, blocks): keep, shaped as the kernel's values, marks the plain
-    nodes each point keeps, and blocks holds (build, counts) pairs, build()
-    giving fresh nodes as (weights, node side's arguments), the points'
-    nodes one after the other along the last axis, counts per point."""
-    _, nodes_of, pair = kernel
+    kernel is one of conformal.SectorMap's strip kernels (a Kernel), nodes
+    its node side on the plain mesh and weights the plain mesh's data times
+    quadrature weight, flat.  patches(chunk) gives (keep, blocks): keep,
+    shaped as the kernel's values, marks the plain nodes each point keeps,
+    and blocks holds (build, counts) pairs, build() giving fresh nodes as
+    (weights, node side's arguments), the points' nodes one after the other
+    along the last axis, counts per point."""
     out = []
     for chunk, sides, values in _kernel_rows(kernel, points, nodes):
         keep, blocks = patches(chunk)
@@ -369,7 +367,7 @@ def _integrate(kernel, points, nodes, weights, patches):
             block_weights, args = build()
             mine = tuple(np.repeat(part.reshape(-1), counts) for part in sides)
             with np.errstate(invalid="ignore"):
-                block = pair(mine, nodes_of(*args)) * block_weights
+                block = kernel.pair(mine, kernel.nodes(*args)) * block_weights
             # this block's nodes are let go before the next one is built
             del block_weights, args, mine
             ends = np.cumsum(counts).tolist()
@@ -567,7 +565,7 @@ def _integrate_kernel(spec, params, gamma, kernel, points,
     if plain_weights is None:
         plain_weights = _plain_weights(spec, params, gamma)
     return _integrate(kernel, points,
-                      _plain_nodes(spec, params, kernel[1], False),
+                      _plain_nodes(spec, params, kernel.nodes, False),
                       plain_weights,
                       partial(_boundary_patches, spec, params, gamma))
 
@@ -828,7 +826,7 @@ def _integrate_area(spec, params, f, kernel, points):
     with np.errstate(invalid="ignore"):
         weights = (_f_on(f, plain[4]) * plain[5]).reshape(-1)
     return _integrate(kernel, points,
-                      _plain_nodes(spec, params, kernel[1], True),
+                      _plain_nodes(spec, params, kernel.nodes, True),
                       weights, partial(_singular_patches, spec, params, f))
 
 

@@ -19,16 +19,16 @@ integral is then traded for boundary data:
     neumann:    w = w_p + (the formula with gamma - dw_p/dnu and f = 0)
                     + 1/(4 pi) * int_boundary w_p * dN/dnu
 
-the last term keeping the zero-constant representative (dN/dnu is
-KernelField.normal_density's piecewise constant).  The compatibility
+the last term keeping the zero-constant representative (dN/dnu is a
+constant on each arc, SectorMap.normal_density).  The compatibility
 condition's right side is then int_boundary dw_p/dnu, equal to
 4 * int_area f by the divergence theorem.  A source given as a callable
 has no closed form and takes the area integral.
 
 Every kernel is taken in the strip form of conformal.SectorMap, O(1) work
 per node at any n: the Poisson kernel and N at the boundary nodes, G and N
-at the area nodes' strip coordinates.  KernelField's product form is the
-reference they are checked against.
+at the area nodes' strip coordinates, and dN/dnu from SectorMap too.
+KernelField's product form is the reference they are checked against.
 
 The points of one call are solved together: their boundary integrals,
 and the area integrals of a callable source, come from one evaluator,
@@ -53,7 +53,6 @@ import numpy as np
 from .conformal import sector_map
 from .domain import (LensParams, _is_number, arcs, classify_point,
                      normal_coeffs)
-from .kernels import KernelField
 from .quadrature import (QuadratureSpec, _exact_total, _integrate_area,
                          _integrate_kernel, _plain_weights, integrate_area,
                          integrate_boundary)
@@ -212,7 +211,7 @@ class BoundaryData:
                 raise ValueError("sample tables must hold finite numbers")
             if np.any(np.diff(s) <= 0):
                 raise ValueError("sample arc lengths must increase strictly")
-            funcs[arc_id] = _interp(s, vals)
+            funcs[arc_id] = _interp(arc_id, s, vals)
         return cls(funcs=funcs)
 
     @classmethod
@@ -254,9 +253,15 @@ def _complex_pairs(entries, what):
     return [complex(*entry) for entry in entries]
 
 
-def _interp(s, vals):
+def _interp(arc_id, s, vals):
+    """The arc's data, interpolated piecewise-linearly in the table (s,
+    vals); ValueError at an arc length outside the table, where np.interp
+    would repeat the end value."""
     def fn(bp):
         x = np.asarray(bp.arclen, dtype=float)
+        if np.any((x < s[0]) | (x > s[-1])):
+            raise ValueError(f"the {arc_id} sample table spans arc lengths "
+                             f"[{s[0]:g}, {s[-1]:g}], not the whole arc")
         return np.interp(x, s, vals.real) + 1j * np.interp(x, s, vals.imag)
     return fn
 
@@ -344,12 +349,12 @@ def _represent(params, spec, gamma, f, points, kernel, scale, area_kernel,
     gamma * boundary kernel over scale, minus 1/pi times the area integral
     of f * area kernel.
 
-    kernel and area_kernel are kernels of conformal.SectorMap in three
-    steps (z side, node side, pair), the area kernel's node side taking
-    strip coordinates.  quadrature._integrate takes both integrals for all
-    the points together, the boundary one through _integrate_kernel, from
-    plain_weights if given, and the area one through _integrate_area.  The
-    points are interior (_check_points)."""
+    kernel and area_kernel are strip kernels of conformal.SectorMap, the
+    area kernel's node side taking strip coordinates.
+    quadrature._integrate takes both integrals for all the points together,
+    the boundary one through _integrate_kernel, from plain_weights if given,
+    and the area one through _integrate_area.  The points are interior
+    (_check_points)."""
     w = [total / scale for total in _integrate_kernel(
         spec, params, gamma, kernel, points, plain_weights)]
     if not f.is_zero:
@@ -380,8 +385,8 @@ def solve_dirichlet(params, spec, gamma, f, points):
         c, w_p, _ = particular
         gamma = _minus(gamma, lambda bp: c * w_p(bp.point))
         f = SourceTerm.zero()
-    w = _represent(params, spec, gamma, f, points, smap.poisson_steps(),
-                   2.0 * math.pi, smap.strip_green_steps())
+    w = _represent(params, spec, gamma, f, points, smap.strip_poisson,
+                   2.0 * math.pi, smap.strip_green)
     if particular is not None:
         w = w + c * w_p(np.array(points, dtype=complex))
     return w
@@ -449,13 +454,12 @@ def solve_neumann(params, spec, gamma, f, points):
         plain_weights = plain_weights - flux
         f = SourceTerm.zero()
     smap = sector_map(params)
-    w = _represent(params, spec, gamma, f, points, smap.neumann_steps(),
-                   4.0 * math.pi, smap.strip_neumann_steps(),
-                   plain_weights)
+    w = _represent(params, spec, gamma, f, points, smap.strip_neumann_at,
+                   4.0 * math.pi, smap.strip_neumann, plain_weights)
     if particular is not None:
-        density = KernelField(params).normal_density
+        density = smap.normal_density
         shift = integrate_boundary(
-            spec, params, lambda bp: density(bp) * w_p(bp.point))
+            spec, params, lambda bp: density[bp.arc_id] * w_p(bp.point))
         w = w + c * (w_p(np.array(points, dtype=complex))
                      + shift / (4.0 * math.pi))
     return w
@@ -473,9 +477,10 @@ def probe_normalization_constant(params, spec, zetas):
     zetas = _check_points(params, zetas)
     if not zetas:
         raise ValueError("the probe needs at least one point")
+    smap = sector_map(params)
     values = np.real(_integrate_kernel(
-        spec, params, KernelField(params).normal_density,
-        sector_map(params).neumann_steps(), zetas))
+        spec, params, lambda bp: smap.normal_density[bp.arc_id],
+        smap.strip_neumann_at, zetas))
     return {"values": values, "spread": float(values.max() - values.min())}
 
 

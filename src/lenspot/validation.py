@@ -382,8 +382,8 @@ def _strip_boundary_gaps(params, spec, zs):
 
     Each arc's nodes of all the points go into one call per kernel, with
     each point repeated once per node of its own.  The strip forms take the
-    z sides of single points stacked (poisson_steps), as the solvers do, so
-    every value equals a one-point call's."""
+    points' stacked z sides (Kernel.sides), as the solvers do, so every
+    value equals a one-point call's."""
     fld = KernelField(params)
     smap = sector_map(params)
     zs = [complex(z) for z in zs]
@@ -396,12 +396,11 @@ def _strip_boundary_gaps(params, spec, zs):
                            *(np.concatenate([getattr(b, part) for b in batches])
                              for part in ("t", "point", "arclen")))
         z = np.repeat(zs, counts)
-        for (source, nodes_of, pair), product in (
-                (smap.poisson_steps(), fld.poisson_kernel(z, bp)),
-                (smap.neumann_steps(), fld.neumann(bp.point, z))):
-            sides = tuple(np.repeat(part, counts)
-                          for part in zip(*map(source, zs)))
-            strip = pair(sides, nodes_of(bp.point))
+        for kernel, product in (
+                (smap.strip_poisson, fld.poisson_kernel(z, bp)),
+                (smap.strip_neumann_at, fld.neumann(bp.point, z))):
+            sides = tuple(np.repeat(part, counts) for part in kernel.sides(zs))
+            strip = kernel.pair(sides, kernel.nodes(bp.point))
             gaps.append(np.abs(strip - product)
                         / np.maximum(1.0, np.abs(product)))
     return np.concatenate(gaps)
@@ -483,7 +482,7 @@ def _quadrature_checks(params, spec, rng):
                            float(ratio), 1e4, ok=ratio >= 1e4, fmt="{:.3e}"))
 
     z0 = complex(sample_interior(params, rng, 1, margin=0.05)[0])
-    green = sector_map(params).strip_green_steps()
+    green = sector_map(params).strip_green
     v1, v2 = (_integrate_area(s, params, lambda w: 1.0, green, [z0])[0]
               for s in (spec, spec.refined()))
     out.append(_err_check("singular area integral self-converges",

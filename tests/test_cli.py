@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from lenspot import (KernelField, LensParams, arcs, boundary_samples,
-                     sector_map)
+from lenspot import (KernelField, LensParams, arcs, boundary_point,
+                     boundary_samples, sector_map)
 from lenspot.cli import main
 
 # a valid problem file: |z|^2 solves the Poisson equation with f = 1
@@ -123,6 +123,15 @@ class TestPoissonTab:
             assert [float(r[1]) for r in mine] == list(bp.t)
             expected = sector_map(params).strip_poisson(0.4 + 0.1j, bp.point)
             assert [float(r[4]) for r in mine] == list(expected)
+
+    def test_many_samples_clear_the_corners(self, capsys):
+        # on the C0 of (999/1000 pi, 2) a quarter spacing forward would take
+        # the last of 40000 samples within EPS_CORNER of its corner
+        code, out, err = run(capsys, "poisson", "--alpha-pi", "999/1000",
+                             "--n", "2", "--z", "0.999,0",
+                             "--samples", "40000")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 80001
 
     def test_nan_z_rejected(self, capsys):
         code, _, err = run(capsys, "poisson", "--alpha-pi", "1/2", "--n", "2",
@@ -313,6 +322,28 @@ class TestSolveCommands:
         assert out == ""
         assert err.startswith("error: samples ")
         assert repr(arc_id) in err
+
+    def test_table_missing_part_of_its_arc_exits_one(self, capsys,
+                                                     tmp_path):
+        # Re z^3 in 40-sample tables; C1's covers the first half of the arc
+        params = LensParams(math.pi / 2, 2)
+        tables = {}
+        for arc_id, share in (("C0", 1.0), ("C1", 0.5)):
+            arc = arcs(params)[arc_id]
+            bp = boundary_point(params, arc_id, np.linspace(
+                -arc.half_width, (2.0 * share - 1.0) * arc.half_width, 40))
+            tables[arc_id] = {"arclen": bp.arclen.tolist(),
+                              "values": [[(z ** 3).real, 0.0]
+                                         for z in bp.point.tolist()]}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({
+            "alpha": math.pi / 2, "n": 2,
+            "gamma": {"kind": "samples", "payload": tables},
+            "points": [[0.4, 0.1]]}))
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the C1 sample table spans")
 
     @pytest.mark.parametrize("problem, name", [
         (dict(_GOOD, source={"kind": "const", "payload": 1.0}), "'source'"),

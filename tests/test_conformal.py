@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lenspot import (BoundaryData, KernelField, LensParams, QuadratureSpec,
-                     SectorMap, SourceTerm, boundary_samples,
+                     SectorMap, SourceTerm, arcs, boundary_samples,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, sector_map, solve_dirichlet,
                      solve_neumann)
@@ -16,6 +16,12 @@ CASES = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
          LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 4, 4),
          LensParams(0.9 * math.pi, 1)]
 LARGE_N = [LensParams(math.pi / 2, 16), LensParams(math.pi / 2 + 0.01, 64)]
+# the benchmark's four sets, and the acceptance catalog's other five
+BENCH = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
+         LensParams(math.pi / 2, 8), LensParams(math.pi / 2 + 0.01, 64)]
+ACCEPTANCE = [LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 4, 4),
+              LensParams(math.pi / 3, 3), LensParams(0.9 * math.pi, 1),
+              LensParams(math.pi / 2, 1)]
 
 
 def pairs(params, count, seed=0):
@@ -135,3 +141,36 @@ def test_sector_map_is_built_once_per_lens(monkeypatch):
     finally:
         sector_map.cache_clear()
         _plain_area.cache_clear()
+
+
+@pytest.mark.parametrize("params", BENCH, ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+def test_stacked_sides_are_one_point_calls(params):
+    # the evaluator pairs many points' stacked z sides with one node side;
+    # each row is the point's one-point call, bit for bit
+    smap = sector_map(params)
+    rng = np.random.default_rng(3)
+    points = [complex(z) for z in sample_interior(params, rng, 5, margin=1e-3)]
+    zeta = np.concatenate([boundary_samples(params, arc_id, 16).point
+                           for arc_id in arcs(params)])
+    w = smap.to_w(sample_interior(params, rng, 16, margin=1e-3))
+    for kernel, args in ((smap.strip_green, (w.real, w.imag)),
+                         (smap.strip_neumann, (w.real, w.imag)),
+                         (smap.strip_neumann_at, (zeta,)),
+                         (smap.strip_poisson, (zeta,))):
+        assert isinstance(kernel, conformal.Kernel)
+        sides = tuple(part[:, None] for part in kernel.sides(points))
+        stacked = kernel.pair(sides, kernel.nodes(*args))
+        assert stacked.shape == (5, args[0].size)
+        assert np.array_equal(stacked, [kernel(z, *args) for z in points])
+
+
+@pytest.mark.parametrize("params", BENCH + ACCEPTANCE,
+                         ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+def test_normal_density_is_the_product_forms(params):
+    # the solvers take dN/dnu from the map; it is the product form's exactly
+    fld = KernelField(params)
+    density = sector_map(params).normal_density
+    assert sorted(density) == sorted(arcs(params))
+    for arc_id in arcs(params):
+        bp = boundary_samples(params, arc_id, 3)
+        assert fld.normal_density(bp).tolist() == [density[arc_id]] * 3

@@ -9,7 +9,8 @@ from lenspot import (BoundaryPoint, HomogeneousPoint, KernelField, LensParams,
                      boundary_point, boundary_samples, classify_point,
                      equivalent, normal_coeffs, reflect_point,
                      reflection_orbit, sample_interior, unit_circle)
-from lenspot.domain import _axis_crossings, _bounding_box
+from lenspot.domain import (EPS_CORNER, _axis_crossings, _bounding_box,
+                            corner_distance)
 
 HALF = LensParams(math.pi / 2, 2)           # alpha = theta: chord case
 CURVED = LensParams(2 * math.pi / 3, 2)     # alpha > theta: concave second arc
@@ -253,6 +254,34 @@ class TestBoundaryParam:
     def test_bad_sample_count_rejected(self, count):
         with pytest.raises(ValueError, match="sample count"):
             boundary_samples(HALF, "C1", count)
+
+    @pytest.mark.parametrize("count", [30, 64])
+    @pytest.mark.parametrize("alpha, n", [
+        (math.pi / 2, 2), (2 * math.pi / 3, 2), (math.pi / 4, 4),
+        (math.pi / 3, 3), (0.9 * math.pi, 1), (math.pi / 2, 1)])
+    def test_samples_near_a_corner_move_forward(self, alpha, n, count):
+        # at the acceptance catalog's sets a sample within 1.5 EPS_CORNER
+        # of a corner moves a quarter spacing forward, which clears it: at
+        # n = 1 and 30 samples, some land on the marked corners mid-arc
+        params = LensParams(alpha, n)
+        for arc_id, arc in arcs(params).items():
+            spacing = 2.0 * arc.half_width / count
+            ts = -arc.half_width + spacing * (np.arange(count) + 0.5)
+            near = corner_distance(params, arc.point(ts)) <= 1.5 * EPS_CORNER
+            ts[near] += 0.25 * spacing
+            assert boundary_samples(params, arc_id, count).t.tolist() == (
+                ts.tolist())
+
+    def test_last_sample_moves_back_from_its_corner(self):
+        # on the C0 of (0.999 pi, 2), radius 3.1e-3, a quarter spacing
+        # forward would take the last of 40000 samples within EPS_CORNER
+        # of its corner; 10^5 samples are too dense to clear it either way
+        params = LensParams(math.pi * 999 / 1000, 2)
+        bp = boundary_samples(params, "C0", 40000)
+        assert np.all(np.diff(bp.t) > 0)
+        assert corner_distance(params, bp.point).min() > EPS_CORNER
+        with pytest.raises(RuntimeError, match="clear of the corners"):
+            boundary_samples(params, "C0", 10 ** 5)
 
     @pytest.mark.parametrize("params", [HALF, CURVED, LENS])
     def test_points_really_on_boundary(self, params):

@@ -510,12 +510,11 @@ def singular_sum(spec, params, f, strip, z):
 
 
 def area_kernels(params):
-    """(strip kernel, its three steps, source) for G and for N, one real and
-    one complex source."""
+    """(strip kernel, source) for G and for N, one real and one complex
+    source."""
     smap = sector_map(params)
-    return [(smap.strip_green, smap.strip_green_steps(),
-             lambda z: np.real(z ** 2)),
-            (smap.strip_neumann, smap.strip_neumann_steps(), np.exp)]
+    return [(smap.strip_green, lambda z: np.real(z ** 2)),
+            (smap.strip_neumann, np.exp)]
 
 
 def record_chunks(monkeypatch):
@@ -557,8 +556,8 @@ class TestAreaEvaluator:
         points = [complex(z) for margin in (1e-3, 1e-2, 0.05)
                   for z in sample_interior(params, rng, 2,
                                            margin=min(margin, 0.25 * width))]
-        for strip, steps, f in area_kernels(params):
-            assert _integrate_area(spec, params, f, steps, points) == [
+        for strip, f in area_kernels(params):
+            assert _integrate_area(spec, params, f, strip, points) == [
                 singular_sum(spec, params, f, strip, z) for z in points]
 
     @pytest.mark.parametrize("params", [HALF, DISC],
@@ -573,15 +572,15 @@ class TestAreaEvaluator:
         nodes = area_mesh(spec, params)[0].size
         monkeypatch.setattr(lenspot.quadrature, "_PAIR_BUDGET", 3 * nodes)
         chunks = record_chunks(monkeypatch)
-        for _, steps, f in area_kernels(params):
+        for strip, f in area_kernels(params):
             chunks.clear()
-            got = _integrate_area(spec, params, f, steps, points)
+            got = _integrate_area(spec, params, f, strip, points)
             assert [len(chunk) for chunk, _, _ in chunks] == [3, 3, 1]
             # at most a budget of pairs per chunk, every point once
             assert all(pairs == len(chunk) * nodes and pairs <= budget
                        for chunk, pairs, budget in chunks)
             assert sum((chunk for chunk, _, _ in chunks), []) == points
-            assert got == [_integrate_area(spec, params, f, steps, [z])[0]
+            assert got == [_integrate_area(spec, params, f, strip, [z])[0]
                            for z in points]
 
     def test_point_beyond_the_cut_takes_the_plain_mesh(self):
@@ -592,8 +591,8 @@ class TestAreaEvaluator:
         z0 = complex(smap.pullback(X + 0.1, -HALF.theta / 2)[0])
         points = [0.5 + 0.2j, z0, 0.3 + 0.6j]
         nodes, weights, ((x, y),) = area_mesh(spec, HALF)
-        for strip, steps, f in area_kernels(HALF):
-            got = _integrate_area(spec, HALF, f, steps, points)
+        for strip, f in area_kernels(HALF):
+            got = _integrate_area(spec, HALF, f, strip, points)
             assert got[1] == _exact_weighted_sum(
                 f(nodes) * weights, strip(z0, x, y).ravel())
             assert got == [singular_sum(spec, HALF, f, strip, z)
@@ -607,15 +606,15 @@ class TestAreaEvaluator:
         z = 0.4 + 0.3j
         plain = area_mesh(spec, HALF)[0]
         kept = np.isin(plain, area_mesh(spec, HALF, singular_at=z)[0])
-        strip, steps, _ = area_kernels(HALF)[0]
+        strip, _ = area_kernels(HALF)[0]
         for node in (plain[kept][0], plain[kept][-1]):
             with pytest.raises(ValueError, match="not finite"):
                 _integrate_area(spec, HALF,
                                 lambda w: np.where(w == node, np.inf, 1.0),
-                                steps, [z])
+                                strip, [z])
         for node in (plain[~kept][0], plain[~kept][-1]):
             f = lambda w: np.where(w == node, np.inf, 1.0)  # noqa: E731
-            assert _integrate_area(spec, HALF, f, steps, [z]) == [
+            assert _integrate_area(spec, HALF, f, strip, [z]) == [
                 singular_sum(spec, HALF, f, strip, z)]
 
 

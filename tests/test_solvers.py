@@ -104,6 +104,35 @@ class TestBoundaryData:
         with pytest.raises(ValueError, match="no values for arc C0"):
             check_neumann_solvability(HALF, SPEC, data, SourceTerm.zero())
 
+    def test_table_missing_part_of_its_arc(self):
+        # Re z^3 in 40-sample tables, C1's covering only the first half of
+        # the arc: np.interp would repeat its end value over the second half
+        def table(arc_id, end=None):
+            arc = arcs(HALF)[arc_id]
+            t = np.linspace(-arc.half_width,
+                            arc.half_width if end is None else end, 40)
+            bp = boundary_point(HALF, arc_id, t)
+            return bp.arclen, (bp.point ** 3).real + 0j
+
+        points = interior(HALF, 8, margin=0.05)
+        half = BoundaryData.from_samples({"C0": table("C0"),
+                                          "C1": table("C1", 0.0)})
+        span = r"the C1 sample table spans arc lengths \[0, 1\.5708\]"
+        with pytest.raises(ValueError, match=span):
+            solve_dirichlet(HALF, SPEC, half, SourceTerm.zero(), points)
+        with pytest.raises(ValueError, match=span):
+            check_neumann_solvability(HALF, SPEC, half, SourceTerm.zero())
+        # tables that span their arcs are interpolated as before
+        tables = {"C0": table("C0"), "C1": table("C1")}
+        data = BoundaryData.from_samples(tables)
+        for bp, _ in boundary_mesh(SPEC, HALF, near=points[0]):
+            s, vals = tables[bp.arc_id]
+            assert data(bp).tolist() == (
+                np.interp(bp.arclen, s, vals.real)
+                + 1j * np.interp(bp.arclen, s, vals.imag)).tolist()
+        w = solve_dirichlet(HALF, SPEC, data, SourceTerm.zero(), points)
+        assert np.abs(w - (points ** 3).real).max() < 1e-2
+
     def test_samples_json(self):
         payload = {"C1": {"arclen": [0.0, 4.0], "values": [[1.0, 0.0], [1.0, 0.0]]},
                    "C0": {"arclen": [0.0, 2.0], "values": [[1.0, 0.0], [1.0, 0.0]]}}
@@ -299,7 +328,7 @@ class TestNeumannSolvability:
         BoundaryData.constant(1.0),
         BoundaryData.from_callable(lambda bp: np.asarray(bp.point) + 0.5),
         BoundaryData.from_samples({"C0": ([0.0, 2.0], [1.0, 3.0]),
-                                   "C1": ([0.0, 3.2], [2.0, 1j])}),
+                                   "C1": ([0.0, 3.2, 4.2], [2.0, 1j, 1j])}),
         BoundaryData.from_expression("re_zk", 3)],
         ids=["constant", "complex", "samples", "re_z3"])
     @pytest.mark.parametrize("params", [HALF, CURVED], ids=["half", "curved"])
