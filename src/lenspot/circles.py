@@ -154,9 +154,15 @@ def circle_contains(circle, point, tol=EPS_GEOM):
     is taken in canonical form, so the verdict does not depend on the
     representatives chosen.
     """
+    return form_gap(circle, point) <= tol
+
+
+def form_gap(circle, point):
+    """|form| of the point in canonical form over the matrix's largest
+    entry: how far the point is from the circle, as circle_contains
+    measures it."""
     m = max(abs(circle.a), abs(circle.b), abs(circle.c))
-    p = HomogeneousPoint.of(point).canonical()
-    return abs(circle.form(p) / m) <= tol
+    return abs(circle.form(HomogeneousPoint.of(point).canonical()) / m)
 
 
 def reflect_point(circle, point):
@@ -194,11 +200,18 @@ def reflect_circle(mirror, circle):
 
 def equivalent(first, second, tol=EPS_GEOM):
     """Same circle up to a nonzero real scalar; sign ambiguity allowed."""
+    return equivalence_gap(first, second) <= tol
+
+
+def equivalence_gap(first, second):
+    """How far two circles are from one, as equivalent measures it: the
+    largest entry difference of their matrices, each scaled by its largest
+    entry, under the sign that makes it smaller."""
     va = _entries(first)
     vb = _entries(second)
     d_plus = max(abs(x - y) for x, y in zip(va, vb))
     d_minus = max(abs(x + y) for x, y in zip(va, vb))
-    return min(d_plus, d_minus) <= tol
+    return min(d_plus, d_minus)
 
 
 def _entries(circle):

@@ -77,6 +77,19 @@ def _parse_pin(text):
     return z0, v0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word such as -0.5,0.1 as a value,
+    where argparse would take it for an option: no option of lenspot holds
+    a comma, so an RE,IM pair with a negative real part may follow its
+    option as a word of its own."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" \
+                and "," in arg_string:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _add_params_args(sub):
     sub.add_argument("--alpha", type=float, help="corner half-angle in radians")
     sub.add_argument("--alpha-pi", metavar="P/Q",
@@ -205,7 +218,7 @@ def _cmd_validate(args):
 # ----------------------------------------------------------------------
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lenspot",
         description="Green/Neumann kernels and Poisson solvers on lens domains")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -155,7 +155,8 @@ def classify_point(params, z, tol=1e-10):
     f0, f1 = boundary_forms(params, z)
     if scalar:
         # the rule runs several times faster on Python floats than on numpy
-        # scalars, and sample_interior classifies one draw at a time
+        # scalars, and reflection_orbit, which the catalog calls once per
+        # sample, classifies one point at a time
         f0, f1 = float(f0), float(f1)
     on1 = abs(f1) <= tol
     if params.n == 1:

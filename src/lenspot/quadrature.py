@@ -29,17 +29,17 @@ Both plain meshes, boundary and area, are built once per (spec, params)
 and kept read-only, the last 8 pairs of each.  A point lays a patch over
 a plain mesh.  On the boundary a near point regrades only its nearest
 arc, and there only the span from the first plain panel the rule splits
-to the last (_patch): the panels before and after it keep their plain
-nodes, and every other arc keeps its plain batch.  In the area a singular
-point replaces only the plain cells the rule would split toward w0: a
-square around w0 becomes a Duffy star of 8 triangles with apex w0, whose
-radial panels are graded geometrically (_reference_star), and the rest of
-those cells is split toward w0 with no floor.  The singular point's
-reflection images are the mirror images of w0 in the strip's edges; they
-bound the star's size, which stays below half of w0's distance to an
-edge, and the rule's cells are never closer to them than to w0.
-boundary_mesh(near=z) and area_mesh(singular_at=z) splice z's patch into
-the plain mesh.
+to the last (_boundary_patches): the panels before and after it keep
+their plain nodes, and every other arc keeps its plain batch.  In the
+area a singular point replaces only the plain cells the rule would split
+toward w0: a square around w0 becomes a Duffy star of 8 triangles with
+apex w0, whose radial panels are graded geometrically (_reference_star),
+and the rest of those cells is split toward w0 with no floor.  The
+singular point's reflection images are the mirror images of w0 in the
+strip's edges; they bound the star's size, which stays below half of
+w0's distance to an edge, and the rule's cells are never closer to them
+than to w0.  boundary_mesh(near=z) and area_mesh(singular_at=z) put z's
+kept plain nodes and its patch's nodes together into one mesh.
 
 _integrate, the one evaluator of the boundary and area integrals of the
 solvers and the normalization probe, keeps the two apart.  It takes a
@@ -49,8 +49,11 @@ mesh's data times weights.  Each point then leaves out the plain nodes
 its patch replaces, adds the values on its patch's nodes, and sums its
 nodes exactly, so that every value is the one that point's own mesh
 gives, rounded once.  What differs per mesh is only the patches'
-producer: _boundary_patches gives one block of fresh panels per graded
-arc, _singular_patches two blocks, the split cells and the Duffy stars.
+producer: _boundary_patches gives the fresh panels of each graded arc,
+built as one block, _singular_patches two blocks, the split cells and
+the Duffy stars.  Each producer decides the patches of all a call's
+points at once, and boundary_mesh(near=z) and area_mesh(singular_at=z)
+call it for z alone.
 """
 
 from __future__ import annotations
@@ -394,9 +397,9 @@ def _arc_nodes(arc, lo, hi, order):
 @lru_cache(maxsize=8)
 def _plain_boundary(spec, params):
     """The plain boundary mesh of (spec, params), built once and read-only:
-    per arc (arc, edges, rows, (BoundaryPoint, weights)), rows being
-    _arc_nodes' arrays on the panels between successive edges and the
-    BoundaryPoint batch and weights their flat views."""
+    per arc (arc, edges, (BoundaryPoint, weights)), the BoundaryPoint batch
+    and weights holding _arc_nodes' arrays on the panels between successive
+    edges, flat."""
     # a corner panel at least this long keeps its first Gauss node
     # 2 * EPS_CORNER clear of the corner
     first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
@@ -411,56 +414,69 @@ def _plain_boundary(spec, params):
             # keep nodes clear of the two marked points on the circle
             edges = _insert_edges(edges, [-params.alpha, params.alpha])
         edges = np.array(edges, dtype=float)
-        rows = _arc_nodes(arc, edges[:-1], edges[1:], spec.gauss_order)
-        for a in (edges,) + rows:
+        t, point, arclen, w = (a.ravel() for a in _arc_nodes(
+            arc, edges[:-1], edges[1:], spec.gauss_order))
+        for a in (edges, t, point, arclen, w):
             a.setflags(write=False)
-        t, point, arclen, w = (a.ravel() for a in rows)
-        out.append((arc, edges, rows,
+        out.append((arc, edges,
                     (BoundaryPoint(arc.arc_id, t, point, arclen), w)))
     return tuple(out)
 
 
-def _patch(spec, params, near):
-    """Where boundary_mesh(spec, params, near) departs from the plain mesh:
-    None where it does not, else (index, first, end, lo, hi), the plain
-    panels first to end - 1 of the index-th arc giving way to the panels
-    [lo, hi].
+def _boundary_patches(spec, params, points):
+    """The patches that boundary_mesh(near=z) lays over the plain boundary
+    mesh, for all the points z together: (keep, spans).  keep marks the
+    plain nodes each point keeps, one row per point, all arcs in one row.
+    spans holds (index, lo, hi, counts) for each arc some point regrades,
+    the index-th of _plain_boundary: the fresh panels [lo, hi] of all its
+    points one after the other, and counts their nodes per point.
 
-    The nearest arc is graded toward near's nearest boundary point near_t,
-    and at n = 1 also toward its image across the seam t = +-pi, where
-    the circle's ends meet.  The rule treats each panel on its own, so the
-    panels it splits are marked by _graded_edges' test in one array pass
-    over the arc, and it runs only over the span from the first marked
-    panel to the last; the panels between them that it keeps come out as
-    they were.
+    A point regrades its nearest arc toward its nearest boundary point
+    near_t, and at n = 1 also toward near_t's image across the seam
+    t = +-pi, where the circle's ends meet.  The rule treats each panel on
+    its own, so the panels it splits are marked by _graded_edges' test in
+    one array pass over the arc, and it runs only over the span from the
+    first marked panel to the last; the panels between them that it keeps
+    come out as they were, and the plain panels before and after the span
+    stay in keep.
     """
-    d, arc_id, near_t = boundary_distance(params, near)
     plain = _plain_boundary(spec, params)
-    index = next(i for i, (arc, *_) in enumerate(plain)
-                 if arc.arc_id == arc_id)
-    arc, edges = plain[index][:2]
-    floor = 0.5 * d * _shrink(spec, "boundary_panels") / arc.speed
-    tol = 1e-13 * (edges[-1] - edges[0])
-    least = max(floor, 2.0 * tol)
-    lo, hi = edges[:-1], edges[1:]
-    width = hi - lo
-    if width.max() <= least:
-        # the allowance is never below least, so no panel can be marked
-        return None
-    targets = [near_t]
-    gap = np.maximum(lo - near_t, near_t - hi)
-    if params.n == 1:
-        image = near_t - math.copysign(2.0 * math.pi, near_t)
-        targets.append(image)
+    order = spec.gauss_order
+    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain]).tolist()
+    keep = np.ones((len(points), starts[-1]), dtype=bool)
+    leaves = [[] for _ in plain]
+    counts = np.zeros((len(plain), len(points)), dtype=int)
+    for k, z in enumerate(points):
+        d, arc_id, near_t = boundary_distance(params, z)
+        index = next(i for i, (arc, *_) in enumerate(plain)
+                     if arc.arc_id == arc_id)
+        arc, edges, _ = plain[index]
+        floor = 0.5 * d * _shrink(spec, "boundary_panels") / arc.speed
+        tol = 1e-13 * (edges[-1] - edges[0])
+        least = max(floor, 2.0 * tol)
+        lo, hi = edges[:-1], edges[1:]
+        width = hi - lo
+        if width.max() <= least:
+            # the allowance is never below least, so no panel can be marked
+            continue
+        targets = [near_t]
+        if params.n == 1:
+            targets.append(near_t - math.copysign(2.0 * math.pi, near_t))
         # the allowance grows with the distance: the nearer target sets it
-        gap = np.minimum(gap, np.maximum(lo - image, image - hi))
-    marked = np.flatnonzero(width > np.maximum(_ATTRACT_RATIO * gap, least))
-    if not marked.size:
-        return None
-    first, end = int(marked[0]), int(marked[-1]) + 1
-    leaves = np.array(_graded_edges(edges[first:end + 1].tolist(),
-                                    [(p, floor) for p in targets], tol))
-    return index, first, end, leaves[:-1], leaves[1:]
+        gap = reduce(np.minimum, [np.maximum(lo - p, p - hi) for p in targets])
+        marked = np.flatnonzero(width > np.maximum(_ATTRACT_RATIO * gap, least))
+        if not marked.size:
+            continue
+        first, end = int(marked[0]), int(marked[-1]) + 1
+        mine = np.array(_graded_edges(edges[first:end + 1].tolist(),
+                                      [(p, floor) for p in targets], tol))
+        keep[k, starts[index] + first * order:
+             starts[index] + end * order] = False
+        leaves[index].append(mine)
+        counts[index, k] = (mine.size - 1) * order
+    return keep, [(index, np.concatenate([a[:-1] for a in fresh]),
+                   np.concatenate([a[1:] for a in fresh]), counts[index])
+                  for index, fresh in enumerate(leaves) if fresh]
 
 
 def boundary_mesh(spec, params, near=None):
@@ -476,21 +492,26 @@ def boundary_mesh(spec, params, near=None):
 
     The plain mesh of (spec, params) is built once and kept read-only
     (_plain_boundary).  Every arc that is not graded returns it as it is,
-    and on the graded arc only the span of panels the rule splits gets new
-    nodes (_patch), spliced between the plain rows before and after.
-    _integrate, the solvers' evaluator, takes the plain mesh and the
-    patches apart instead (_boundary_patches), and this mesh is the
-    reference it is tested against.
+    and on the graded arc the plain nodes near keeps and the fresh nodes
+    of its patch are put in t order.  The patch is _boundary_patches' for
+    this point alone, the code that builds the boundary patches of
+    _integrate, the solvers' evaluator; this mesh is the reference it is
+    tested against.
     """
     plain = _plain_boundary(spec, params)
     out = [mesh for *_, mesh in plain]
-    patch = None if near is None else _patch(spec, params, near)
-    if patch is not None:
-        index, first, end, lo, hi = patch
-        arc, _, rows, _ = plain[index]
-        fresh = _arc_nodes(arc, lo, hi, spec.gauss_order)
-        t, point, arclen, w = (np.concatenate([old[:first], new, old[end:]])
-                               .ravel() for old, new in zip(rows, fresh))
+    if near is None:
+        return out
+    keep, spans = _boundary_patches(spec, params, [near])
+    for index, lo, hi, _ in spans:
+        arc, _, (bp, w) = plain[index]
+        start = sum(m.size for *_, (_, m) in plain[:index])
+        mine = keep[0, start:start + w.size]
+        nodes = [np.concatenate([old[mine], new.ravel()]) for old, new
+                 in zip((bp.t, bp.point, bp.arclen, w),
+                        _arc_nodes(arc, lo, hi, spec.gauss_order))]
+        by_t = np.argsort(nodes[0], kind="stable")
+        t, point, arclen, w = (a[by_t] for a in nodes)
         out[index] = (BoundaryPoint(arc.arc_id, t, point, arclen), w)
     return out
 
@@ -526,48 +547,27 @@ def _arc_block(spec, arc, gamma, lo, hi):
     return w * gamma(BoundaryPoint(arc.arc_id, t, point, arclen)), (point,)
 
 
-def _boundary_patches(spec, params, gamma, points):
-    """The patches that boundary_mesh(near=z) lays over the plain boundary
-    mesh, for all the points z together, as _integrate takes them: (keep,
-    blocks).  keep marks the plain nodes each point keeps, all but the span
-    its patch replaces (_patch).  blocks holds one block per arc some point
-    regrades, the fresh panels of all its points built together."""
-    plain = _plain_boundary(spec, params)
-    order = spec.gauss_order
-    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain]).tolist()
-    patches = [_patch(spec, params, z) for z in points]
-    keep = np.ones((len(points), starts[-1]), dtype=bool)
-    blocks = []
-    for index, (arc, *_) in enumerate(plain):
-        mine = [k for k, patch in enumerate(patches)
-                if patch is not None and patch[0] == index]
-        if not mine:
-            continue
-        counts = np.zeros(len(points), dtype=int)
-        for k in mine:
-            _, first, end, lo, _ = patches[k]
-            keep[k, starts[index] + first * order:
-                 starts[index] + end * order] = False
-            counts[k] = lo.size * order
-        lo, hi = (np.concatenate([patches[k][j] for k in mine])
-                  for j in (3, 4))
-        blocks.append((partial(_arc_block, spec, arc, gamma, lo, hi), counts))
-    return keep, blocks
-
-
 def _integrate_kernel(spec, params, gamma, kernel, points,
                       plain_weights=None):
     """The boundary integral of gamma * kernel(z, .) at each of the
     interior points z (_integrate), over the nodes of z's own
-    boundary_mesh(near=z).  gamma maps a BoundaryPoint batch to values;
-    gamma * weights on the plain mesh may be passed in as plain_weights
-    (_plain_weights' array)."""
+    boundary_mesh(near=z): the patches are _boundary_patches', each span's
+    fresh panels built as one block (_arc_block).  gamma maps a
+    BoundaryPoint batch to values; gamma * weights on the plain mesh may be
+    passed in as plain_weights (_plain_weights' array)."""
     if plain_weights is None:
         plain_weights = _plain_weights(spec, params, gamma)
+    plain = _plain_boundary(spec, params)
+
+    def patches(chunk):
+        keep, spans = _boundary_patches(spec, params, chunk)
+        return keep, [(partial(_arc_block, spec, plain[index][0], gamma,
+                               lo, hi), counts)
+                      for index, lo, hi, counts in spans]
+
     return _integrate(kernel, points,
                       _plain_nodes(spec, params, kernel.nodes, False),
-                      plain_weights,
-                      partial(_boundary_patches, spec, params, gamma))
+                      plain_weights, patches)
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circles import (CircleMatrix, HomogeneousPoint, circle_contains,
-                      from_center_radius, reflect_circle, reflect_point)
+from .circles import (CircleMatrix, HomogeneousPoint, equivalence_gap,
+                      form_gap, from_center_radius, reflect_circle,
+                      reflect_point)
 from .conformal import sector_map
 from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
                      boundary_point, boundary_samples, normal_coeffs,
@@ -171,14 +172,6 @@ def _points_on_circle(circle, rng, count):
     return [circle.center + circle.radius * np.exp(1j * p) for p in phis]
 
 
-def _equiv_gap(first, second):
-    fa = np.array([first.a, first.b.real, first.b.imag, first.c])
-    sa = np.array([second.a, second.b.real, second.b.imag, second.c])
-    fa = fa / np.abs(fa).max()
-    sa = sa / np.abs(sa).max()
-    return min(np.abs(fa - sa).max(), np.abs(fa + sa).max())
-
-
 def _circle_geometry_checks(rng, size):
     mirrors = _random_circles(rng, size)
     others = _random_circles(rng, size)
@@ -193,9 +186,9 @@ def _circle_geometry_checks(rng, size):
             inv.append(abs(back.z - q.z) + abs(back.w - q.w))
             refl = reflect_point(mirror, p)
             image_gap.append(abs(image.form(refl.canonical()) / m))
-        fixed.append(_equiv_gap(reflect_circle(mirror, mirror), mirror))
+        fixed.append(equivalence_gap(reflect_circle(mirror, mirror), mirror))
         twice = reflect_circle(mirror, image)
-        circ_inv.append(_equiv_gap(twice, other))
+        circ_inv.append(equivalence_gap(twice, other))
     return [
         _err_check("point reflection involutive", _worst(inv), 1e-10),
         _err_check("reflected points lie on reflected circle",
@@ -207,11 +200,11 @@ def _circle_geometry_checks(rng, size):
 
 def _domain_checks(params, rng, size):
     n = params.n
-    closure = []
-    for k in range(-2, 2 * n + 3):
-        a1 = arc_matrix(params, k)
-        a2 = arc_matrix(params, k + 2 * n)
-        closure += [abs(a1.a - a2.a), abs(a1.b - a2.b), abs(a1.c - a2.c)]
+    # parqueting: each arc reflects its neighbours into one another
+    closure = [equivalence_gap(reflect_circle(arc_matrix(params, k),
+                                              arc_matrix(params, k - 1)),
+                               arc_matrix(params, k + 1))
+               for k in range(2 * n)]
 
     orbit_gap = []
     for z in sample_interior(params, rng, size):
@@ -233,14 +226,11 @@ def _domain_checks(params, rng, size):
                     else (2 * k + 1, (2 * k + 2) % (2 * n)))
             coincide.append(hom[i].chordal_distance(hom[j]))
 
-    on_arcs = []
-    for k in range(2 * n):
-        mat = arc_matrix(params, k)
-        m = max(abs(mat.a), abs(mat.b), abs(mat.c))
-        on_arcs += [abs(mat.form(HomogeneousPoint.of(c)) / m)
-                    for c in params.corners if not circle_contains(mat, c)]
+    on_arcs = [form_gap(arc_matrix(params, k), c)
+               for k in range(2 * n) for c in params.corners]
     return [
-        _err_check("parqueting closure (period 2n, exact)", _worst(closure), 0.0),
+        _err_check("parqueting closure (C_(k+1) is C_(k-1) reflected in C_k)",
+                   _worst(closure), 1e-10),
         _err_check("orbit matches matrix reflections", _worst(orbit_gap), 1e-10),
         _err_check("orbit coincidences on the boundary", _worst(coincide), 1e-9),
         _err_check("both corners lie on every arc", _worst(on_arcs), 1e-10),

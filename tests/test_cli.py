@@ -424,6 +424,54 @@ class TestValidateCommand:
         assert "mass identity" in path.read_text()
 
 
+class TestNegativeCoordinates:
+    """An RE,IM pair with a negative real part follows its option as a word
+    of its own, as the --option=value form has it; the disc holds such
+    points."""
+
+    @pytest.fixture
+    def disc_neumann_problem(self, tmp_path):
+        # gamma = 1 on the unit circle, balanced by f = 1/2: 2 pi = 4 pi / 2
+        payload = {"alpha": math.pi / 2, "n": 1,
+                   "gamma": {"kind": "const", "payload": 1.0},
+                   "f": {"kind": "const", "payload": 0.5},
+                   "points": [[0.4, 0.1], [-0.2, -0.3]]}
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    @pytest.mark.parametrize("command, option, value", [
+        (["poisson", "--alpha-pi", "1/2", "--n", "1", "--samples", "8"],
+         "--z", "-0.5,0.1"),
+        (["green", "--alpha-pi", "1/2", "--n", "1", "--grid", "5,5"],
+         "--zeta", "-0.5,0"),
+        (["parquet", "--alpha-pi", "1/2", "--n", "1"], "--sample", "-0.5,0"),
+    ], ids=["poisson", "green", "parquet"])
+    def test_as_a_word_and_after_equals(self, capsys, command, option, value):
+        code, out, err = run(capsys, *command, option, value)
+        assert code == 0 and not err
+        assert run(capsys, *command, f"{option}={value}") == (0, out, "")
+        if option == "--z":
+            assert len(out.splitlines()) == 9
+        if option == "--sample":
+            assert json.loads(out)["orbit"][0] == [-0.5, 0.0]
+
+    def test_pin(self, capsys, disc_neumann_problem):
+        command = ["solve-neumann", "--problem", disc_neumann_problem]
+        code, out, err = run(capsys, *command, "--pin", "-0.5,0.1=0")
+        assert code == 0 and not err
+        assert run(capsys, *command, "--pin=-0.5,0.1=0") == (0, out, "")
+        # the pin moves the values: 0 at -0.5+0.1i is not 0 at 0.4+0.1i
+        _, other, _ = run(capsys, *command, "--pin", "0.4,0.1=0")
+        assert other != out
+
+    def test_negative_value_still_checked(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["poisson", "--alpha-pi", "1/2", "--n", "1", "--z", "-0.5"])
+        assert err.value.code == 2
+        assert "expected re,im pair" in capsys.readouterr().err
+
+
 class TestArguments:
     def test_bad_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:

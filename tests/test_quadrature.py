@@ -18,9 +18,9 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
 from lenspot.domain import EPS_CORNER, _axis_crossings, corner_distance
 from lenspot.quadrature import (_exact_sum, _exact_weighted_sum, _gauss,
                                 _gauss_nodes, _graded_base_edges,
-                                _graded_edges, _insert_edges, _integrate_area,
-                                _patch, _plain_area, _plain_boundary, _shrink,
-                                _split)
+                                _boundary_patches, _graded_edges,
+                                _insert_edges, _integrate_area, _plain_area,
+                                _plain_boundary, _shrink, _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
 from lenspot.validation import analytic_area
 
@@ -135,7 +135,7 @@ class TestBoundary:
     @pytest.mark.parametrize("params", CASES)
     def test_plain_panels_have_positive_width(self, params, panels):
         # with one panel both ends' first corner level is the middle edge
-        for _, edges, _, (bp, w) in _plain_boundary(
+        for _, edges, (bp, w) in _plain_boundary(
                 QuadratureSpec(boundary_panels=panels), params):
             assert np.all(np.diff(edges) > 0.0)
             assert np.all(w > 0.0)
@@ -667,6 +667,27 @@ def inside(params, arc, t, depth):
     return bp.point - depth * normal_coeffs(params, bp)[0]
 
 
+def patch_points(params):
+    """Points near each arc of the lens, 1e-2 to 1e-9 inside along the
+    arc, and 0.2 to 0.6 inside at its middle; at n = 1 also near the seam
+    t = +-pi."""
+    points = []
+    for arc in arcs(params).values():
+        half = arc.half_width
+        for frac in (-0.97, -0.6, -0.13, 0.0, 0.41, 0.88):
+            for depth in (1e-2, 1e-4, 1e-7, 1e-9):
+                points.append(inside(params, arc, frac * half, depth))
+        # far from the arc, where the rule splits few panels or none
+        points += [inside(params, arc, 0.0, depth)
+                   for depth in (0.2, 0.35, 0.6)]
+    if params.n == 1:
+        # across the seam t = +-pi, where the circle's ends meet
+        points += [inside(params, arc, t, depth)
+                   for t in (-math.pi, math.pi - 1e-3)
+                   for depth in (1e-2, 1e-5)]
+    return points
+
+
 class TestBoundaryPatch:
     """boundary_mesh(near=z) regrades only the panels the rule splits, and
     returns exactly the mesh built whole."""
@@ -686,22 +707,36 @@ class TestBoundaryPatch:
     @pytest.mark.parametrize("params", PATCH_SETS,
                              ids=lambda p: f"{p.alpha:.4g}-{p.n}")
     def test_matches_whole_arc_mesh(self, params, spec):
-        points = [None]
-        for arc in arcs(params).values():
-            half = arc.half_width
-            for frac in (-0.97, -0.6, -0.13, 0.0, 0.41, 0.88):
-                for depth in (1e-2, 1e-4, 1e-7, 1e-9):
-                    points.append(inside(params, arc, frac * half, depth))
-            # far from the arc, where the rule splits few panels or none
-            points += [inside(params, arc, 0.0, depth)
-                       for depth in (0.2, 0.35, 0.6)]
-        if params.n == 1:
-            # across the seam t = +-pi, where the circle's ends meet
-            points += [inside(params, arc, t, depth)
-                       for t in (-math.pi, math.pi - 1e-3)
-                       for depth in (1e-2, 1e-5)]
-        for z in points:
+        for z in [None] + patch_points(params):
             self._assert_same(spec, params, z)
+
+    @pytest.mark.parametrize("spec", PATCH_SPECS, ids=["default", "refined",
+                                                       "order5", "panels3"])
+    @pytest.mark.parametrize("params", PATCH_SETS,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_call_patches_match_one_point_calls(self, params, spec):
+        # the patches of a call's points, decided together, are each
+        # point's own: its keep row, and its fresh edges within each span
+        points = patch_points(params)
+        keep, spans = _boundary_patches(spec, params, points)
+        singles = [_boundary_patches(spec, params, [z]) for z in points]
+        assert np.array_equal(keep, np.concatenate([k for k, _ in singles]))
+        assert [index for index, *_ in spans] == sorted(
+            {index for _, one in singles for index, *_ in one})
+        for index, lo, hi, counts in spans:
+            panels = counts // spec.gauss_order
+            ends = np.cumsum(panels)
+            for k, (_, one) in enumerate(singles):
+                mine = [span for span in one if span[0] == index]
+                if not counts[k]:
+                    assert not mine
+                    continue
+                (_, lo_k, hi_k, counts_k), = mine
+                assert counts_k.tolist() == [counts[k]]
+                piece = slice(ends[k] - panels[k], ends[k])
+                assert np.array_equal(lo[piece], lo_k)
+                assert np.array_equal(hi[piece], hi_k)
+            assert ends[-1] == lo.size == hi.size
 
     @pytest.mark.parametrize("params", PATCH_SETS,
                              ids=lambda p: f"{p.alpha:.4g}-{p.n}")
@@ -711,7 +746,7 @@ class TestBoundaryPatch:
         # nearly, and at n = 1 the edges include the marks at +-alpha
         spec = QuadratureSpec()
         hits = {"equal": 0, "near": 0}
-        for arc, edges, _, _ in _plain_boundary(spec, params):
+        for arc, edges, _ in _plain_boundary(spec, params):
             tol = 1e-13 * (edges[-1] - edges[0])
             for e in edges[1:-1]:
                 for dt in (0.0, 0.3 * tol, -0.3 * tol):
@@ -733,9 +768,10 @@ class TestBoundaryPatch:
                       for arc in arcs(params).values())
         _, arc_id, near_t = boundary_distance(params, z)
         assert arc_id == "C1" and near_t == 0.0
-        assert _patch(QuadratureSpec(), params, z) is None
+        keep, spans = _boundary_patches(QuadratureSpec(), params, [z])
+        assert keep.all() and not spans
         self._assert_same(QuadratureSpec(), params, z)
-        plain = _plain_boundary(QuadratureSpec(), params)[1][3]
+        plain = _plain_boundary(QuadratureSpec(), params)[1][2]
         bp, w = boundary_mesh(QuadratureSpec(), params, near=z)[1]
         assert np.array_equal(bp.t, plain[0].t)
         assert np.array_equal(w, plain[1])

@@ -18,8 +18,8 @@ from lenspot import (BoundaryData, LensParams, QuadratureSpec,
                      normal_derivative_data, probe_normalization_constant,
                      sample_interior, sector_map, solution_rows,
                      solve_dirichlet, solve_neumann)
-from lenspot.quadrature import (_PAIR_BUDGET, _exact_weighted_sum, _patch,
-                                _plain_boundary)
+from lenspot.quadrature import (_PAIR_BUDGET, _boundary_patches,
+                                _exact_weighted_sum, _plain_boundary)
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -512,7 +512,7 @@ class TestBatchedPoints:
         nodes = sum(w.size for *_, (_, w) in _plain_boundary(spec, CURVED))
         points = interior(CURVED, 200, seed=22, margin=1e-3)
         assert len(points) * nodes > 3 * _PAIR_BUDGET
-        assert any(_patch(spec, CURVED, z) is not None for z in points)
+        assert not _boundary_patches(spec, CURVED, points)[0].all()
         for solve, gamma, f in harmonic_problems(CURVED, False):
             chunks.clear()
             w = solve(CURVED, spec, gamma, f, points)
@@ -529,8 +529,9 @@ class TestBatchedPoints:
         # the boundary
         points = [0.5, 0.45 + 0.05j, 0.999, 0.6 + 0.7j, 0.001 + 0.2j,
                   0.05 - 0.4j, 0.52 - 0.03j, 0.3 + 0.01j]
-        patches = [_patch(SPEC, HALF, z) for z in points]
-        assert {None if p is None else p[0] for p in patches} == {None, 0, 1}
+        keep, spans = _boundary_patches(SPEC, HALF, points)
+        assert keep.all(axis=1).any()
+        assert [index for index, *_ in spans] == [0, 1]
         for solve, gamma, f in harmonic_problems(HALF, False):
             w = solve(HALF, SPEC, gamma, f, points)
             assert np.array_equal(
@@ -541,9 +542,9 @@ class TestBatchedPoints:
     def test_data_is_not_needed_where_a_patch_replaces_the_plain_mesh(self):
         # 1e-3 inside the chord of the half disc
         z = 0.001 + 0.3j
-        index, *_ = _patch(SPEC, HALF, z)
+        (index, *_), = _boundary_patches(SPEC, HALF, [z])[1]
         bp, _ = boundary_mesh(SPEC, HALF, near=z)[index]
-        plain_bp = _plain_boundary(SPEC, HALF)[index][3][0]
+        plain_bp = _plain_boundary(SPEC, HALF)[index][2][0]
         dropped = np.setdiff1d(plain_bp.t, bp.t)
         assert dropped.size > 0
         clean = BoundaryData.from_expression("re_zk", 3)

@@ -5,7 +5,8 @@ kernel call must return exactly the values of the per-sample loop it
 replaces, which is kept here as the reference: `lenspot validate` promises
 byte-identical output, and array and scalar rounding must agree for that.
 The helpers return every sample's value, not only the line's largest, so
-that a value rounded differently cannot hide below the maximum.
+that a value rounded differently cannot hide below the maximum.  The
+geometry lines are checked against the quantities they name.
 """
 
 import math
@@ -18,9 +19,13 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, boundary_mesh,
 from lenspot.conformal import sector_map
 from lenspot.domain import arcs
 from lenspot.solvers import BoundaryData, SourceTerm, solve_dirichlet
-from lenspot.validation import (_attainment_errors, _fd_laplacian,
-                                _normal_fd_gaps, _nodes, _orbit_product_gaps,
-                                _strip_boundary_gaps, _worst)
+import lenspot.validation
+from lenspot.circles import CircleMatrix, form_gap
+from lenspot.domain import arc_matrix
+from lenspot.validation import (_attainment_errors, _domain_checks,
+                                _fd_laplacian, _normal_fd_gaps, _nodes,
+                                _orbit_product_gaps, _strip_boundary_gaps,
+                                _worst)
 
 SETS = [LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 2, 8),
         LensParams(0.9 * math.pi, 1)]
@@ -138,3 +143,36 @@ def test_worst_is_the_largest_value_or_nan():
     assert _worst(np.array([-1.0, 3e-9])) == 3e-9
     assert math.isnan(_worst([1.0, math.nan, 2.0]))
     assert math.isnan(_worst(np.array([math.nan, 1.0])))
+
+
+def geometry_lines(params):
+    """The catalog's closure and corners lines at params."""
+    lines = _domain_checks(params, np.random.default_rng(0), 4)
+    return (next(r for r in lines if r.name.startswith("parqueting closure")),
+            next(r for r in lines if r.name == "both corners lie on every arc"))
+
+
+@pytest.mark.parametrize("params", SETS, ids=IDS)
+def test_geometry_lines_measure_every_arc(params):
+    # the closure line measures the parqueting identity, not a matrix
+    # against itself, and the corners line every (arc, corner) pair
+    closure, corners = geometry_lines(params)
+    assert closure.ok and 0.0 < closure.value <= 1e-10
+    assert corners.ok and corners.value == max(
+        form_gap(arc_matrix(params, k), c)
+        for k in range(2 * params.n) for c in params.corners)
+
+
+def test_an_arc_off_by_1e_6_fails_the_closure_line(monkeypatch):
+    params = SETS[0]
+
+    def off(params, k):
+        m = arc_matrix(params, k)
+        if k % (2 * params.n) == 1:
+            return CircleMatrix(m.a, m.b + 1e-6, m.c)
+        return m
+
+    monkeypatch.setattr(lenspot.validation, "arc_matrix", off)
+    closure, corners = geometry_lines(params)
+    assert not closure.ok and closure.value > 1e-7
+    assert not corners.ok
