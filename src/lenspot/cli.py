@@ -20,7 +20,7 @@ from .conformal import sector_map
 from .domain import (LensParams, arc_matrix, arcs, boundary_samples,
                      classify_point, reflection_orbit)
 from .kernels import KernelField, evaluate_on_grid
-from .quadrature import _NODE_BUDGET, QuadratureSpec
+from .quadrature import _NODE_BUDGET
 from .solvers import load_problem, solution_rows, solve_dirichlet, solve_neumann
 from .validation import run_checks
 
@@ -205,9 +205,7 @@ def _cmd_solve(args, solve):
 
 
 def _cmd_validate(args):
-    params = _params_from(args)
-    spec = QuadratureSpec()
-    results = run_checks(params, spec=spec, quick=args.quick)
+    results = run_checks(_params_from(args), quick=args.quick)
     lines = [r.render() for r in results]
     failures = [r for r in results if not r.ok]
     lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")

@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import EPS_CORNER, _axis_crossings, arcs, corner_distance
+from .domain import (EPS_CORNER, _axis_crossings, arcs, corner_distance,
+                     neumann_flux)
 
 
 def _image_terms(n, x, x0):
@@ -104,8 +105,8 @@ class SectorMap:
     p(z, zeta) = -1/2 dG/dnu at non-corner boundary points zeta, equal to
     KernelField.poisson_kernel.  Each raises ValueError at the corners,
     which have no image, and where its value is not finite (zeta at z).
-    normal_density maps each arc id to dN/dnu there, a constant equal to
-    KernelField.normal_density's.
+    normal_density maps each arc id to dN/dnu there, the constant
+    domain.neumann_flux, as KernelField.normal_density returns.
     """
 
     def __init__(self, params):
@@ -113,18 +114,15 @@ class SectorMap:
         self.cp, self.cm = params.corners
         self.rotation = -np.exp(-1j * params.alpha)
         # the pullback Jacobian has poles at w = i(pi - alpha) - 2 pi i k;
-        # these sit outside the strip at the following distances
+        # these sit outside the strip at the following distances, and
+        # gap_top is also Im w of the pole just above it
         self.gap_top = math.pi - params.alpha
         self.gap_bottom = math.pi + params.alpha - params.theta
-        # Im w of the Jacobian pole just above the strip
-        self._pole = math.pi - params.alpha
-        alpha, theta, n = params.alpha, params.theta, params.n
+        n = params.n
         self._neumann_const = (-8.0 * n * math.log(abs(self.cp - self.cm))
                                + 4.0 * n * math.log(2.0))
-        # by KernelField.normal_density's operations, so the two are equal
-        c0 = 2.0 * n * math.sin(alpha - theta) / math.sin(alpha)
-        self.normal_density = {arc_id: -2.0 * n if arc.kind == "unit" else c0
-                               for arc_id, arc in arcs(params).items()}
+        self.normal_density = {arc_id: neumann_flux(params, arc_id)
+                               for arc_id in arcs(params)}
         # strip_green's node side is the strip coordinates themselves
         self.strip_green = Kernel(self._green_source, lambda x, y: (x, y),
                                   self._green_pair)
@@ -175,7 +173,7 @@ class SectorMap:
     def _log_gap(self, x, y):
         """L(w) = log|e^w/rotation - 1|^2 at w = x + iy, the Jacobian pole
         w = i(pi - alpha) taken as an image: 2 max(x, 0) + log(pole gap)."""
-        gap, = _image_gaps(1, x, y, 0.0, (self._pole,))
+        gap, = _image_gaps(1, x, y, 0.0, (self.gap_top,))
         return 2.0 * np.maximum(x, 0.0) + np.log(gap)
 
     def _gaps(self, z):
@@ -281,7 +279,7 @@ class SectorMap:
         """x, y and the terms of N in zeta alone: 2n log of the pole gap and
         max(x, 0)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            pole, = _image_gaps(1, x, y, 0.0, (self._pole,))
+            pole, = _image_gaps(1, x, y, 0.0, (self.gap_top,))
             return x, y, 2.0 * self.params.n * np.log(pole), np.maximum(x, 0.0)
 
     def _neumann_nodes_at(self, zeta):

@@ -10,6 +10,14 @@ generated arcs C_k and the reflection orbit of a seed point have closed
 forms, which this module provides together with boundary parametrization,
 outward normals, membership classification and arc lengths.
 
+Every coefficient sin(alpha +- k theta) and sin(k theta) is read off one
+table per lens, arc_coefficients: the (a, b, c) of C_0 .. C_{2n-1}.  It
+forms the n distinct circles once and sets C_{k+n} to C_k with every sign
+flipped, so arcs k and k + n, one circle, agree exactly.  The geometry
+here, the product kernels (kernels.KernelField) and the catalog
+(validation) all take their sines from it, through boundary_sines where
+they need only the lens's own two arcs.
+
 Degenerate cases: alpha == theta makes the second arc a straight chord;
 n == 1 collapses the second arc entirely and the domain is the whole unit
 disc, bounded by the unit-circle arc C1 alone.
@@ -84,14 +92,32 @@ def corner_distance(params, z):
     return np.minimum(np.abs(z - cp), np.abs(z - cm))
 
 
+@lru_cache(maxsize=64)
+def arc_coefficients(params):
+    """The (a, b, c) of the parqueting arcs C_0 .. C_{2n-1}, a tuple of float
+    triples with C_k = (-sin(alpha + (k-1) theta), sin((k-1) theta),
+    sin(alpha - (k-1) theta)); C_0 and C_1 bound the lens.  Only C_0 ..
+    C_{n-1} are formed, and C_{k+n} is C_k with every sign flipped, exactly.
+    The n = 1 disc forms both of its arcs, so that its closure line still
+    reflects one rounded circle in another.  Built once per lens (the last
+    64)."""
+    alpha, theta, n = params.alpha, params.theta, params.n
+    table = [(-math.sin(alpha + ang), math.sin(ang), math.sin(alpha - ang))
+             for ang in ((k - 1) * theta for k in range(max(n, 2)))]
+    return tuple(table + [(-a, -b, -c) for a, b, c in table[:2 * n - len(table)]])
+
+
+def boundary_sines(params):
+    """(sin(alpha - theta), sin(theta), sin(alpha + theta), sin(alpha)), read
+    off C_0 = (-sin(alpha - theta), -sin(theta), sin(alpha + theta)) and
+    C_1 = (-sin(alpha), 0, sin(alpha)) in arc_coefficients."""
+    (a, b, c), (_, _, sin_a) = arc_coefficients(params)[:2]
+    return -a, -b, c, sin_a
+
+
 def arc_matrix(params, k):
     """Matrix of the k-th parqueting arc; any integer k, period 2n exact."""
-    kk = k % (2 * params.n)
-    ang = (kk - 1) * params.theta
-    a = -math.sin(params.alpha + ang)
-    b = math.sin(ang)
-    c = math.sin(params.alpha - ang)
-    return CircleMatrix(a, b, c)
+    return CircleMatrix(*arc_coefficients(params)[k % (2 * params.n)])
 
 
 @dataclass(frozen=True)
@@ -118,13 +144,11 @@ def reflection_orbit(params, z):
         raise ValueError("orbit degenerates at the corner points")
     if classify_point(params, z) == "exterior":
         raise ValueError("seed point must lie in the closed domain")
-    alpha, theta = params.alpha, params.theta
+    zc = z.conjugate()
     pairs = []
-    for k in range(params.n):
-        sk = math.sin(k * theta)
-        sp = math.sin(alpha + k * theta)
-        sm = math.sin(alpha - k * theta)
-        zc = z.conjugate()
+    # arc k+1 is (-sin(alpha + k theta), sin(k theta), sin(alpha - k theta))
+    for a, sk, sm in arc_coefficients(params)[1:params.n + 1]:
+        sp = -a
         even = HomogeneousPoint(-z * sm - sk, z * sk - sp).canonical()
         odd = HomogeneousPoint(zc * sk + sm, zc * sp - sk).canonical()
         pairs.extend((even, odd))
@@ -136,10 +160,8 @@ def boundary_forms(params, z):
     z = np.asarray(z, dtype=complex)
     zz = np.abs(z) ** 2
     f1 = zz - 1.0
-    alpha, theta = params.alpha, params.theta
-    f0 = (zz * math.sin(alpha - theta) + 2.0 * z.real * math.sin(theta)
-          - math.sin(alpha + theta))
-    return f0, f1
+    s_minus, s_theta, s_plus, _ = boundary_sines(params)
+    return zz * s_minus + 2.0 * z.real * s_theta - s_plus, f1
 
 
 def classify_point(params, z, tol=1e-10):
@@ -234,17 +256,18 @@ def arcs(params):
     """The boundary arcs keyed by arc id: C0 and C1, or C1 alone for the
     n == 1 disc.  Built once per lens (the last 64) and returned as a
     read-only mapping."""
-    alpha, theta, n = params.alpha, params.theta, params.n
-    if n == 1:
+    alpha, theta = params.alpha, params.theta
+    if params.n == 1:
         return MappingProxyType(
             {"C1": Arc("C1", "unit", 0.0, 1.0, 0.0, math.pi)})
     c1 = Arc("C1", "unit", 0.0, 1.0, 0.0, alpha)
+    s_minus, s_theta, _, sin_a = boundary_sines(params)
     if params.is_chord:
         c0 = Arc("C0", "segment", complex(math.cos(alpha), 0.0), 0.0, 0.0,
-                 math.sin(alpha))
+                 sin_a)
     else:
-        m = -math.sin(theta) / math.sin(alpha - theta)
-        r = math.sin(alpha) / abs(math.sin(alpha - theta))
+        m = -s_theta / s_minus
+        r = sin_a / abs(s_minus)
         phi_mid = 0.0 if alpha > theta else math.pi
         # cancellation-free arc midpoint: equals m +/- r
         apex = math.cos(0.5 * (alpha + theta)) / math.cos(0.5 * (alpha - theta))
@@ -311,13 +334,24 @@ def normal_coeffs(params, bp):
     if arc_of(params, bp.arc_id).kind == "unit":
         q = pt
     else:
-        alpha, theta = params.alpha, params.theta
+        s_minus, s_theta, _, sin_a = boundary_sines(params)
         # reduces to q = -1 in the chord case, where sin(alpha-theta) = 0
-        q = -(pt * math.sin(alpha - theta) + math.sin(theta)) / math.sin(alpha)
+        q = -(pt * s_minus + s_theta) / sin_a
     if np.ndim(bp.point) == 0:
         q = complex(q)
         return (q, q.conjugate())
     return (q, np.conj(q))
+
+
+def neumann_flux(params, arc_id):
+    """dN/dnu on the arc arc_id: the outward normal derivative of the Neumann
+    function, constant on each arc, -2n on C1 and 2n sin(alpha - theta) /
+    sin(alpha) on C0 (-2n times the arc's curvature, signed positive where
+    the lens is convex).  ValueError for an arc the lens does not have."""
+    if arc_of(params, arc_id).kind == "unit":
+        return -2.0 * params.n
+    s_minus, _, _, sin_a = boundary_sines(params)
+    return 2.0 * params.n * s_minus / sin_a
 
 
 def boundary_distance(params, z):

@@ -28,7 +28,10 @@ G and N on the area mesh, p and N on the boundary nodes
 (conformal.SectorMap.strip_green, strip_neumann, strip_poisson and
 strip_neumann_at, which equal these kernels, the Neumann constant
 included).  They take dN/dnu's constant on each arc from the map as well
-(SectorMap.normal_density); normal_density here is its reference.
+(SectorMap.normal_density); it and normal_density here are both
+domain.neumann_flux.  Every sine above is read off the lens's one arc
+table, domain.arc_coefficients: factor k takes arc k+1, (-sin(a+k*t),
+sin(k*t), sin(a-k*t)).
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ import math
 
 import numpy as np
 
-from .domain import (EPS_CORNER, BoundaryPoint, _bounding_box, arc_of,
-                     classify_point, corner_distance, reflection_orbit)
+from .domain import (EPS_CORNER, BoundaryPoint, _bounding_box,
+                     arc_coefficients, arc_of, boundary_sines, classify_point,
+                     corner_distance, neumann_flux, reflection_orbit)
 
 
 class KernelField:
@@ -46,15 +50,14 @@ class KernelField:
 
     def __init__(self, params):
         self.params = params
-        n, alpha, theta = params.n, params.alpha, params.theta
-        k = np.arange(n)
-        self._sk = np.sin(k * theta)
-        self._sp = np.sin(alpha + k * theta)
-        self._sm = np.sin(alpha - k * theta)
-        self._skp = np.sin((k + 1) * theta)
-        self._smp = np.sin(alpha - (k + 1) * theta)
-        self._log_sin_alpha = math.log(math.sin(alpha))
-        self._density_c0 = 2.0 * n * math.sin(alpha - theta) / math.sin(alpha)
+        a, b, c = np.array(arc_coefficients(params)).T
+        # factor k takes arc k+1, and the C0 Poisson kernel's numerator arc
+        # k+2, indexed modulo 2n
+        k1 = np.arange(1, params.n + 1)
+        k2 = (k1 + 1) % (2 * params.n)
+        self._sp, self._sk, self._sm = -a[k1], b[k1], c[k1]
+        self._skp, self._smp = b[k2], c[k2]
+        self._log_sin_alpha = math.log(boundary_sines(params)[3])
 
     # ------------------------------------------------------------------
     # the kernel core: factor polynomials and the one loop over k
@@ -148,7 +151,7 @@ class KernelField:
                 lambda k: np.real(self._den_coeffs(k, z)[1]
                                   / self._den(k, z, zeta)))
         else:
-            value = -0.5 * self._density_c0 + 2.0 * self._sum(
+            value = -0.5 * neumann_flux(self.params, "C0") + 2.0 * self._sum(
                 lambda k: np.real((z * self._smp[k] + self._skp[k])
                                   / self._den(k, z, zeta)))
         return self._out(value, z, zeta)
@@ -179,13 +182,10 @@ class KernelField:
 
     def normal_density(self, bp: BoundaryPoint):
         """Outward normal derivative of the Neumann function on the
-        boundary: a piecewise constant (-2n on the unit-circle arc), the
-        paper's formula and the reference of SectorMap.normal_density."""
+        boundary: a piecewise constant (-2n on the unit-circle arc),
+        domain.neumann_flux of each node's arc."""
         pt, = self._args(bp.point, corners=True, pole=False)
-        if arc_of(self.params, bp.arc_id).kind == "unit":
-            value = -2.0 * self.params.n
-        else:
-            value = self._density_c0
+        value = neumann_flux(self.params, bp.arc_id)
         if np.ndim(bp.point) == 0:
             return value
         return np.full(pt.shape, value)
@@ -205,10 +205,9 @@ class KernelField:
 
     def carrier_poisson(self, z, zeta):
         z, zeta = self._args(z, zeta)
-        alpha, theta = self.params.alpha, self.params.theta
-        val = (-math.sin(alpha - theta) / math.sin(alpha)
-               + 2.0 * np.real((z * math.sin(alpha - theta) + math.sin(theta))
-                               / ((z - zeta) * math.sin(alpha))))
+        s_minus, s_theta, _, sin_a = boundary_sines(self.params)
+        val = (-s_minus / sin_a
+               + 2.0 * np.real((z * s_minus + s_theta) / ((z - zeta) * sin_a)))
         return self._out(val, z, zeta)
 
     # ------------------------------------------------------------------

@@ -468,11 +468,17 @@ def solve_neumann(params, spec, gamma, f, points):
 def probe_normalization_constant(params, spec, zetas):
     """Boundary integral of density * neumann at each zeta, with spread.
 
-    If the integral is independent of zeta, subtracting its (scaled) value
-    would normalize the Neumann function; constancy is only conjectured,
-    so this reports {values, spread} and passes no judgement.  The
-    integrals are the solvers' own (quadrature._integrate_kernel), each on
-    the boundary mesh graded toward its zeta.
+    The integral is one constant per lens, and subtracting its (scaled)
+    value normalizes the Neumann function.  Green's second identity for
+    N(z, .) and N(w, .) on D less two small discs around z and w gives
+    the integral over the boundary of N(z, .) dN(w, .)/dnu - N(w, .)
+    dN(z, .)/dnu as a multiple of N(z, w) - N(w, z), which is 0 because N
+    is symmetric.  On the boundary dN/dnu is the per-arc constant
+    domain.neumann_flux, the same for every pole, so the integral of
+    dN/dnu (N(z, .) - N(w, .)) vanishes.  This reports {values, spread},
+    the spread being quadrature error.  The integrals are the solvers'
+    own (quadrature._integrate_kernel), each on the boundary mesh graded
+    toward its zeta.
     """
     zetas = _check_points(params, zetas)
     if not zetas:

@@ -10,12 +10,18 @@ from lenspot import (BoundaryPoint, HomogeneousPoint, KernelField, LensParams,
                      equivalent, normal_coeffs, reflect_point,
                      reflection_orbit, sample_interior, unit_circle)
 from lenspot.domain import (EPS_CORNER, _axis_crossings, _bounding_box,
-                            corner_distance)
+                            boundary_forms, corner_distance, neumann_flux)
 
 HALF = LensParams(math.pi / 2, 2)           # alpha = theta: chord case
 CURVED = LensParams(2 * math.pi / 3, 2)     # alpha > theta: concave second arc
 LENS = LensParams(math.pi / 4, 2)           # alpha < theta: convex lens
 DISC = LensParams(0.9 * math.pi, 1)         # degenerate: whole unit disc
+ACCEPTANCE = [LensParams(a, n) for a, n in (
+    (math.pi / 2, 2), (2 * math.pi / 3, 2), (math.pi / 4, 4),
+    (math.pi / 3, 3), (0.9 * math.pi, 1), (math.pi / 2, 1))]
+TABLE_ALPHAS = [math.pi / 4, math.pi / 2, math.pi / 2 + 0.01,
+                2 * math.pi / 3, 999 * math.pi / 1000, None]
+TABLE_IDS = ["pi/4", "pi/2", "pi/2+0.01", "2pi/3", "0.999pi", "chord"]
 
 
 class TestLensParams:
@@ -68,6 +74,61 @@ class TestArcMatrix:
 
     def test_k_2n_equals_k0(self):
         assert equivalent(arc_matrix(CURVED, 2 * CURVED.n), arc_matrix(CURVED, 0))
+
+
+class TestArcTable:
+    # every arc coefficient comes from one table per lens, in which arcs k
+    # and k + n, one circle, are exact negatives: formed each on its own
+    # they differed by about 1e-13 relative next to alpha = pi
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+    @pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=TABLE_IDS)
+    def test_opposite_arcs_are_exact_negatives(self, alpha, n):
+        params = LensParams(math.pi / n if alpha is None else alpha, n)
+        for k in range(2 * n):
+            m, opposite = arc_matrix(params, k), arc_matrix(params, k + n)
+            assert (opposite.a, opposite.b, opposite.c) == (-m.a, -m.b, -m.c)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+    @pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=TABLE_IDS)
+    def test_lens_arcs_are_the_explicit_sines(self, alpha, n):
+        self.assert_lens_arcs(LensParams(math.pi / n if alpha is None
+                                         else alpha, n))
+
+    @staticmethod
+    def assert_lens_arcs(params):
+        a, t = params.alpha, params.theta
+        c0, c1 = arc_matrix(params, 0), arc_matrix(params, 1)
+        assert (c1.a, c1.b, c1.c) == (-math.sin(a), 0.0, math.sin(a))
+        assert (c0.a, c0.b, c0.c) == (-math.sin(a - t), -math.sin(t),
+                                      math.sin(a + t))
+
+    @pytest.mark.parametrize("params", ACCEPTANCE,
+                             ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+    def test_geometry_equals_the_explicit_expressions(self, params):
+        a, t, n = params.alpha, params.theta, params.n
+        self.assert_lens_arcs(params)
+        xs = np.linspace(-1.1, 1.1, 23)
+        z = xs + 1j * xs[:, None]
+        zz = np.abs(z) ** 2
+        f0, f1 = boundary_forms(params, z)
+        assert np.array_equal(f0, zz * math.sin(a - t) + 2.0 * z.real
+                              * math.sin(t) - math.sin(a + t))
+        assert np.array_equal(f1, zz - 1.0)
+        assert neumann_flux(params, "C1") == -2.0 * n
+        if n == 1:
+            return
+        c0 = arcs(params)["C0"]
+        if params.is_chord:
+            assert c0.half_width == math.sin(a)
+        else:
+            assert c0.center == complex(-math.sin(t) / math.sin(a - t), 0.0)
+            assert c0.radius == math.sin(a) / abs(math.sin(a - t))
+        bp = boundary_samples(params, "C0", 9)
+        q, _ = normal_coeffs(params, bp)
+        assert np.array_equal(q, -(bp.point * math.sin(a - t) + math.sin(t))
+                              / math.sin(a))
+        assert neumann_flux(params, "C0") == 2.0 * n * math.sin(a - t) / math.sin(a)
 
 
 class TestOrbit:

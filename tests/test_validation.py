@@ -163,6 +163,15 @@ def test_geometry_lines_measure_every_arc(params):
         for k in range(2 * params.n) for c in params.corners)
 
 
+def test_closure_line_holds_next_to_alpha_pi():
+    # arcs 1 and 3 are one circle, and reflecting through the tiny arc 0
+    # (radius 3.1e-3) magnifies any difference in their rounding: the line
+    # read 2.9e-8 when each arc was formed on its own
+    closure, corners = geometry_lines(LensParams(999 * math.pi / 1000, 2))
+    assert closure.ok and closure.value <= 1e-10
+    assert corners.ok
+
+
 def test_an_arc_off_by_1e_6_fails_the_closure_line(monkeypatch):
     params = SETS[0]
 
