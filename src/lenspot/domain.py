@@ -37,7 +37,8 @@ from .circles import CircleMatrix, HomogeneousPoint
 
 EPS_CORNER = 1e-7
 _CHORD_TOL = 1e-12  # |alpha - theta| below this is treated as the chord case
-_DRAW_BLOCK = 64    # candidates sample_interior draws and classifies at once
+_ON_TOL = 1e-10     # |form value| below this puts a point on that arc
+_DRAW_BLOCK = 64    # candidates sample_interior draws and measures at once
 # classify_point's states, indexed by on C0 + 2 * on C1 + 4 * outside
 _STATES = np.array(["interior", "boundary_C0", "boundary_C1", "corner"]
                    + ["exterior"] * 4)
@@ -164,30 +165,24 @@ def boundary_forms(params, z):
     return zz * s_minus + 2.0 * z.real * s_theta - s_plus, f1
 
 
-def classify_point(params, z, tol=1e-10):
+def classify_point(params, z):
     """One of interior, boundary_C0, boundary_C1, corner, exterior; an
     array of those names for an array of points.
 
     Non-finite points are exterior."""
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
     finite = np.isfinite(z)
     # 2 stands in for non-finite points: exterior, and no warnings
-    z = (z if finite else 2.0) if scalar else np.where(finite, z, 2.0)
+    z = np.where(finite, z, 2.0)
     f0, f1 = boundary_forms(params, z)
-    if scalar:
-        # the rule runs several times faster on Python floats than on numpy
-        # scalars, and reflection_orbit, which the catalog calls once per
-        # sample, classifies one point at a time
-        f0, f1 = float(f0), float(f1)
-    on1 = abs(f1) <= tol
+    on1 = abs(f1) <= _ON_TOL
     if params.n == 1:
         # the whole disc; of C0 only the two marked corner points remain
-        outside = f1 > tol
+        outside = f1 > _ON_TOL
         on0 = on1 & (corner_distance(params, z) <= EPS_CORNER)
     else:
-        outside = (f1 > tol) | (f0 < -tol)
-        on0 = abs(f0) <= tol
+        outside = (f1 > _ON_TOL) | (f0 < -_ON_TOL)
+        on0 = abs(f0) <= _ON_TOL
     state = _STATES[on0 + 2 * on1 + 4 * outside]
     return str(state) if state.ndim == 0 else state
 
@@ -357,21 +352,27 @@ def neumann_flux(params, arc_id):
 def boundary_distance(params, z):
     """Distance from z to the boundary, with the nearest arc and parameter.
 
-    Returns (distance, arc_id, t) for the closest point over both arcs.
+    Returns (distance, arc_id, t) for the closest point over both arcs, the
+    first arc of arcs(params) where both are as close: Python float, str
+    and float for a point, arrays of z's shape for an array of points.
     """
-    z = complex(z)
-    best = None
-    for arc in arcs(params).values():
-        if arc.kind in ("unit", "circle"):
-            phi = math.atan2((z - arc.center).imag, (z - arc.center).real)
-            t = _wrap(phi - arc.phi_mid)
-        else:
-            t = (z - arc.center).imag
-        t = min(max(t, -arc.half_width), arc.half_width)
-        d = abs(z - complex(arc.point(t)))
-        if best is None or d < best[0]:
-            best = (d, arc.arc_id, t)
-    return best
+    z = np.asarray(z, dtype=complex)
+    arcmap = arcs(params)
+    ds, ts = [], []
+    for arc in arcmap.values():
+        w = z - arc.center
+        t = (w.imag if arc.kind == "segment"
+             else _wrap(np.arctan2(w.imag, w.real) - arc.phi_mid))
+        t = np.minimum(np.maximum(t, -arc.half_width), arc.half_width)
+        ds.append(np.abs(z - arc.point(t)))
+        ts.append(t)
+    ds, ts = np.array(ds), np.array(ts)
+    nearest = ds.argmin(0)
+    d, t = ds.min(0), np.choose(nearest, ts)
+    arc_id = np.array(list(arcmap))[nearest]
+    if z.ndim == 0:
+        return float(d), str(arc_id), float(t)
+    return d, arc_id, t
 
 
 def _wrap(x):
@@ -383,12 +384,12 @@ def sample_interior(params, rng, count, margin=1e-3):
 
     Candidates are drawn one after another, each as rng.uniform over the
     bounding box's x range and then its y range, and kept in draw order.
-    They are drawn and classified in blocks; the generator is then wound
-    back to just after the last candidate looked at, so the points and the
-    generator's state are those of drawing one candidate at a time.  Fails
-    before drawing anything when margin is at least half the lens width on
-    the real axis, which no interior point can clear, and after 100000
-    draws per point asked for."""
+    They are drawn, classified and measured in blocks; the generator is
+    then wound back to just after the last candidate looked at, so the
+    points and the generator's state are those of drawing one candidate at
+    a time.  Fails before drawing anything when margin is at least half the
+    lens width on the real axis, which no interior point can clear, and
+    after 100000 draws per point asked for."""
     mid0, mid1 = _axis_crossings(params)
     if margin >= 0.5 * abs(mid1 - mid0):
         raise RuntimeError("interior sampling did not converge")
@@ -402,15 +403,12 @@ def sample_interior(params, rng, count, margin=1e-3):
         block = min(_DRAW_BLOCK, budget)
         state = rng.bit_generator.state
         z = rng.uniform(low, high, size=(block, 2)).view(complex)[:, 0]
-        used = block
-        for i in np.flatnonzero(classify_point(params, z) == "interior"):
-            # the corners end the arcs, so this also keeps z clear of them
-            if boundary_distance(params, z[i])[0] < margin:
-                continue
-            out.append(complex(z[i]))
-            if len(out) == count:
-                used = i + 1
-                break
+        inside = np.flatnonzero(classify_point(params, z) == "interior")
+        # the corners end the arcs, so this also keeps z clear of them
+        clear = inside[boundary_distance(params, z[inside])[0] >= margin]
+        clear = clear[:count - len(out)]
+        out += z[clear].tolist()
+        used = int(clear[-1]) + 1 if len(out) == count else block
         budget -= used
         if used < block:
             rng.bit_generator.state = state

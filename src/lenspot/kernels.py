@@ -92,8 +92,9 @@ class KernelField:
     def _sum(self, term):
         """sum of term(k) over k < n, each term over the whole node batch.
 
-        The loop stays over k: a broadcast (n, nodes) table is slower on
-        the large area meshes.  Each term should be one operator expression
+        The loop stays over k: a broadcast (n, nodes) table at n = 64
+        would not fit the 10^7-cell grids of evaluate_on_grid (lenspot
+        green and neumann).  Each term should be one operator expression
         with no named intermediates, so numpy can reuse its temporaries.
         """
         total = 0.0

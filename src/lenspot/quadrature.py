@@ -446,10 +446,11 @@ def _boundary_patches(spec, params, points):
     keep = np.ones((len(points), starts[-1]), dtype=bool)
     leaves = [[] for _ in plain]
     counts = np.zeros((len(plain), len(points)), dtype=int)
-    for k, z in enumerate(points):
-        d, arc_id, near_t = boundary_distance(params, z)
-        index = next(i for i, (arc, *_) in enumerate(plain)
-                     if arc.arc_id == arc_id)
+    position = {arc.arc_id: i for i, (arc, *_) in enumerate(plain)}
+    nearest = zip(*(a.tolist() for a in boundary_distance(
+        params, np.asarray(points, dtype=complex))))
+    for k, (d, arc_id, near_t) in enumerate(nearest):
+        index = position[arc_id]
         arc, edges, _ = plain[index]
         floor = 0.5 * d * _shrink(spec, "boundary_panels") / arc.speed
         tol = 1e-13 * (edges[-1] - edges[0])

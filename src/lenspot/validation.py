@@ -29,8 +29,8 @@ from .circles import (CircleMatrix, HomogeneousPoint, equivalence_gap,
                       form_gap, from_center_radius, reflect_circle,
                       reflect_point)
 from .conformal import sector_map
-from .domain import (BoundaryPoint, arc_lengths, arc_matrix, arcs,
-                     boundary_point, boundary_samples, boundary_sines,
+from .domain import (BoundaryPoint, _axis_crossings, arc_lengths, arc_matrix,
+                     arcs, boundary_point, boundary_samples, boundary_sines,
                      neumann_flux, normal_coeffs, reflection_orbit,
                      sample_interior)
 from .kernels import KernelField
@@ -104,6 +104,13 @@ def _pairs(params, rng, count):
     ws = sample_interior(params, rng, count)
     mask = zs != ws
     return zs[mask], ws[mask]
+
+
+def _margin(params, margin):
+    """margin, capped at 0.3 times the lens width on the real axis, so that
+    thin lenses keep room for interior samples."""
+    mid0, mid1 = _axis_crossings(params)
+    return min(margin, 0.3 * abs(mid1 - mid0))
 
 
 def _batches(params, count):
@@ -287,8 +294,9 @@ def _kernel_checks(params, spec, rng, tier):
         abs(integrate_boundary(spec, params,
                                lambda bp: fld.poisson_kernel(z, bp), near=z)
             / (2 * math.pi) - 1.0)
-        for z in map(complex, sample_interior(params, rng, tier.mass_points,
-                                              margin=0.08))), 1e-6))
+        for z in map(complex, sample_interior(
+            params, rng, tier.mass_points, margin=_margin(params, 0.08)))),
+        1e-6))
 
     zb = np.concatenate([b.point[::2]
                          for b in _batches(params, tier.zero_nodes)])
@@ -470,7 +478,8 @@ def _quadrature_checks(params, spec, rng):
     out.append(CheckResult("doubled gauss order error drop (>= 1e4)",
                            float(ratio), 1e4, ok=ratio >= 1e4, fmt="{:.3e}"))
 
-    z0 = complex(sample_interior(params, rng, 1, margin=0.05)[0])
+    z0 = complex(sample_interior(params, rng, 1,
+                                 margin=_margin(params, 0.05))[0])
     green = sector_map(params).strip_green
     v1, v2 = (_integrate_area(s, params, lambda w: 1.0, green, [z0])[0]
               for s in (spec, spec.refined()))
@@ -493,7 +502,7 @@ def _quadrature_checks(params, spec, rng):
 def _solver_checks(params, spec, rng, tier):
     out = []
     pts = sample_interior(params, rng, tier.solver_points,
-                          margin=tier.solver_margin)
+                          margin=_margin(params, tier.solver_margin))
 
     for name, gamma, f, exact, tol in (
             ("w = 1", BoundaryData.constant(1.0), SourceTerm.zero(), 1.0, 1e-6),

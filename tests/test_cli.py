@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -407,13 +408,27 @@ class TestValidateCommand:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_sampling_failure_exits_one(self, capsys):
-        # the n = 64 lens is thinner than the Poisson-mass sampling margin
+    def test_sampling_failure_exits_one(self, capsys, monkeypatch):
+        def fail(params, quick=False):
+            raise RuntimeError("interior sampling did not converge")
+
+        monkeypatch.setattr("lenspot.cli.run_checks", fail)
         code, out, err = run(capsys, "validate", "--alpha-pi", "3/5",
                              "--n", "64", "--quick")
         assert code == 1
         assert out == ""
         assert err == "error: interior sampling did not converge\n"
+
+    @pytest.mark.parametrize("alpha", [["--alpha-pi", "3/5"],
+                                       ["--alpha", "1.5807963267948966"]])
+    def test_thin_lens_reaches_its_summary(self, capsys, alpha):
+        # the catalog's sampling margins shrink to fit a lens this thin
+        code, out, err = run(capsys, "validate", *alpha, "--n", "64",
+                             "--quick")
+        assert code in (0, 1)
+        assert err == ""
+        assert re.fullmatch(r"\d+/50 checks passed",
+                            out.splitlines()[-1])
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.txt"

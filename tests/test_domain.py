@@ -425,6 +425,63 @@ class TestHelpers:
         d, arc_id, t = boundary_distance(HALF, 0.05 + 0.3j)
         assert arc_id == "C0" and d == pytest.approx(0.05)
 
+    @pytest.mark.parametrize("params", [HALF, CURVED, LENS, DISC,
+                                        LensParams(math.pi / 3, 3),
+                                        LensParams(math.pi / 3, 1),
+                                        LensParams(math.pi / 2 + 0.01, 64)])
+    def test_boundary_distance_array_matches_scalar(self, params):
+        rng = np.random.default_rng(0)
+        box = rng.uniform(-1.1, 1.1, 400) + 1j * rng.uniform(-1.1, 1.1, 400)
+        # the n = 1 seam: the unit arc's ends t = -pi and pi meet at -1
+        seam = np.array([complex(-1.0 + eps, s * dy)
+                         for eps in (0.0, 1e-9, 1e-3)
+                         for dy in (0.0, 1e-16, 1e-9, 1e-3) for s in (1, -1)])
+        # points on the axis halfway between the arcs' midpoints; where the
+        # two distances round equal the first arc wins
+        mid0, mid1 = (m.real for m in _axis_crossings(params))
+        half = 0.5 * (mid0 + mid1)
+        axis = half + np.spacing(half) * np.arange(-50.0, 50.0)
+        ties = axis[np.abs(axis - mid0) == np.abs(mid1 - axis)]
+        z = np.concatenate([box, seam, axis])
+        d, arc_id, t = boundary_distance(params, z.reshape(-1, 2))
+        assert d.shape == arc_id.shape == t.shape == (z.size // 2, 2)
+        scalar = [boundary_distance(params, c) for c in z]
+        assert all(list(map(type, s)) == [float, str, float] for s in scalar)
+        assert d.ravel().tolist() == [s[0] for s in scalar]
+        assert arc_id.ravel().tolist() == [s[1] for s in scalar]
+        assert t.ravel().tolist() == [s[2] for s in scalar]
+        if params in (CURVED, LENS):
+            # the exact midpoint is representable at these two lenses
+            assert ties.size
+        if params.n > 1:
+            tied = boundary_distance(params, ties + 0j)
+            assert tied[1].tolist() == ["C0"] * ties.size
+            assert tied[0].tolist() == np.abs(ties - mid1).tolist()
+        assert all(a.shape == (0,) for a in boundary_distance(params, z[:0]))
+
+    def test_sample_interior_measures_each_block_once(self, monkeypatch):
+        # one boundary_distance call per block drawn, an empty one for a
+        # block with no interior candidate
+        params = LensParams(0.3, 128)
+        sizes, blocks = [], []
+        measure, classify = boundary_distance, classify_point
+
+        def spy_distance(params, z):
+            sizes.append(np.shape(z))
+            return measure(params, z)
+
+        def spy_classify(params, z):
+            blocks.append(np.shape(z))
+            return classify(params, z)
+
+        monkeypatch.setattr("lenspot.domain.boundary_distance", spy_distance)
+        monkeypatch.setattr("lenspot.domain.classify_point", spy_classify)
+        points = sample_interior(params, np.random.default_rng(1), 20)
+        monkeypatch.undo()
+        assert len(sizes) == len(blocks) and (0,) in sizes
+        rng = np.random.default_rng(1)
+        assert points.tolist() == _one_at_a_time(params, rng, 20, 1e-3)
+
     def test_sample_interior_margin(self):
         rng = np.random.default_rng(0)
         for z in sample_interior(CURVED, rng, 30, margin=0.05):
@@ -441,13 +498,7 @@ class TestHelpers:
         # margin; the blocks must give the same points and leave the
         # generator where this loop does
         rng = np.random.default_rng(count)
-        (x_lo, x_hi), (y_lo, y_hi) = _bounding_box(params)
-        expected = []
-        while len(expected) < count:
-            z = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
-            if (classify_point(params, z) == "interior"
-                    and boundary_distance(params, z)[0] >= margin):
-                expected.append(z)
+        expected = _one_at_a_time(params, rng, count, margin)
         after = rng.bit_generator.state
         rng = np.random.default_rng(count)
         assert sample_interior(params, rng, count, margin).tolist() == expected
@@ -473,3 +524,16 @@ class TestHelpers:
             sample_interior(LensParams(3 * math.pi / 5, 64), rng, 5,
                             margin=0.05)
         assert rng.bit_generator.state == state
+
+
+def _one_at_a_time(params, rng, count, margin):
+    """sample_interior's definition: draw x, then y, and keep the point if
+    it is interior and clears the margin."""
+    (x_lo, x_hi), (y_lo, y_hi) = _bounding_box(params)
+    expected = []
+    while len(expected) < count:
+        z = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
+        if (classify_point(params, z) == "interior"
+                and boundary_distance(params, z)[0] >= margin):
+            expected.append(z)
+    return expected
