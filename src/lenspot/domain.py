@@ -349,6 +349,20 @@ def neumann_flux(params, arc_id):
     return 2.0 * params.n * s_minus / sin_a
 
 
+def _arc_feet(params, z):
+    """Each arc's nearest point to each of the points z, its foot:
+    (distances, parameters), one row per arc of arcs(params), each row of
+    z's shape."""
+    feet = []
+    for arc in arcs(params).values():
+        w = z - arc.center
+        t = (w.imag if arc.kind == "segment"
+             else _wrap(np.arctan2(w.imag, w.real) - arc.phi_mid))
+        t = np.minimum(np.maximum(t, -arc.half_width), arc.half_width)
+        feet.append((np.abs(z - arc.point(t)), t))
+    return tuple(np.array(rows) for rows in zip(*feet))
+
+
 def boundary_distance(params, z):
     """Distance from z to the boundary, with the nearest arc and parameter.
 
@@ -357,19 +371,10 @@ def boundary_distance(params, z):
     and float for a point, arrays of z's shape for an array of points.
     """
     z = np.asarray(z, dtype=complex)
-    arcmap = arcs(params)
-    ds, ts = [], []
-    for arc in arcmap.values():
-        w = z - arc.center
-        t = (w.imag if arc.kind == "segment"
-             else _wrap(np.arctan2(w.imag, w.real) - arc.phi_mid))
-        t = np.minimum(np.maximum(t, -arc.half_width), arc.half_width)
-        ds.append(np.abs(z - arc.point(t)))
-        ts.append(t)
-    ds, ts = np.array(ds), np.array(ts)
+    ds, ts = _arc_feet(params, z)
     nearest = ds.argmin(0)
     d, t = ds.min(0), np.choose(nearest, ts)
-    arc_id = np.array(list(arcmap))[nearest]
+    arc_id = np.array(list(arcs(params)))[nearest]
     if z.ndim == 0:
         return float(d), str(arc_id), float(t)
     return d, arc_id, t

@@ -30,9 +30,12 @@ and kept read-only, the last 8 pairs of each.  A point lays a patch over
 a plain mesh.  On the boundary a near point regrades only its nearest
 arc, and there only the span from the first plain panel the rule splits
 to the last (_boundary_patches): the panels before and after it keep
-their plain nodes, and every other arc keeps its plain batch.  In the
-area a singular point replaces only the plain cells the rule would split
-toward w0: a square around w0 becomes a Duffy star of 8 triangles with
+their plain nodes, and every other arc keeps its plain batch.  These
+patches are decided arc by arc, for all of a call's points at once, from
+one table of each arc's nearest point to each of them (domain._arc_feet),
+the table boundary_distance takes its minimum over.  In the area a
+singular point replaces only the plain cells the rule would split toward
+w0: a square around w0 becomes a Duffy star of 8 triangles with
 apex w0, whose radial panels are graded geometrically (_reference_star),
 and the rest of those cells is split toward w0 with no floor.  The
 singular point's reflection images are the mirror images of w0 in the
@@ -62,12 +65,13 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
+from itertools import accumulate, compress
 
 import numpy as np
 
 from .conformal import sector_map
-from .domain import (EPS_CORNER, BoundaryPoint, _is_number, arcs,
-                     boundary_distance, classify_point)
+from .domain import (EPS_CORNER, BoundaryPoint, _arc_feet, _is_number, arcs,
+                     classify_point)
 
 _CORNER_LEVELS = 8          # graded panels appended at each corner
 _CORNER_GRADING = 0.5       # width ratio of successive corner panels
@@ -433,48 +437,50 @@ def _boundary_patches(spec, params, points):
 
     A point regrades its nearest arc toward its nearest boundary point
     near_t, and at n = 1 also toward near_t's image across the seam
-    t = +-pi, where the circle's ends meet.  The rule treats each panel on
-    its own, so the panels it splits are marked by _graded_edges' test in
-    one array pass over the arc, and it runs only over the span from the
-    first marked panel to the last; the panels between them that it keeps
-    come out as they were, and the plain panels before and after the span
-    stay in keep.
+    t = +-pi, where the circle's ends meet.  The patches are decided arc by
+    arc from domain._arc_feet, one row per arc of each point's foot on it:
+    an arc takes the points whose nearest arc it is, and is passed over
+    when there are none.  The rule treats each panel on its own, so the
+    panels it splits are marked by _graded_edges' test in one (points x
+    panels) array pass over the arc, each point with its own floor.
+    _graded_edges then runs per point, only over the span from its first
+    marked panel to its last; the panels between them that it keeps come
+    out as they were, and the plain panels before and after the span stay
+    in keep.
     """
     plain = _plain_boundary(spec, params)
-    order = spec.gauss_order
-    starts = np.cumsum([0] + [w.size for *_, (_, w) in plain]).tolist()
+    starts = list(accumulate((w.size for *_, (_, w) in plain), initial=0))
     keep = np.ones((len(points), starts[-1]), dtype=bool)
     leaves = [[] for _ in plain]
     counts = np.zeros((len(plain), len(points)), dtype=int)
-    position = {arc.arc_id: i for i, (arc, *_) in enumerate(plain)}
-    nearest = zip(*(a.tolist() for a in boundary_distance(
-        params, np.asarray(points, dtype=complex))))
-    for k, (d, arc_id, near_t) in enumerate(nearest):
-        index = position[arc_id]
+    ds, ts = _arc_feet(params, np.asarray(points, dtype=complex))
+    nearest = ds.argmin(0)
+    shrink = _shrink(spec, "boundary_panels")
+    for index in sorted(set(nearest.tolist())):
         arc, edges, _ = plain[index]
-        floor = 0.5 * d * _shrink(spec, "boundary_panels") / arc.speed
+        # one row per point whose nearest arc this is, one column per panel
+        mine = np.flatnonzero(nearest == index)
+        floor = 0.5 * ds[index, mine, None] * shrink / arc.speed
         tol = 1e-13 * (edges[-1] - edges[0])
-        least = max(floor, 2.0 * tol)
-        lo, hi = edges[:-1], edges[1:]
-        width = hi - lo
-        if width.max() <= least:
-            # the allowance is never below least, so no panel can be marked
-            continue
-        targets = [near_t]
+        targets = [ts[index, mine, None]]
         if params.n == 1:
-            targets.append(near_t - math.copysign(2.0 * math.pi, near_t))
+            targets.append(targets[0] - np.copysign(2.0 * math.pi, targets[0]))
+        lo, hi = edges[:-1], edges[1:]
         # the allowance grows with the distance: the nearer target sets it
         gap = reduce(np.minimum, [np.maximum(lo - p, p - hi) for p in targets])
-        marked = np.flatnonzero(width > np.maximum(_ATTRACT_RATIO * gap, least))
-        if not marked.size:
-            continue
-        first, end = int(marked[0]), int(marked[-1]) + 1
-        mine = np.array(_graded_edges(edges[first:end + 1].tolist(),
-                                      [(p, floor) for p in targets], tol))
-        keep[k, starts[index] + first * order:
-             starts[index] + end * order] = False
-        leaves[index].append(mine)
-        counts[index, k] = (mine.size - 1) * order
+        least = np.maximum(floor, 2.0 * tol)
+        marked = hi - lo > np.maximum(_ATTRACT_RATIO * gap, least)
+        # each point's span, from its first marked panel to its last
+        rows = zip(mine.tolist(), marked.argmax(1).tolist(),
+                   (marked.shape[1] - marked[:, ::-1].argmax(1)).tolist(),
+                   *(a[:, 0].tolist() for a in (floor, *targets)))
+        for k, first, end, f, *near in compress(rows, marked.any(1).tolist()):
+            new = np.array(_graded_edges(edges[first:end + 1].tolist(),
+                                         [(p, f) for p in near], tol))
+            keep[k, starts[index] + first * spec.gauss_order:
+                 starts[index] + end * spec.gauss_order] = False
+            leaves[index].append(new)
+            counts[index, k] = (new.size - 1) * spec.gauss_order
     return keep, [(index, np.concatenate([a[:-1] for a in fresh]),
                    np.concatenate([a[1:] for a in fresh]), counts[index])
                   for index, fresh in enumerate(leaves) if fresh]

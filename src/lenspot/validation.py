@@ -133,10 +133,11 @@ def _on_boundary(params, count, f):
 def _normal_fd_gaps(params, count, sources, f, target, scale=1.0, h=1e-5):
     """|target(s, bp) - scale * d/dnu f(s, .)| for each of the count
     boundary nodes bp per arc (_nodes) and each source s, by central
-    differences along the outward normal, node by node in one array.  f and
-    target take an arc's (source, node) pairs as two arrays.  Pairs closer
-    than 0.05 are skipped: there the step's truncation error,
-    ~(h/distance)^2 relative, reaches the tolerances."""
+    differences along the outward normal with steps h and 2h, extrapolated
+    to O(h^4) as (4 D(h) - D(2h)) / 3; node by node in one array, and the
+    four points of each pair in one f call.  f and target take an arc's
+    (source, node) pairs as two arrays.  Pairs closer than 0.05 are
+    skipped: the truncation error grows with (h/distance)^4 relative."""
     sources = np.asarray(sources)
     gaps = []
     for b in _batches(params, count):
@@ -144,15 +145,21 @@ def _normal_fd_gaps(params, count, sources, f, target, scale=1.0, h=1e-5):
         bp = BoundaryPoint(b.arc_id, b.t[node], b.point[node], b.arclen[node])
         step = h * normal_coeffs(params, bp)[0]
         s = sources[source]
-        fd = (f(s, bp.point + step) - f(s, bp.point - step)) / (2 * h)
-        gaps.append(np.abs(target(s, bp) - scale * fd))
+        v = f(s, bp.point + np.array([1.0, -1.0, 2.0, -2.0])[:, None] * step)
+        fd = (v[0] - v[1]) / (2 * h), (v[2] - v[3]) / (4 * h)
+        gaps.append(np.abs(target(s, bp) - scale * (4 * fd[0] - fd[1]) / 3))
     return np.concatenate(gaps)
 
 
 def _fd_laplacian(f, z, h):
-    """Five-point Laplacian of f at the points z, each f call on all of
-    them at once."""
-    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h ** 2
+    """Five-point Laplacian of f at the points z with steps h and 2h,
+    extrapolated to O(h^4) as (4 D(h) - D(2h)) / 3: one f call on all nine
+    points of the stencil."""
+    # the center, then steps h and 2h along each axis
+    v = f(np.add.outer(np.array([0, 1, -1, 1j, -1j, 2, -2, 2j, -2j]) * h, z))
+    near = (v[1] + v[2] + v[3] + v[4] - 4 * v[0]) / h ** 2
+    wide = (v[5] + v[6] + v[7] + v[8] - 4 * v[0]) / (2 * h) ** 2
+    return (4 * near - wide) / 3
 
 
 # ----------------------------------------------------------------------

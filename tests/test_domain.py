@@ -9,8 +9,9 @@ from lenspot import (BoundaryPoint, HomogeneousPoint, KernelField, LensParams,
                      boundary_point, boundary_samples, classify_point,
                      equivalent, normal_coeffs, reflect_point,
                      reflection_orbit, sample_interior, unit_circle)
-from lenspot.domain import (EPS_CORNER, _axis_crossings, _bounding_box,
-                            boundary_forms, corner_distance, neumann_flux)
+from lenspot.domain import (EPS_CORNER, _arc_feet, _axis_crossings,
+                            _bounding_box, boundary_forms, corner_distance,
+                            neumann_flux)
 
 HALF = LensParams(math.pi / 2, 2)           # alpha = theta: chord case
 CURVED = LensParams(2 * math.pi / 3, 2)     # alpha > theta: concave second arc
@@ -458,6 +459,39 @@ class TestHelpers:
             assert tied[1].tolist() == ["C0"] * ties.size
             assert tied[0].tolist() == np.abs(ties - mid1).tolist()
         assert all(a.shape == (0,) for a in boundary_distance(params, z[:0]))
+
+    @pytest.mark.parametrize("params", [HALF, CURVED, LENS, DISC,
+                                        LensParams(math.pi / 3, 3),
+                                        LensParams(math.pi / 2 + 0.01, 64)])
+    def test_arc_feet_rows_are_each_arcs_foot(self, params):
+        rng = np.random.default_rng(1)
+        z = rng.uniform(-1.1, 1.1, 300) + 1j * rng.uniform(-1.1, 1.1, 300)
+        mid0, mid1 = (m.real for m in _axis_crossings(params))
+        half = 0.5 * (mid0 + mid1)
+        z = np.append(z, half + np.spacing(half) * np.arange(-50.0, 50.0))
+        ds, ts = _arc_feet(params, z.reshape(-1, 2))
+        assert ds.shape == ts.shape == (len(arcs(params)), z.size // 2, 2)
+        ds, ts = (a.reshape(len(arcs(params)), -1) for a in (ds, ts))
+        # each row is its arc's nearest point: on the arc, at the distance
+        # it reports, and no farther than the nearest of dense samples
+        for arc, d, t in zip(arcs(params).values(), ds, ts):
+            assert np.all(np.abs(t) <= arc.half_width)
+            assert d.tolist() == np.abs(z - arc.point(t)).tolist()
+            dense = arc.point(np.linspace(-arc.half_width, arc.half_width,
+                                          4001))
+            closest = np.abs(z[:, None] - dense).min(1)
+            assert np.all(d <= closest + 1e-12)
+            assert np.all(closest - d <= arc.length / 4000)
+        # boundary_distance reads its nearest arc's row, the first on a tie
+        d, arc_id, t = boundary_distance(params, z)
+        nearest = [list(arcs(params)).index(a) for a in arc_id.tolist()]
+        assert d.tolist() == ds[nearest, np.arange(z.size)].tolist()
+        assert t.tolist() == ts[nearest, np.arange(z.size)].tolist()
+        tied = np.flatnonzero(ds[0] == ds[-1])
+        assert set(np.asarray(nearest)[tied].tolist()) <= {0}
+        if params in (CURVED, LENS):
+            # the axis points hold exact ties at these two lenses
+            assert tied.size
 
     def test_sample_interior_measures_each_block_once(self, monkeypatch):
         # one boundary_distance call per block drawn, an empty one for a
