@@ -18,7 +18,7 @@ z, d = -n|x - x0|, A = expm1(d)^2, B = 4 exp(d), S-+ = sin^2(n(y -+ y0)/2),
 F1 = A + B S- and F2 = A + B S+ (so |e^{nw} - e^{n w0}|^2 =
 e^{2n max(x, x0)} F1, and F2 likewise for conj(w0)):
 
-    G = log(F2/F1)
+    G = log(F2/F1) = log1p(B sin(n y) sin(n y0) / F1)
     N = -log(F1 F2) - 4n max(x, x0) + 2n L(w) + 2n L(w0)
         - 8n log|c+ - c-| + 4n log 2
 
@@ -30,7 +30,11 @@ integrals use strip_green and strip_neumann on the nodes the area mesh
 lays out in w; their boundary integrals use strip_poisson and
 strip_neumann_at on the boundary nodes, N being symmetric.  Each is a
 Kernel, a z side, a node side and their pair, so that many points share
-one node side.  On the boundary F1 = F2, so the Poisson kernel
+one node side.  G takes the log1p form, since F2 - F1 = B (S+ - S-) =
+B sin(n y) sin(n y0) by sin^2 a - sin^2 b = sin(a + b) sin(a - b): both
+sines are negative inside the strip, so G keeps its sign and relative
+accuracy where it is far below rounding, as between points near the
+corners of a thin lens.  On the boundary F1 = F2, so the Poisson kernel
 -1/2 dG/dnu takes one gap and two sines (see SectorMap._poisson_pair).
 """
 
@@ -198,18 +202,27 @@ class SectorMap:
         return value
 
     def _green_source(self, z):
-        """x0 and y0, w0 = x0 + i y0 being the image of z."""
+        """x0, y0 and sin(n y0), w0 = x0 + i y0 being the image of z."""
         to_plus, to_minus, _ = self._gaps(z)
         w0 = self._image(to_plus, to_minus)
-        return w0.real, w0.imag
+        return w0.real, w0.imag, np.sin(self.params.n * w0.imag)
 
     def _green_pair(self, source, nodes):
-        x0, y0 = source
+        """G = log1p((F2 - F1)/F1), F2 - F1 = B sin(n y) sin(n y0) taken
+        whole: log(F2/F1) rounds F2/F1 to 1 where G is below rounding, and
+        loses its sign."""
+        x0, y0, sin0 = source
         x, y = nodes
+        n = self.params.n
+        a, b = _image_terms(n, x, x0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            f1, f2 = _image_gaps(self.params.n, x, y, x0, (y0, -y0))
-            f2 /= f1
-            return self._finite(np.log(f2))
+            f1 = a + b * np.sin(0.5 * n * (y - y0)) ** 2
+            # (F2 - F1)/F1 and G in place, the sines multiplied before they
+            # meet B's shape: the evaluator pairs many nodes at a time.  A
+            # scalar pair goes through as a 0-d array and comes out a float
+            g = np.asarray(b * (np.sin(n * y) * sin0))
+            g /= f1
+            return self._finite(np.log1p(g, out=g)[()])
 
     def _poisson_source(self, z):
         """z, z - c+, z - c- and y0 = Im w0."""
@@ -310,13 +323,17 @@ class SectorMap:
         return w
 
     def green(self, z, zeta):
-        """Half-plane Green function pulled back through the map."""
+        """Half-plane Green function pulled back through the map; raises
+        ValueError where it is not finite, as where the n-th power of the
+        sector map overflows next to a corner at large n."""
         if np.any(np.asarray(z) == np.asarray(zeta)):
             raise ValueError("Green function has a singularity at zeta == z")
-        wz = self.to_halfplane(z)
-        wzeta = self.to_halfplane(zeta)
-        val = 2.0 * (np.log(np.abs(wz - np.conj(wzeta)))
-                     - np.log(np.abs(wz - wzeta)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            wz, wzeta = self.to_halfplane(z), self.to_halfplane(zeta)
+            val = 2.0 * (np.log(np.abs(wz - np.conj(wzeta)))
+                         - np.log(np.abs(wz - wzeta)))
+        if not np.all(np.isfinite(val)):
+            raise ValueError("half-plane Green function is not finite here")
         if np.ndim(z) == 0 and np.ndim(zeta) == 0:
             return float(val)
         return val

@@ -2,6 +2,9 @@
 
 Boundary arcs integrate in their native parameter with panels graded
 geometrically into the corners (kernels are at worst logarithmic there).
+One builder, _plain_edges, gives each arc's plain panel edges: the uniform
+edges, the corner levels and, on the disc (n = 1), its two marked points,
+merged by one sort and one test that drops near-duplicates.
 Area integrals pull the domain back through the strip coordinate
 w = log of the corner-pinning Mobius map (conformal.SectorMap, which owns
 the map, its pullback and its check): the image is a strip of height pi/n
@@ -26,7 +29,9 @@ counts grow, so refined specs refine the mesh everywhere, next to the
 poles too.
 
 Both plain meshes, boundary and area, are built once per (spec, params)
-and kept read-only, the last 8 pairs of each.  A point lays a patch over
+and kept read-only: the last 16 pairs of the boundary's, as many as the
+quick catalog builds for two lenses, and the last 8 of the area's.  A
+point lays a patch over
 a plain mesh.  On the boundary a near point regrades only its nearest
 arc, and there only the span from the first plain panel the rule splits
 to the last (_boundary_patches): the panels before and after it keep
@@ -53,10 +58,12 @@ its patch replaces, adds the values on its patch's nodes, and sums its
 nodes exactly, so that every value is the one that point's own mesh
 gives, rounded once.  What differs per mesh is only the patches'
 producer: _boundary_patches gives the fresh panels of each graded arc,
-built as one block, _singular_patches two blocks, the split cells and
-the Duffy stars.  Each producer decides the patches of all a call's
-points at once, and boundary_mesh(near=z) and area_mesh(singular_at=z)
-call it for z alone.
+_singular_patches two blocks of nodes, the split cells and the Duffy
+stars.  The producers place nodes only.  Each decides the patches of all
+a call's points at once, and boundary_mesh(near=z) and
+area_mesh(singular_at=z) call it for z alone; the evaluator's two
+wrappers, _integrate_kernel and _integrate_area, put the data on the
+fresh nodes and yield them to _integrate one block at a time.
 """
 
 from __future__ import annotations
@@ -120,23 +127,6 @@ def _gauss(order):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def _insert_edges(edges, positions):
-    out = list(edges)
-    lo, hi = out[0], out[-1]
-    for p in positions:
-        if lo + 1e-12 < p < hi - 1e-12:
-            out.append(p)
-    out = sorted(set(out))
-    # drop near-duplicate edges that would create degenerate panels
-    kept = [out[0]]
-    for e in out[1:]:
-        if e - kept[-1] > 1e-13 * (hi - lo):
-            kept.append(e)
-    if kept[-1] != hi:
-        kept[-1] = hi
-    return kept
 
 
 def _split(lo, hi, attractors):
@@ -228,19 +218,24 @@ def _shrink(spec, count):
     return min(1.0, getattr(_DEFAULT_SPEC, count) / getattr(spec, count))
 
 
-def _graded_base_edges(lo, hi, panels, corner_width):
-    """Uniform panel edges, graded geometrically into both ends; grading
-    levels narrower than corner_width are left out (all if it is inf)."""
-    base = list(np.linspace(lo, hi, panels + 1))
-    h = base[1] - base[0]
-    levels = [k for k in range(1, _CORNER_LEVELS + 1)
-              if h * _CORNER_GRADING ** k >= corner_width]
-    left = [lo + h * _CORNER_GRADING ** k for k in reversed(levels)]
-    right = [hi - h * _CORNER_GRADING ** k for k in levels]
-    if panels == 1:
-        # both ends' first level is the middle edge: emit it once
-        right = right[1:]
-    return [lo] + left + base[1:-1] + right + [hi]
+def _plain_edges(lo, hi, panels, corner_width, marks=()):
+    """Panel edges of a plain arc: panels uniform panels, graded
+    geometrically into both ends, and the marks inside the range as edges
+    of their own, merged by one sort.  Grading levels narrower than
+    corner_width are left out (all if it is inf).  An edge at most 1e-13
+    of the range past the one before it is dropped, and the last edge is
+    hi, so no panel is degenerate."""
+    edges = np.linspace(lo, hi, panels + 1)
+    widths = (edges[1] - edges[0]) * _CORNER_GRADING ** np.arange(
+        1, _CORNER_LEVELS + 1)
+    widths = widths[widths >= corner_width]
+    marks = [m for m in marks if lo + 1e-12 < m < hi - 1e-12]
+    # the near-duplicate test drops exact duplicates too (np.unique would
+    # import numpy.ma, 1.6 MB, for that alone)
+    edges = np.sort(np.concatenate([edges, lo + widths, hi - widths, marks]))
+    edges = edges[np.append(True, np.diff(edges) > 1e-13 * (hi - lo))]
+    edges[-1] = hi
+    return edges
 
 
 def _gauss_nodes(lo, hi, order):
@@ -360,9 +355,10 @@ def _integrate(kernel, points, nodes, weights, patches):
     its node side on the plain mesh and weights the plain mesh's data times
     quadrature weight, flat.  patches(chunk) gives (keep, blocks): keep,
     shaped as the kernel's values, marks the plain nodes each point keeps,
-    and blocks holds (build, counts) pairs, build() giving fresh nodes as
-    (weights, node side's arguments), the points' nodes one after the other
-    along the last axis, counts per point."""
+    and blocks yields the fresh nodes one block at a time as (data times
+    weights, node side's arguments, counts), the points' nodes one after
+    the other along the last axis, counts per point.  Each block's nodes
+    are let go before the next one is asked for."""
     out = []
     for chunk, sides, values in _kernel_rows(kernel, points, nodes):
         keep, blocks = patches(chunk)
@@ -370,8 +366,7 @@ def _integrate(kernel, points, nodes, weights, patches):
         with np.errstate(invalid="ignore"):
             values = values.reshape(len(chunk), -1) * weights
         fresh = []
-        for build, counts in blocks:
-            block_weights, args = build()
+        for block_weights, args, counts in blocks:
             mine = tuple(np.repeat(part.reshape(-1), counts) for part in sides)
             with np.errstate(invalid="ignore"):
                 block = kernel.pair(mine, kernel.nodes(*args)) * block_weights
@@ -398,26 +393,24 @@ def _arc_nodes(arc, lo, hi, order):
     return t, arc.point(t), arc.arclen(t), w * arc.speed
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _plain_boundary(spec, params):
     """The plain boundary mesh of (spec, params), built once and read-only:
-    per arc (arc, edges, (BoundaryPoint, weights)), the BoundaryPoint batch
-    and weights holding _arc_nodes' arrays on the panels between successive
-    edges, flat."""
+    per arc (arc, edges, (BoundaryPoint, weights)), the edges _plain_edges'
+    and the BoundaryPoint batch and weights holding _arc_nodes' arrays on
+    the panels between successive edges, flat.  The last 16 are kept: the
+    quick catalog builds 8 specs per lens, and its benchmark alternates
+    two lenses."""
     # a corner panel at least this long keeps its first Gauss node
-    # 2 * EPS_CORNER clear of the corner
+    # 2 * EPS_CORNER clear of the corner; the disc (n = 1) has no corners,
+    # and its nodes keep clear of the two marked points on the circle
     first_node = 0.5 * (1.0 + _gauss(spec.gauss_order)[0][0])
-    corner_arclen = 2.0 * EPS_CORNER / first_node
+    corner_arclen = 2.0 * EPS_CORNER / first_node if params.n > 1 else math.inf
+    marks = (-params.alpha, params.alpha) if params.n == 1 else ()
     out = []
     for arc in arcs(params).values():
-        lo, hi = arc.t_range
-        edges = _graded_base_edges(
-            lo, hi, spec.boundary_panels,
-            corner_arclen / arc.speed if params.n > 1 else math.inf)
-        if params.n == 1:
-            # keep nodes clear of the two marked points on the circle
-            edges = _insert_edges(edges, [-params.alpha, params.alpha])
-        edges = np.array(edges, dtype=float)
+        edges = _plain_edges(*arc.t_range, spec.boundary_panels,
+                             corner_arclen / arc.speed, marks)
         t, point, arclen, w = (a.ravel() for a in _arc_nodes(
             arc, edges[:-1], edges[1:], spec.gauss_order))
         for a in (edges, t, point, arclen, w):
@@ -559,18 +552,17 @@ def _integrate_kernel(spec, params, gamma, kernel, points,
     """The boundary integral of gamma * kernel(z, .) at each of the
     interior points z (_integrate), over the nodes of z's own
     boundary_mesh(near=z): the patches are _boundary_patches', each span's
-    fresh panels built as one block (_arc_block).  gamma maps a
-    BoundaryPoint batch to values; gamma * weights on the plain mesh may be
-    passed in as plain_weights (_plain_weights' array)."""
+    fresh panels built as one block (_arc_block) when _integrate asks for
+    it.  gamma maps a BoundaryPoint batch to values; gamma * weights on the
+    plain mesh may be passed in as plain_weights (_plain_weights' array)."""
     if plain_weights is None:
         plain_weights = _plain_weights(spec, params, gamma)
     plain = _plain_boundary(spec, params)
 
     def patches(chunk):
         keep, spans = _boundary_patches(spec, params, chunk)
-        return keep, [(partial(_arc_block, spec, plain[index][0], gamma,
-                               lo, hi), counts)
-                      for index, lo, hi, counts in spans]
+        return keep, ((*_arc_block(spec, plain[index][0], gamma, lo, hi),
+                       counts) for index, lo, hi, counts in spans)
 
     return _integrate(kernel, points,
                       _plain_nodes(spec, params, kernel.nodes, False),
@@ -703,24 +695,24 @@ def _f_on(f, points):
                            points.size).reshape(points.shape)
 
 
-def _area_block(f, build):
-    """A block of area nodes, build() giving (points, weights, x, y), as
-    _integrate takes it: (f * weights, (x, y)).  The points are let go
-    before a kernel is taken on the block."""
-    points, weights, x, y = build()
+def _area_block(f, nodes):
+    """A block of area nodes (points, weights, x, y) as _integrate takes
+    it: (f * weights, (x, y)).  The points are let go before a kernel is
+    taken on the block."""
+    points, weights, x, y = nodes
     with np.errstate(invalid="ignore"):
         return _f_on(f, points) * weights, (x, y)
 
 
-def _singular_patches(spec, params, f, points):
+def _singular_patches(spec, params, points):
     """The patches that area_mesh(singular_at=z) lays over the plain area
-    mesh, for all the interior points z together, as _integrate takes them
-    with the data f: (keep, blocks).
+    mesh, for all the interior points z together: (keep, blocks).  Only
+    nodes are placed here; the data meet them in the caller.
 
     keep holds one row per point, shaped as the plain nodes (order, order,
     cells), marking the plain cells it keeps: all but those its patch
     replaces.  blocks holds two (build, counts) pairs, build() giving a
-    block of nodes as (f * weights, (x, y)), the points' nodes one after
+    block of nodes as (points, weights, x, y), the points' nodes one after
     the other along the last axis, and counts their number per point along
     it: first the rest of the replaced cells after splitting toward w0
     (_cell_nodes), then the Duffy stars (_stars).  The blocks are built on
@@ -757,9 +749,8 @@ def _singular_patches(spec, params, f, points):
                                      [(center[:, owner[box]], np.zeros(2))])
     leaf_owner = live[owner[box[piece]]]
     by_owner = np.argsort(leaf_owner, kind="stable")
-    cells = (partial(_area_block, f, partial(
-                 _cell_nodes, smap, leaf_lo[:, by_owner],
-                 leaf_hi[:, by_owner], order)),
+    cells = (partial(_cell_nodes, smap, leaf_lo[:, by_owner],
+                     leaf_hi[:, by_owner], order),
              np.bincount(leaf_owner, minlength=len(points)))
 
     # the innermost radial panel reaches at most this far from w0
@@ -767,8 +758,7 @@ def _singular_patches(spec, params, f, points):
     levels = [max(0, math.ceil(0.5 * math.log2(h / floor))) for h in half]
     counts = np.zeros(len(points), dtype=int)
     counts[live] = [8 * (order + 2) * (level + 1) * order for level in levels]
-    stars = (partial(_area_block, f,
-                     partial(_stars, smap, w0, half, levels, order)), counts)
+    stars = partial(_stars, smap, w0, half, levels, order), counts
     return keep, (cells, stars)
 
 
@@ -798,27 +788,25 @@ def area_mesh(spec, params, singular_at=None):
     integral is lost.
 
     The patch is _singular_patches' for this point alone, the code that
-    builds the area patches of _integrate, the solvers' evaluator; this
-    mesh is the reference it is tested against.
+    builds the area patches of _integrate, the solvers' evaluator; its
+    blocks' points and weights are this mesh's as they come.  This mesh is
+    the reference the evaluator is tested against.
     """
-    smap, _, _, _, points, weights, x, y = _plain_area(spec, params)
+    points, weights, x, y = _plain_area(spec, params)[4:]
     plain = (points.ravel(), weights.ravel(), ((x, y),))
     if singular_at is None:
         return plain
     z0 = complex(singular_at)
     if classify_point(params, z0) != "interior":
         raise ValueError("singular point must lie strictly inside the domain")
-    # f = 1 leaves each block's weights as they are; a block's points are
-    # the pullback of its strip coordinates, as the block forms them
-    keep, patches = _singular_patches(spec, params, lambda w: 1.0, [z0])
-    _, star_nodes = patches[1]
-    if not star_nodes[0]:
-        # w0 lies beyond the strip's cut, where nothing is meshed
-        return plain
+    keep, patches = _singular_patches(spec, params, [z0])
     cells = keep[0, 0, 0]
+    if cells.all():
+        # no cell is replaced: w0 lies beyond the strip's cut, where nothing
+        # is meshed
+        return plain
     blocks = ([tuple(a[..., cells] for a in (points, weights, x, y))]
-              + [(smap.pullback(*args)[0], w, *args)
-                 for w, args in (build() for build, _ in patches)])
+              + [build() for build, _ in patches])
     return (np.concatenate([b[0].ravel() for b in blocks]),
             np.concatenate([b[1].ravel() for b in blocks]),
             tuple(b[2:] for b in blocks))
@@ -828,13 +816,17 @@ def _integrate_area(spec, params, f, kernel, points):
     """The area integral of f * kernel(z, .) at each of the interior points
     z (_integrate), over the nodes of z's own area_mesh(singular_at=z).  f
     maps complex points to values, and the kernel's node side takes strip
-    coordinates x and y."""
-    plain = _plain_area(spec, params)
-    with np.errstate(invalid="ignore"):
-        weights = (_f_on(f, plain[4]) * plain[5]).reshape(-1)
+    coordinates x and y.  f meets each block of _singular_patches' nodes
+    here (_area_block), one block at a time."""
+    def patches(chunk):
+        keep, blocks = _singular_patches(spec, params, chunk)
+        return keep, ((*_area_block(f, build()), counts)
+                      for build, counts in blocks)
+
+    weights, _ = _area_block(f, _plain_area(spec, params)[4:])
     return _integrate(kernel, points,
                       _plain_nodes(spec, params, kernel.nodes, True),
-                      weights, partial(_singular_patches, spec, params, f))
+                      weights.reshape(-1), patches)
 
 
 def integrate_area(spec, params, f, singular_at=None):

@@ -259,11 +259,15 @@ def _kernel_checks(params, spec, rng, tier):
     fld = KernelField(params)
     zs, ws = _pairs(params, rng, tier.pairs)
     g_zw = fld.green(zs, ws)
+    # the sign is read from the strip form, which keeps it where G is far
+    # below rounding (thin lenses); the product form's is noise there
+    w = sector_map(params).to_w(ws)
+    least = sector_map(params).strip_green(zs, w.real, w.imag).min()
     out = [
         _err_check("green symmetry", np.abs(g_zw - fld.green(ws, zs)).max(),
                    1e-12),
-        CheckResult("green positivity (min over samples)", float(g_zw.min()),
-                    0.0, ok=bool(g_zw.min() > 0.0), fmt="{:.6f}"),
+        CheckResult("green positivity (min over samples)", float(least),
+                    0.0, ok=bool(least > 0.0), fmt="{:.6f}"),
         _err_check("green vanishes on the boundary",
                    _on_boundary(params, tier.pairs,
                                 lambda b: fld.green(b.point, ws[0])), 1e-8),

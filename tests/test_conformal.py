@@ -9,8 +9,9 @@ from lenspot import (BoundaryData, KernelField, LensParams, QuadratureSpec,
                      sample_interior, sector_map, solve_dirichlet,
                      solve_neumann)
 from lenspot import conformal
+from lenspot.domain import corner_distance
 from lenspot.quadrature import _plain_area
-from lenspot.validation import run_checks
+from lenspot.validation import _pairs, run_checks
 
 CASES = [LensParams(math.pi / 2, 2), LensParams(math.pi / 3, 3),
          LensParams(2 * math.pi / 3, 2), LensParams(math.pi / 4, 4),
@@ -174,3 +175,50 @@ def test_normal_density_is_the_product_forms(params):
     for arc_id in arcs(params):
         bp = boundary_samples(params, arc_id, 3)
         assert fld.normal_density(bp).tolist() == [density[arc_id]] * 3
+
+
+# G at the thin lenses on the catalog's pair draw (validation._pairs, seed 0,
+# 64 pairs), the pairs of the smallest values and a few others: the
+# half-plane form 2 log|W(z) - conj(W(zeta))| / |W(z) - W(zeta)|, W being
+# the map to the half plane, evaluated once in mpmath 1.3 at 400 digits from
+# the pairs' double values.  Here G is far below rounding: the product form
+# reads 23 and 21 of the 64 values as <= 0, and log(F2/F1) rounds 38 to 0.
+THIN_GREEN = {
+    LensParams(math.pi / 2 + 0.01, 64): {
+        14: 6.8345024779397471e-58, 22: 0.36246093358699041,
+        23: 0.25303864151727368, 28: 3.9410748579328259e-94,
+        30: 7.2207224515431552e-122, 31: 1.295299826965618e-18,
+        34: 4.3658355608411407e-62, 57: 1.564515074300002e-62},
+    LensParams(3 * math.pi / 5, 64): {
+        11: 2.0316492179164736e-55, 24: 1.1928412402713474e-66,
+        26: 0.0036483640959404929, 30: 0.034179453797964316,
+        36: 2.4762533020028518e-68, 49: 2.3988402359732882e-75,
+        53: 2.7214001781260176e-21, 56: 7.4811934709367927e-80},
+}
+
+
+@pytest.mark.parametrize("params", THIN_GREEN,
+                         ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+def test_strip_green_keeps_its_sign_at_the_thin_lenses(params):
+    zs, ws = _pairs(params, np.random.default_rng(0), 64)
+    smap = sector_map(params)
+    w = smap.to_w(ws)
+    g = smap.strip_green(zs, w.real, w.imag)
+    assert g.size == 64 and g.min() > 0.0
+    for index, value in THIN_GREEN[params].items():
+        assert abs(g[index] - value) <= 1e-12 * value
+
+
+def test_half_plane_oracle_raises_where_it_is_not_finite():
+    # next to a corner at n = 128 the map's n-th power overflows: the oracle
+    # raises there rather than return NaN with only a RuntimeWarning
+    params = LensParams(0.3, 128)
+    z = sample_interior(params, np.random.default_rng(0), 4000, margin=1e-9)
+    order = np.argsort(corner_distance(params, z), kind="stable")
+    near, rest = z[order[:20]], z[order[20:40]]
+    smap = SectorMap(params)
+    with pytest.raises(ValueError, match="not finite"):
+        smap.green(near[0], rest[0])
+    with pytest.raises(ValueError, match="not finite"):
+        smap.green(near, rest)
+    assert smap.green(near[1], rest[1]) >= 0.0

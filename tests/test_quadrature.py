@@ -17,12 +17,12 @@ from lenspot import (KernelField, LensParams, QuadratureSpec, SectorMap,
                      sector_map, solve_dirichlet, solve_neumann)
 from lenspot.domain import EPS_CORNER, _axis_crossings, corner_distance
 from lenspot.quadrature import (_exact_sum, _exact_weighted_sum, _gauss,
-                                _gauss_nodes, _graded_base_edges,
-                                _boundary_patches, _graded_edges,
-                                _insert_edges, _integrate_area, _plain_area,
-                                _plain_boundary, _shrink, _split)
+                                _gauss_nodes, _boundary_patches,
+                                _graded_edges, _integrate_area, _plain_area,
+                                _plain_boundary, _plain_edges, _shrink,
+                                _split)
 from lenspot.solvers import BoundaryData, SourceTerm, normal_derivative_data
-from lenspot.validation import analytic_area
+from lenspot.validation import analytic_area, run_checks
 
 HALF = LensParams(math.pi / 2, 2)
 CURVED = LensParams(2 * math.pi / 3, 2)
@@ -442,6 +442,68 @@ class TestSplit:
         assert len(graded) > len(edges)
 
 
+class TestPlainEdges:
+    """_plain_edges, the one builder of a plain arc's panel edges."""
+
+    def test_one_panel_on_a_symmetric_range(self):
+        # both ends' first corner level is the middle edge, 0, taken once
+        left = [-1.0 + 2.0 ** -k for k in range(7, -1, -1)]
+        expected = [-1.0] + left + [-e for e in left[-2::-1]] + [1.0]
+        assert _plain_edges(-1.0, 1.0, 1, 0.0).tolist() == expected
+        assert _plain_edges(-1.0, 1.0, 1, 0.1).tolist() == [
+            -1.0, -0.875, -0.75, -0.5, 0.0, 0.5, 0.75, 0.875, 1.0]
+        assert _plain_edges(-1.0, 1.0, 1, math.inf).tolist() == [-1.0, 1.0]
+
+    def test_marks_of_the_disc(self):
+        # uniform edges with the marks inserted; marks at or beyond the ends
+        # are left out
+        assert _plain_edges(-4.0, 4.0, 4, math.inf,
+                            (3.0, -3.0, 4.0, -5.0)).tolist() == [
+            -4.0, -3.0, -2.0, 0.0, 2.0, 3.0, 4.0]
+        (_, edges, _), = _plain_boundary(QuadratureSpec(), DISC)
+        assert np.array_equal(edges, np.sort(np.append(
+            np.linspace(-math.pi, math.pi, 17), [-DISC.alpha, DISC.alpha])))
+
+    @pytest.mark.parametrize("offset", [4e-13, -4e-13, 7.9e-13])
+    def test_mark_next_to_an_edge_leaves_no_degenerate_panel(self, offset):
+        # within 1e-13 of the range (8e-13) of the edge 2: one of the two
+        # goes, and the panels keep their widths
+        edges = _plain_edges(-4.0, 4.0, 4, math.inf, (2.0 + offset,))
+        assert edges.size == 5
+        assert edges[:3].tolist() == [-4.0, -2.0, 0.0] and edges[4] == 4.0
+        assert abs(edges[3] - 2.0) <= 8e-13
+        assert np.diff(edges).min() > 1.0
+        # next to the end, the mark is not an edge at all
+        assert _plain_edges(-4.0, 4.0, 4, math.inf,
+                            (4.0 - 4e-13,)).tolist() == [
+            -4.0, -2.0, 0.0, 2.0, 4.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-10.0, 10.0), width=st.floats(1e-6, 20.0),
+           panels=st.integers(1, 64),
+           corner=st.sampled_from([0.0, 1e-4, 0.05, math.inf]),
+           fractions=st.lists(st.floats(-0.2, 1.2), max_size=4))
+    def test_edges_increase_from_lo_to_hi_through_the_marks(
+            self, lo, width, panels, corner, fractions):
+        hi = lo + width
+        marks = [lo + f * (hi - lo) for f in fractions]
+        edges = _plain_edges(lo, hi, panels, corner, marks)
+        assert edges[0] == lo and edges[-1] == hi
+        assert np.all(np.diff(edges) > 0.0)
+        tol = 1e-13 * (hi - lo)
+        uniform = np.linspace(lo, hi, panels + 1)
+        levels = (uniform[1] - lo) * 0.5 ** np.arange(1, 9)
+        others = np.concatenate([uniform, lo + levels, hi - levels, marks])
+        for m in marks:
+            if not lo + 1e-12 < m < hi - 1e-12:
+                continue
+            if np.sum(np.abs(others - m) <= 2.0 * tol) > 1:
+                # a near-duplicate: an edge stands for it
+                assert np.abs(edges - m).min() <= 2.0 * tol
+            else:
+                assert m in edges
+
+
 class TestLocalMesh:
     """area_mesh(singular_at=z) splits only the cells near the image of z."""
 
@@ -627,8 +689,8 @@ PATCH_SPECS = [QuadratureSpec(), QuadratureSpec().refined(2),
 
 
 def whole_arc_mesh(spec, params, near):
-    """boundary_mesh built whole: every arc's panel edges from the base
-    edges (the n = 1 marks inserted), and on the graded arc _graded_edges
+    """boundary_mesh built whole: every arc's panel edges from the plain
+    edges (at n = 1 with the marks), and on the graded arc _graded_edges
     over the whole arc toward near_t (and at n = 1 its image across the
     seam t = +-pi); nodes and weights for every panel."""
     near_arc = None
@@ -643,11 +705,10 @@ def whole_arc_mesh(spec, params, near):
     out = []
     for arc in arcs(params).values():
         lo, hi = arc.t_range
-        edges = _graded_base_edges(
+        edges = _plain_edges(
             lo, hi, spec.boundary_panels,
-            corner_arclen / arc.speed if params.n > 1 else math.inf)
-        if params.n == 1:
-            edges = _insert_edges(edges, [-params.alpha, params.alpha])
+            corner_arclen / arc.speed if params.n > 1 else math.inf,
+            [-params.alpha, params.alpha] if params.n == 1 else [])
         if arc.arc_id == near_arc:
             edges = _graded_edges(edges,
                                   [(p, floor / arc.speed) for p in targets],
@@ -830,6 +891,17 @@ class TestBoundaryCache:
         warm = solve()
         for a, b in zip(cold, warm):
             assert np.array_equal(a, b)
+
+
+    def test_quick_catalog_of_two_lenses_fits_the_cache(self):
+        # the quick catalog builds 8 boundary specs per lens, and the
+        # benchmark alternates two lenses: a second round rebuilds nothing
+        _plain_boundary.cache_clear()
+        for _ in range(2):
+            misses = _plain_boundary.cache_info().misses
+            for params in (CURVED, LensParams(math.pi / 2, 8)):
+                run_checks(params, quick=True)
+        assert misses == _plain_boundary.cache_info().misses == 16
 
 
 class TestConvergence:
