@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .conformal import sector_map
 from .domain import (LensParams, arc_matrix, arcs, boundary_samples,
                      classify_point, reflection_orbit)
@@ -181,8 +179,7 @@ def _cmd_poisson(args):
     for arc_id in arcs(params):
         bp = boundary_samples(params, arc_id, args.samples)
         values = smap.strip_poisson(args.z, bp.point)
-        for t, pt, v in zip(np.atleast_1d(bp.t), np.atleast_1d(bp.point),
-                            np.atleast_1d(values)):
+        for t, pt, v in zip(bp.t, bp.point, values):
             rows.append(f"{arc_id},{_fmt(t)},{_fmt(pt.real)},{_fmt(pt.imag)},{_fmt(v)}")
     _emit(rows, args.output)
     return 0

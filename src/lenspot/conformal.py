@@ -311,13 +311,18 @@ class SectorMap:
             return self._finite(log_pole - np.log(f1 * f2) + row)
 
     def to_halfplane(self, z):
-        """Image in the closed upper half plane; corners are excluded."""
+        """Image in the closed upper half plane; corners are excluded, and
+        ValueError is raised where the image is not finite, as where the
+        n-th power overflows next to a corner at large n."""
         z = np.asarray(z, dtype=complex)
         if np.any(corner_distance(self.params, z) <= EPS_CORNER):
             raise ValueError("the corner points map to 0 and infinity")
         # the sector lies below the real ray, so its n-th power fills the
         # lower half plane
-        w = np.conj(self.sector(z) ** self.params.n)
+        with np.errstate(over="ignore"):
+            w = np.conj(self.sector(z) ** self.params.n)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("half-plane image is not finite here")
         if np.ndim(z) == 0:
             return complex(w)
         return w

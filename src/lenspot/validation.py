@@ -576,7 +576,8 @@ def _solver_checks(params, spec, rng, tier):
     arc = arcs(params)["C1"]
     bp = boundary_point(params, "C1", 0.25 * arc.half_width)
     q, _ = normal_coeffs(params, bp)
-    d, hh = 1e-2, 1e-3
+    d = _margin(params, 1e-2)
+    hh = d / 10
     gamma = normal_derivative_data(params, lambda z: z)
     stencil = [bp.point - (d + s * hh) * q for s in (-1.0, 1.0)]
     wv = solve_neumann(params, spec, gamma, SourceTerm.zero(), stencil)
@@ -625,13 +626,15 @@ def _area_route_checks(params, spec, pts):
 
 def _attainment_errors(params, spec):
     """{d: largest |w - Re zeta|} for the Dirichlet solution w of Re z at
-    the points z = zeta - d nu, d = 1e-2 and 1e-3 inside one node zeta of
-    each arc; all of them in one solve."""
+    the points z = zeta - d s nu, d = 1e-2 and 1e-3, inside one node zeta of
+    each arc; all of them in one solve.  s is 1, or less in a lens too thin
+    for 1e-2 (_margin)."""
+    scale = _margin(params, 1e-2) / 1e-2
     near = []
     for arc_id, arc in arcs(params).items():
         bp = boundary_point(params, arc_id, 0.35 * arc.half_width)
         q, _ = normal_coeffs(params, bp)
-        near += [(d, bp.point, bp.point - d * q) for d in (1e-2, 1e-3)]
+        near += [(d, bp.point, bp.point - d * scale * q) for d in (1e-2, 1e-3)]
     w = solve_dirichlet(params, spec, BoundaryData.from_expression("re"),
                         SourceTerm.zero(), [z for *_, z in near])
     worst = {1e-2: 0.0, 1e-3: 0.0}

@@ -1,3 +1,6 @@
+import cmath
+import csv
+import io
 import json
 import math
 import re
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from lenspot import (KernelField, LensParams, arcs, boundary_point,
-                     boundary_samples, sector_map)
+                     boundary_samples, sample_interior, sector_map)
 from lenspot.cli import main
 
 # a valid problem file: |z|^2 solves the Poisson equation with f = 1
@@ -346,6 +349,38 @@ class TestSolveCommands:
         assert out == ""
         assert err.startswith("error: the C1 sample table spans")
 
+    # Re z^3 with f = 0 on the half disc, so the answers come from the
+    # boundary kernel alone: (points, rows, bound)
+    @pytest.mark.parametrize("points, count, bound", [
+        # 1e-3 and 0.01 inside the unit arc, 1e-3 and 5e-4 from the chord:
+        # the boundary mesh regrades both arcs next to a point
+        ([0.999, 0.001, 0.7 + 0.7j, 0.0005 + 0.5j], 4, 1e-10),
+        # 1e-2 or more inside: the 512 plain boundary nodes let the solver
+        # take 64 points at a time, so the call runs in 4 chunks
+        (sample_interior(LensParams(math.pi / 2, 2), np.random.default_rng(0),
+                         200, margin=1e-2).tolist(), 200, 1e-10),
+        # 1e-9 inside, two at the unit arc and one at the chord: the mesh is
+        # graded down to half a point's distance, so they read about 1e-9
+        # (2.1e-3 with a fixed 1e-8 floor on that grading)
+        ([(1 - 1e-9) * cmath.exp(0.7j), (1 - 1e-9) * cmath.exp(-0.2j),
+          1e-9 + 0.3j, 0.5 + 0.1j], 4, 1e-8),
+    ], ids=["near", "many", "deep"])
+    def test_harmonic_problem_files(self, capsys, tmp_path, points, count,
+                                    bound):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "alpha": math.pi / 2, "n": 2,
+            "gamma": {"kind": "re_zk", "payload": 3}, "f": {"kind": "zero"},
+            "points": [[z.real, z.imag] for z in map(complex, points)]}))
+        code, out, err = run(capsys, "solve-dirichlet", "--problem", str(path))
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == count
+        z = np.array([complex(float(r["point_re"]), float(r["point_im"]))
+                      for r in rows])
+        gaps = np.abs([float(r["w_re"]) for r in rows] - np.real(z ** 3))
+        assert gaps.max() <= bound
+
     @pytest.mark.parametrize("problem, name", [
         (dict(_GOOD, source={"kind": "const", "payload": 1.0}), "'source'"),
         (dict(_GOOD, gamma={"kind": "const", "value": 2.0}), "'value'"),
@@ -402,8 +437,11 @@ class TestValidateCommand:
         assert "mass identity: 1.000000000000" in out
         assert "checks passed" in out
 
-    def test_deterministic_output(self, capsys):
-        args = ("validate", "--alpha-pi", "2/3", "--n", "2", "--quick")
+    # the CLI promises byte-identical output, and the benchmark grades it
+    # that way
+    @pytest.mark.parametrize("alpha_pi, n", [("2/3", "2"), ("1/2", "8")])
+    def test_deterministic_output(self, capsys, alpha_pi, n):
+        args = ("validate", "--alpha-pi", alpha_pi, "--n", n, "--quick")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2

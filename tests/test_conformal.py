@@ -222,3 +222,48 @@ def test_half_plane_oracle_raises_where_it_is_not_finite():
     with pytest.raises(ValueError, match="not finite"):
         smap.green(near, rest)
     assert smap.green(near[1], rest[1]) >= 0.0
+
+
+def test_half_plane_image_raises_where_it_is_not_finite():
+    # |sector(z)| = 277.5 here, and its 128th power overflows
+    smap = SectorMap(LensParams(0.3, 128))
+    z = 0.9559508562363113 - 0.293488341369516j
+    for points in (z, np.array([z, 0.99])):
+        with pytest.raises(ValueError, match="not finite"):
+            smap.to_halfplane(points)
+
+
+# G between the points 1e-3, 1e-5 and 2e-7 from c+ and from c-, each
+# stepped toward the strip's midline point pullback(0, -theta/2), at the six
+# acceptance sets: the half-plane form as for THIN_GREEN, at 400 digits,
+# with the corners and the map's rotation at their double values.  G falls
+# as the distance to the power 2n, to 3.2e-55 at (pi/4, 4); points outside
+# EPS_CORNER of the corners give no smaller G at n <= 4.
+CORNER_GREEN = {
+    LensParams(math.pi / 2, 2): (
+        1.253271198048217e-13, 1.2500326645508424e-21, 2.0000010444305837e-28),
+    LensParams(2 * math.pi / 3, 2): (
+        2.9983492387951656e-14, 2.9774240112774757e-22, 4.763547946672076e-29),
+    LensParams(math.pi / 4, 4): (
+        1.2583449339988174e-25, 1.2500831500074796e-41, 3.2000042597586663e-55),
+    LensParams(math.pi / 3, 3): (
+        7.438908309974795e-20, 7.407721684758361e-32, 4.740744767942214e-42),
+    LensParams(0.9 * math.pi, 1): (
+        6.881594221915345e-06, 6.854376137901166e-10, 2.7416429790917506e-13),
+    LensParams(math.pi / 2, 1): (
+        1.0010007505003354e-06, 1.0000100000658984e-10, 4.0000008002301655e-14),
+}
+
+
+@pytest.mark.parametrize("params", CORNER_GREEN,
+                         ids=lambda p: f"{p.alpha:.4g}-{p.n}")
+def test_strip_green_between_opposite_corners(params):
+    smap = sector_map(params)
+    cp, cm = params.corners
+    mid = complex(smap.pullback(0.0, -0.5 * params.theta)[0])
+    for d, value in zip((1e-3, 1e-5, 2e-7), CORNER_GREEN[params]):
+        z = cp + d * (mid - cp) / abs(mid - cp)
+        zeta = cm + d * (mid - cm) / abs(mid - cm)
+        w = smap.to_w(zeta)
+        g = smap.strip_green(z, w.real, w.imag)
+        assert g > 0.0 and abs(g - value) <= 1e-12 * value
